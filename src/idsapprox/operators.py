@@ -79,8 +79,9 @@ class LocalRule:
         self.name = name or type(self).__name__
         self._window = model.ball(2 * self.overall_range).sorted_elements
         self._offsets = model.ball(range_m).sorted_elements
-        # grows under the GIL; concurrent readers are fine
+        # grow under the GIL; concurrent readers are fine
         self._block_cache: dict[tuple, np.ndarray] = {}
+        self._block_norms: list[float] = []  # spectral norm of each cached block
 
     # -- pattern and block access -------------------------------------------
 
@@ -89,15 +90,23 @@ class LocalRule:
         symbols = tuple(C.colour(model.multiply(q, x)) for q in self._window)
         return LocalPattern(self._window, symbols)
 
-    def _block_for(self, pattern: LocalPattern, w: Element) -> np.ndarray:
-        key = (pattern.symbols, w)
-        cached = self._block_cache.get(key)
-        if cached is not None:
-            return cached
-        raw = np.asarray(self.kernel(pattern, w), dtype=np.float64).reshape(self.k, self.k)
-        raw.setflags(write=False)
-        self._block_cache[key] = raw
-        return raw
+    def _blocks_for(self, keys: Sequence[tuple[tuple[str, ...], Element]]) -> np.ndarray:
+        """Kernel blocks for (pattern symbols, offset) keys, stacked (n, k, k).
+
+        Each block enters the cache once, with its spectral norm recorded.
+        """
+        cache = self._block_cache
+        new = [key for key in keys if key not in cache]
+        if new:
+            raw = np.array(
+                [np.reshape(self.kernel(LocalPattern(self._window, s), w), (self.k, self.k))
+                 for s, w in new],
+                dtype=np.float64,
+            )
+            raw.setflags(write=False)
+            cache.update(zip(new, raw))
+            self._block_norms.extend(np.linalg.norm(raw, 2, axis=(1, 2)).tolist())
+        return np.array([cache[key] for key in keys]).reshape(-1, self.k, self.k)
 
     def block_at(self, C: Colouring, x: Element, y: Element) -> np.ndarray:
         """Kernel block p_y H i_x, zero beyond the hopping range."""
@@ -105,10 +114,7 @@ class LocalRule:
         w = model.multiply(y, model.inverse(x))
         if model.word_length(w) > self.range_m:
             return np.zeros((self.k, self.k))
-        return self._block_for(self.local_pattern(C, x), w)
-
-    def seen_block_norms(self) -> list[float]:
-        return [float(np.linalg.norm(b, 2)) for b in self._block_cache.values()]
+        return self._blocks_for([(self.local_pattern(C, x).symbols, w)])[0]
 
 
 @dataclass
@@ -118,7 +124,7 @@ class RestrictedMatrix:
     Q: FiniteSet
     order: tuple[Element, ...]
     k: int
-    data: object  # dense ndarray or scipy.sparse matrix
+    data: scipy.sparse.csr_matrix  # rows i*k..i*k+k-1 belong to order[i]
     norm_hint: float = 0.0
 
     @property
@@ -126,9 +132,7 @@ class RestrictedMatrix:
         return self.k * len(self.order)
 
     def to_dense(self) -> np.ndarray:
-        if scipy.sparse.issparse(self.data):
-            return np.asarray(self.data.todense(), dtype=np.float64)
-        return np.asarray(self.data, dtype=np.float64)
+        return self.data.toarray()
 
     def index_of(self, g: Element) -> int:
         return self.order.index(g)
@@ -145,80 +149,78 @@ class RestrictedMatrix:
         return "\n".join(lines) + "\n"
 
 
-DENSE_LIMIT = 2000
+def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer id of every row of a 2-D array (equal rows, equal ids) and the
+    index of one representative row per id, ids in lexicographic row order."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, order[first]
 
 
 def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> RestrictedMatrix:
     """Assemble H[Q] = p_Q H i_Q from the rule's kernel blocks.
 
-    Blocks are assembled symmetrically from one orientation, and the kernel's
-    transpose consistency is validated on every assembled pair.
+    Every point of the windows around Q is coloured once; rows sharing a
+    local pattern share their kernel blocks.  The block for (x, y = w x) is
+    kernel(pattern at x, w), and transpose consistency
+    kernel(pattern at y, w^-1) == kernel(pattern at x, w)^T (symmetry of the
+    diagonal blocks when w = e) is validated once per distinct
+    (pattern at x, pattern at y, w).
     """
     model = rule.model
-    order = Q.sorted_elements
-    index = {g: i for i, g in enumerate(order)}
     k = rule.k
-    dim = k * len(order)
-    dense = dim <= DENSE_LIMIT
-    if dense:
-        mat = np.zeros((dim, dim))
-        rows = cols = vals = None
-    else:
-        mat = None
-        rows, cols, vals = [], [], []
-    patterns: dict[Element, LocalPattern] = {}
-
-    def pattern_at(g: Element) -> LocalPattern:
-        pat = patterns.get(g)
-        if pat is None:
-            pat = rule.local_pattern(C, g)
-            patterns[g] = pat
-        return pat
-
-    def put(i: int, j: int, block: np.ndarray) -> None:
-        if dense:
-            mat[i * k : (i + 1) * k, j * k : (j + 1) * k] = block
-        else:
-            for a in range(k):
-                for b in range(k):
-                    v = block[a, b]
-                    if v != 0.0:
-                        rows.append(i * k + a)
-                        cols.append(j * k + b)
-                        vals.append(v)
-
-    identity = model.identity
-    for i, x in enumerate(order):
-        pat_x = pattern_at(x)
-        for w in rule._offsets:
-            y = model.multiply(w, x)
-            j = index.get(y)
-            if j is None or j < i:
-                continue
-            block = rule._block_for(pat_x, w)
-            if j == i:
-                if w != identity:
-                    raise OperatorError("offset identity mismatch")
-                if not np.array_equal(block, block.T):
-                    raise SymmetryError(
-                        f"diagonal block at {x} is not symmetric: {block}"
-                    )
-                put(i, i, block)
-            else:
-                mirrored = rule._block_for(pattern_at(y), model.inverse(w))
-                if not np.array_equal(mirrored, block.T):
-                    raise SymmetryError(
-                        f"kernel blocks at ({x}, {y}) are not transpose-consistent"
-                    )
-                put(i, j, block)
-                put(j, i, block.T)
-    if dense:
-        data: object = mat
-    else:
-        data = scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(dim, dim)
-        ).tocsr()
-    return RestrictedMatrix(Q, order, k, data, norm_hint=norm_bound(rule))
+    window = rule._window
+    offsets = rule._offsets
+    X = Q.coords
+    n = len(X)
+    # Q, then the points q x, window position major
+    points = np.concatenate([X] + [model.lmul_array(q, X) for q in window])
+    point_id, first = _row_ids(points)
+    symbols, codes = np.unique(
+        np.array([C.colour(tuple(g)) for g in points[first].tolist()]), return_inverse=True
+    )
+    row_of = np.full(len(first), -1)
+    row_of[point_id[:n]] = np.arange(n)
+    window_ids = point_id[n:].reshape(len(window), n)
+    pattern_id, reps = _row_ids(codes[window_ids].T)
+    # the symbols of each distinct pattern
+    patterns = list(map(tuple, symbols[codes[window_ids[:, reps]].T].tolist()))
+    # every ordered pair (x, y = w x) inside Q, with w = offsets[t]
+    targets = row_of[window_ids[[window.index(w) for w in offsets]]]
+    t, x = np.nonzero(targets >= 0)
+    y = targets[t, x]
+    # one kernel block per distinct (pattern at x, w)
+    block_id, block_reps = _row_ids(np.stack([pattern_id[x], t], axis=1))
+    rep_patterns = pattern_id[x[block_reps]].tolist()
+    blocks = rule._blocks_for(
+        [(patterns[p], offsets[w]) for p, w in zip(rep_patterns, t[block_reps].tolist())]
+    )
+    # the block of (y, x) for w^-1 was assembled too, as pair (y, x) is in Q
+    inverse = np.array([offsets.index(model.inverse(w)) for w in offsets])
+    pair_id = np.full((len(patterns), len(offsets)), -1)
+    pair_id[pattern_id[x], t] = block_id
+    _, triple_reps = _row_ids(np.stack([pattern_id[x], pattern_id[y], t], axis=1))
+    fwd = block_id[triple_reps]
+    back = pair_id[pattern_id[y[triple_reps]], inverse[t[triple_reps]]]
+    bad = ~(blocks[back] == blocks[fwd].transpose(0, 2, 1)).all(axis=(1, 2))
+    if bad.any():
+        i = triple_reps[np.argmax(bad)]
+        raise SymmetryError(
+            f"kernel blocks at ({Q.sorted_elements[x[i]]}, {Q.sorted_elements[y[i]]}) "
+            "are not transpose-consistent"
+        )
+    a = np.arange(k)
+    rows = (x[:, None, None] * k + a[:, None]).repeat(k, axis=2).ravel()
+    cols = (y[:, None, None] * k + a[None, :]).repeat(k, axis=1).ravel()
+    vals = blocks[block_id].ravel()
+    nz = vals != 0.0
+    dim = k * n
+    data = scipy.sparse.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(dim, dim))
+    return RestrictedMatrix(Q, Q.sorted_elements, k, data, norm_hint=norm_bound(rule))
 
 
 # -- concrete rules ---------------------------------------------------------------
@@ -401,7 +403,7 @@ def norm_bound(rule: LocalRule) -> float:
     assembly; the bound is an upper certificate relative to that enumeration,
     not the exact operator norm.
     """
-    norms = rule.seen_block_norms()
+    norms = rule._block_norms
     if not norms:
         return 0.0
     return max(norms) * len(rule.model.ball(rule.overall_range))

@@ -1,11 +1,11 @@
 """Symmetric eigensolves, eigenvalue counting functions and perturbation gaps.
 
-The dense path is LAPACK's symmetric solver (orthogonal reduction to
-tridiagonal form plus implicitly shifted QL/QR); the alternative backend is
-an n-step Lanczos iteration with full reorthogonalisation feeding the
-tridiagonal solver, with a dense fallback when its trace check fails.
-Counting functions cluster eigenvalues closer than the tolerance tau into a
-single breakpoint.
+Every eigensolve takes one path: the matrix is held in CSR form, checked
+for symmetry, split into the connected components of its nonzero pattern
+(the counting function of a direct sum is the sum of the counting
+functions), and the components of each size are solved together by
+LAPACK's symmetric solver on one stacked array.  Counting functions cluster
+eigenvalues closer than the tolerance tau into a single breakpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .ergodic import StepFunction
@@ -35,27 +34,29 @@ class QuasiModeError(ValueError):
 DEFAULT_TAU_SCALE = 1e-9
 
 
-def _as_dense(M) -> np.ndarray:
-    if scipy.sparse.issparse(M):
-        return np.asarray(M.todense(), dtype=np.float64)
+def _as_csr(M) -> scipy.sparse.csr_matrix:
+    """CSR form of a restriction, a sparse matrix or a dense array."""
     if hasattr(M, "to_dense"):
-        return M.to_dense()
-    return np.asarray(M, dtype=np.float64)
+        M = M.data  # a RestrictedMatrix keeps its CSR matrix in .data
+    if not scipy.sparse.issparse(M):
+        M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2:
+            raise SpectraError("matrix must be square")
+    return scipy.sparse.csr_matrix(M, dtype=np.float64)
 
 
-def _norm_hint(M, dense: np.ndarray) -> float:
+def _as_dense(M) -> np.ndarray:
+    return _as_csr(M).toarray()
+
+
+def default_tau(M, A=None) -> float:
+    """DEFAULT_TAU_SCALE times the norm hint of M, or, without one, times
+    max |A_ij| * dim of its matrix A."""
     hint = getattr(M, "norm_hint", None)
-    if hint is not None and hint > 0:
-        return float(hint)
-    if dense.size == 0:
-        return 1.0
-    return float(max(1.0, np.abs(dense).max() * dense.shape[0]))
-
-
-def default_tau(M, dense: Optional[np.ndarray] = None) -> float:
-    if dense is None:
-        dense = _as_dense(M)
-    return DEFAULT_TAU_SCALE * max(1.0, _norm_hint(M, dense))
+    if hint is None or hint <= 0:
+        A = _as_csr(M) if A is None else A
+        hint = float(abs(A).max()) * A.shape[0] if A.shape[0] else 1.0
+    return DEFAULT_TAU_SCALE * max(1.0, float(hint))
 
 
 @dataclass(frozen=True)
@@ -69,83 +70,70 @@ class EigenvalueList:
         return len(self.values)
 
 
-def _check_symmetric(A: np.ndarray) -> None:
+def _check_symmetric(A) -> None:
+    """A dense array or sparse matrix must be square and symmetric."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SpectraError("matrix must be square")
-    if A.size == 0:
+    if A.shape[0] == 0:
         return
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
+    scale = max(1.0, float(abs(A).max()))
+    if float(abs(A - A.T).max()) > 1e-12 * scale:
         raise SpectraError("matrix is not symmetric")
 
 
-def _lanczos_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Full-reorthogonalised Lanczos run to completion, then tridiagonal solve."""
-    n = A.shape[0]
-    if n == 0:
-        return np.empty(0)
-    V = np.zeros((n, n))
-    alphas = np.zeros(n)
-    betas = np.zeros(max(n - 1, 0))
-    v = np.ones(n) / np.sqrt(n)
-    V[:, 0] = v
-    for k in range(n):
-        w = A @ V[:, k]
-        alphas[k] = float(V[:, k] @ w)
-        w -= alphas[k] * V[:, k]
-        if k > 0:
-            w -= betas[k - 1] * V[:, k - 1]
-        # full reorthogonalisation, twice for safety
-        for _ in range(2):
-            w -= V[:, : k + 1] @ (V[:, : k + 1].T @ w)
-        if k == n - 1:
-            break
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-13 * max(1.0, float(np.abs(A).max())):
-            # invariant subspace found; restart with a fresh orthogonal direction
-            w = np.zeros(n)
-            for j in range(n):
-                cand = np.zeros(n)
-                cand[j] = 1.0
-                cand -= V[:, : k + 1] @ (V[:, : k + 1].T @ cand)
-                norm = float(np.linalg.norm(cand))
-                if norm > 1e-8:
-                    w = cand / norm
-                    break
-            betas[k] = 0.0
-            V[:, k + 1] = w
-        else:
-            betas[k] = beta
-            V[:, k + 1] = w / beta
-    return scipy.linalg.eigh_tridiagonal(alphas, betas, eigvals_only=True)
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's connected component, for the graph
+    on range(n) with edges (rows[i], cols[i]): hook every root to the
+    smallest root it touches, then compress, until no edge joins two roots."""
+    label = np.arange(n)
+    while True:
+        lr, lc = label[rows], label[cols]
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(lr, lc), np.minimum(lr, lc))
+        while True:
+            up = hooked[hooked]
+            if np.array_equal(up, hooked):
+                break
+            hooked = up
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
-def eigenvalues(M, tau: Optional[float] = None, backend: str = "auto") -> EigenvalueList:
+def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
     """All eigenvalues of a symmetric matrix, with multiplicity.
 
-    backend "auto"/"dense" uses LAPACK; "lanczos" uses the iterative
-    tridiagonalisation and falls back to the dense path when its trace
-    validation fails.
+    M is a RestrictedMatrix, a scipy.sparse matrix or a dense array.
     """
-    dense = _as_dense(M)
-    _check_symmetric(dense)
+    A = _as_csr(M)
+    _check_symmetric(A)
     if tau is None:
-        tau = default_tau(M, dense)
-    if dense.shape[0] == 0:
-        return EigenvalueList(np.empty(0), tau)
-    if backend in ("auto", "dense"):
+        tau = default_tau(M, A)
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    nz = A.data != 0.0
+    rows, cols, vals = rows[nz], A.indices[nz], A.data[nz]
+    # components in order of their smallest row; rows ascending within each
+    label = _component_labels(n, rows, cols)
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    comp = np.empty(n, dtype=np.int64)
+    comp[order] = np.repeat(np.arange(len(size)), size)
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - np.repeat(start, size)
+    slot = np.empty(len(size), dtype=np.int64)  # rank among equal-size components
+    values = [np.empty(0)]
+    for m in np.unique(size).tolist():
+        members = np.nonzero(size == m)[0]
+        slot[members] = np.arange(len(members))
+        mine = size[comp[rows]] == m
+        blocks = np.zeros((len(members), m, m))
+        blocks[slot[comp[rows[mine]]], local[rows[mine]], local[cols[mine]]] = vals[mine]
         try:
-            vals = np.linalg.eigvalsh(dense)
+            values.append(np.linalg.eigvalsh(blocks).ravel())
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SpectraError(f"eigensolver did not converge: {exc}") from exc
-    elif backend == "lanczos":
-        vals = _lanczos_eigenvalues(dense)
-        trace = float(np.trace(dense))
-        if abs(float(vals.sum()) - trace) > 1e-6 * max(1.0, abs(trace), _norm_hint(M, dense)):
-            vals = np.linalg.eigvalsh(dense)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return EigenvalueList(np.sort(vals), float(tau))
+    return EigenvalueList(np.sort(np.concatenate(values)), float(tau))
 
 
 def cluster_values(values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from idsapprox.cayley import FiniteSet, FreeAbelian, folner_set, interval_folner, shrink
+from idsapprox.cayley import FiniteSet, FreeAbelian, Heisenberg3, folner_set, interval_folner, shrink
 from idsapprox.colouring import (
     Alphabet,
     BLACK,
@@ -283,3 +283,100 @@ def test_coordinate_text_export(z1):
     lines = text.strip().splitlines()
     assert lines[0].startswith("%")
     assert "1 2 1.0" in text
+
+
+# -- assembly against a pairwise oracle ---------------------------------------------
+
+
+def pairwise_matrix(rule, C, Q):
+    """H[Q] built block by block from rule.block_at over every ordered pair."""
+    k = rule.k
+    order = Q.sorted_elements
+    M = np.zeros((k * len(order), k * len(order)))
+    for i, x in enumerate(order):
+        for j, y in enumerate(order):
+            M[i * k : (i + 1) * k, j * k : (j + 1) * k] = rule.block_at(C, x, y)
+    return M
+
+
+def chain_fold(model):
+    """k=2 fold of a period-2 chain with hops 1 and 2: the blocks for the
+    offsets +-1 are not symmetric."""
+
+    def kern(a, b):
+        (g, i), (h, j) = a, b
+        u, v = 2 * g[0] + i, 2 * h[0] + j
+        if abs(u - v) != 1:
+            return 0.0
+        return 1.0 if min(u, v) % 2 == 0 else 2.0
+
+    return periodic_fold(PeriodicCover(model, 2, kern, 1))
+
+
+def oracle_cases():
+    z1, z2, z4, h3 = FreeAbelian(1), FreeAbelian(2), FreeAbelian(4), Heisenberg3()
+    ab = Alphabet(("a", "b"))
+    perc2 = PercolationColouring(z2, ab, seed=5)
+    perc4 = PercolationColouring(z4, ab, seed=6)
+    halfline = HalfLineMod3(z1)
+    rng = random.Random(30)
+    yield percolation_rule(z1, halfline.alphabet, [BLACK]), halfline, interval(z1, -12, 6)
+    yield offset_table_rule(z1, {(1,): 0.5, (-1,): 0.5, (2,): -1.0, (-2,): -1.0}), halfline, random_subset(z1, rng, 8, 12)
+    yield percolation_rule(z2, ab, ["a"]), perc2, folner_set(z2, 6).tile
+    yield laplacian_rule(percolation_rule(z2, ab, ["a"])), perc2, random_subset(z2, rng, 4, 30)
+    yield percolation_rule(z4, ab, ["a"]), perc4, z4.ball(2)  # Z^4 does not pack
+    yield adjacency_rule(h3), TrivialColouring(h3), folner_set(h3, 2).tile
+    yield chain_fold(z1), TrivialColouring(z1), random_subset(z1, rng, 6, 9)
+
+
+ORACLE_IDS = ["z1_halfline", "z1_offsets", "z2_perc", "z2_laplacian", "z4_perc", "h3_adj", "z1_fold_k2"]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_IDS)), ids=ORACLE_IDS)
+def test_assembly_matches_pairwise_oracle(case):
+    rule, C, Q = list(oracle_cases())[case]
+    M = restrict_operator(rule, C, Q)
+    assert np.array_equal(M.to_dense(), pairwise_matrix(rule, C, Q))
+    assert M.order == Q.sorted_elements
+
+
+def test_assembly_empty_set(z2):
+    M = restrict_operator(adjacency_rule(z2), TrivialColouring(z2), FiniteSet(z2, []))
+    assert M.dim == 0 and M.to_dense().shape == (0, 0)
+
+
+def test_pattern_dependent_asymmetry_raises(z2):
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=7)
+
+    def reads_only_x(pattern, w):  # the block at (x, y) ignores the colour of y
+        return 0.0 if w == (0, 0) else float(pattern.symbol_at((0, 0)) == "a")
+
+    rule = LocalRule(z2, 1, 1, 1, reads_only_x)
+    with pytest.raises(SymmetryError):
+        restrict_operator(rule, C, folner_set(z2, 3).tile)
+
+
+def test_nonsymmetric_diagonal_block_raises(z1):
+    def kernel(pattern, w):
+        return [[0.0, 1.0], [0.0, 0.0]] if w == (0,) else np.zeros((2, 2))
+
+    rule = LocalRule(z1, 2, 1, 1, kernel)
+    with pytest.raises(SymmetryError):
+        restrict_operator(rule, TrivialColouring(z1), interval(z1, 0, 2))
+
+
+def test_norm_hint_matches_recomputation(z2):
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=8)
+
+    def kernel(pattern, w):  # spectral norms 2, 1 and 1 against entries <= 1
+        if w != (0, 0):
+            return np.full((2, 2), 0.5)
+        d = float(pattern.symbol_at((0, 0)) == "a")
+        return [[d, 1.0], [1.0, d]]
+
+    rng = random.Random(31)
+    for rule in (laplacian_rule(percolation_rule(z2, C.alphabet, ["a"])), LocalRule(z2, 2, 1, 1, kernel)):
+        for _ in range(4):
+            M = restrict_operator(rule, C, random_subset(z2, rng, 5, 25))
+            brute = max(np.linalg.norm(b, 2) for b in rule._block_cache.values())
+            assert M.norm_hint == brute * len(z2.ball(rule.overall_range))

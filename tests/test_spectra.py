@@ -2,14 +2,22 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from idsapprox.cayley import folner_set, interval_folner
-from idsapprox.colouring import BLACK, HalfLineMod3
-from idsapprox.operators import offset_table_rule, percolation_rule, restrict_operator
+from idsapprox.cayley import FiniteSet, folner_set, interval_folner
+from idsapprox.colouring import BLACK, HalfLineMod3, TrivialColouring
+from idsapprox.operators import (
+    PeriodicCover,
+    offset_table_rule,
+    percolation_rule,
+    periodic_fold,
+    restrict_operator,
+)
 from idsapprox.spectra import (
     QuasiModeError,
     SpectraError,
     cluster_values,
+    counting_from_values,
     counting_function,
     eigenvalues,
     numerical_rank,
@@ -219,15 +227,6 @@ def test_spectral_shift_entrywise_chain(z2):
     assert integral <= 2 * len(z2.ball(1)) * eps * len(U) + 1e-9
 
 
-def test_backend_equivalence():
-    rng = random.Random(24)
-    for n in (10, 60, 150):
-        A = sym(rng, n)
-        dense = eigenvalues(A, backend="dense").values
-        lanc = eigenvalues(A, backend="lanczos").values
-        assert float(np.abs(dense - lanc).max()) <= 1e-7 * max(1.0, np.abs(dense).max())
-
-
 def test_permutation_invariance_of_spectrum():
     rng = random.Random(25)
     A = sym(rng, 18)
@@ -248,3 +247,88 @@ def test_numerical_rank():
     v = np.arange(1.0, 6.0)
     assert numerical_rank(np.outer(v, v), 1e-9) == 1
     assert numerical_rank(np.zeros((4, 4)), 1e-9) == 0
+
+
+# -- the component split against one dense solve ---------------------------------
+
+
+def assert_matches_dense(M, A):
+    """eigenvalues(M) agrees with eigvalsh of the dense A within tau, with an
+    equal counting function."""
+    ev = eigenvalues(M)
+    ref = np.linalg.eigvalsh(A) if A.size else np.empty(0)
+    assert ev.values.shape == ref.shape
+    assert float(np.abs(ev.values - ref).max(initial=0.0)) <= ev.tau
+    ours = counting_function(ev)
+    oracle = counting_from_values(ref, ev.tau)
+    assert np.array_equal(ours.values, oracle.values)
+    assert np.allclose(ours.breakpoints, oracle.breakpoints, rtol=0.0, atol=ev.tau)
+
+
+def permuted_block_diagonal(rng, sizes, copies):
+    """Block-diagonal matrix of random symmetric blocks, each repeated
+    ``copies`` times, under a random permutation of the rows."""
+    blocks = []
+    for m in sizes:
+        B = rng.uniform(-1.0, 1.0, (m, m))
+        blocks += [B + B.T] * copies
+    A = scipy.sparse.block_diag(blocks).toarray()
+    perm = rng.permutation(A.shape[0])
+    return A[np.ix_(perm, perm)]
+
+
+def test_split_permuted_block_diagonal():
+    rng = np.random.default_rng(40)
+    for sizes, copies in (([1, 2, 3, 3, 5], 3), ([4, 4, 7], 2), ([1], 6)):
+        A = permuted_block_diagonal(rng, sizes, copies)
+        # isolated zero rows between the blocks
+        zeros = rng.choice(A.shape[0] + 5, size=5, replace=False)
+        keep = np.setdiff1d(np.arange(A.shape[0] + 5), zeros)
+        Z = np.zeros((A.shape[0] + 5,) * 2)
+        Z[np.ix_(keep, keep)] = A
+        assert_matches_dense(Z, Z)
+        assert_matches_dense(scipy.sparse.csr_matrix(Z), Z)
+
+
+def test_split_connected_single_block():
+    rng = np.random.default_rng(41)
+    B = rng.uniform(-1.0, 1.0, (40, 40))
+    A = B + B.T
+    assert_matches_dense(A, A)
+    path = np.diag(np.ones(29), 1)
+    assert_matches_dense(path + path.T, path + path.T)
+
+
+def test_split_periodic_fold_restriction(z1):
+    # period-2 chain: weights 1 inside a cell and 2 or 0 between cells
+    for between in (2.0, 0.0):
+
+        def kern(a, b, between=between):
+            (g, i), (h, j) = a, b
+            u, v = 2 * g[0] + i, 2 * h[0] + j
+            if abs(u - v) != 1:
+                return 0.0
+            return 1.0 if min(u, v) % 2 == 0 else between
+
+        rule = periodic_fold(PeriodicCover(z1, 2, kern, 1))
+        Q = FiniteSet(z1, [(i,) for i in (0, 1, 2, 3, 5, 6, 9)])
+        M = restrict_operator(rule, TrivialColouring(z1), Q)
+        assert_matches_dense(M, M.to_dense())
+
+
+def test_split_empty_matrix():
+    ev = eigenvalues(np.zeros((0, 0)))
+    assert len(ev) == 0 and ev.tau > 0
+    assert counting_function(ev).terminal_value == 0.0
+    assert len(eigenvalues(scipy.sparse.csr_matrix((0, 0)))) == 0
+
+
+def test_split_rejects_nonsymmetric():
+    A = np.zeros((5, 5))
+    A[0, 1] = 1.0
+    A[3, 4] = A[4, 3] = 2.0
+    for M in (A, scipy.sparse.csr_matrix(A)):
+        with pytest.raises(SpectraError):
+            eigenvalues(M)
+    with pytest.raises(SpectraError):
+        eigenvalues(np.zeros((2, 3)))
