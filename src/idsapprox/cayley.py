@@ -7,9 +7,11 @@ right translations g -> g*t are isometries (distance(g, h) is the word
 length of g*h^-1), which is the orientation under which tile translates,
 boundary cardinalities and pattern translations are all compatible.
 
-Word lengths are memoised per model in an expanding breadth-first table;
-set-heavy operations (boundaries, diameters, tile covers) run on packed
-int64 coordinate arrays when the dimension allows it.
+A finite set is held as the sorted array of its packed int64 keys: each
+coordinate gets 63 // dim bits, so every supported group packs and key order
+is lexicographic element order.  Word lengths are memoised per model in an
+expanding breadth-first table; boundaries, diameters, tile covers and
+positions are array operations on the keys.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 Element = tuple[int, ...]
-
-_PACK_BITS = 21
-_PACK_BOUND = 1 << (_PACK_BITS - 1)  # coordinates must satisfy |c| < 2^20
 
 
 class GroupModelError(ValueError):
@@ -38,17 +37,17 @@ class GroupModel:
 
     def __init__(self) -> None:
         self.identity: Element = (0,) * self.dim
+        self.pack_bits = 63 // self.dim
+        self.pack_bound = 1 << (self.pack_bits - 1)  # coordinates satisfy |c| < bound
+        self._pack_shifts = self.pack_bits * np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        self._pack_scale = np.left_shift(1, self._pack_shifts)
         self._lock = threading.Lock()
         # word-length table: packed keys (sorted), distances, per-level coords
-        self._wl_keys = np.empty(0, dtype=np.int64)
-        self._wl_dist = np.empty(0, dtype=np.int32)
-        self._levels: list[np.ndarray] = []
+        e = np.array([self.identity], dtype=np.int64)
+        self._wl_keys = self._pack(e)
+        self._wl_dist = np.zeros(1, dtype=np.int32)
+        self._levels: list[np.ndarray] = [e]
         self._ball_cache: dict[int, "FiniteSet"] = {}
-        if self.pack_capable:
-            e = np.array([self.identity], dtype=np.int64)
-            self._wl_keys = self._pack(e)
-            self._wl_dist = np.zeros(1, dtype=np.int32)
-            self._levels = [e]
 
     # -- group structure ----------------------------------------------------
 
@@ -79,27 +78,19 @@ class GroupModel:
 
     # -- packing ------------------------------------------------------------
 
-    @property
-    def pack_capable(self) -> bool:
-        return self.dim <= 3
-
     def _pack(self, coords: np.ndarray) -> np.ndarray:
         """Pack coordinate rows into sortable int64 keys (lexicographic order)."""
-        if coords.size and np.abs(coords).max() >= _PACK_BOUND:
-            raise GroupModelError("coordinate out of packable range")
-        key = np.zeros(len(coords), dtype=np.int64)
-        for j in range(self.dim):
-            key = (key << _PACK_BITS) | (coords[:, j] + _PACK_BOUND)
-        return key
+        if coords.size and (coords.min() <= -self.pack_bound or coords.max() >= self.pack_bound):
+            raise GroupModelError(
+                f"coordinate out of packable range |c| < {self.pack_bound} for {self.describe()}"
+            )
+        # the offset fields are positive and do not overlap, so the weighted
+        # sum places each coordinate in its own bit field
+        return (coords + self.pack_bound) @ self._pack_scale
 
     def _unpack(self, keys: np.ndarray) -> np.ndarray:
-        coords = np.empty((len(keys), self.dim), dtype=np.int64)
-        k = keys.copy()
-        mask = (1 << _PACK_BITS) - 1
-        for j in range(self.dim - 1, -1, -1):
-            coords[:, j] = (k & mask) - _PACK_BOUND
-            k >>= _PACK_BITS
-        return coords
+        fields = (keys[:, None] >> self._pack_shifts) & ((1 << self.pack_bits) - 1)
+        return fields - self.pack_bound
 
     # -- word metric --------------------------------------------------------
 
@@ -129,8 +120,6 @@ class GroupModel:
 
     def _lengths_packed(self, keys: np.ndarray) -> np.ndarray:
         """Word lengths for packed keys, expanding the table as needed."""
-        if not self.pack_capable:
-            raise GroupModelError("packed word lengths need dim <= 3")
         with self._lock:
             while True:
                 idx = np.searchsorted(self._wl_keys, keys)
@@ -142,31 +131,8 @@ class GroupModel:
 
     def word_length(self, g: Element) -> int:
         """Minimal number of generators whose product equals g."""
-        g = self.check_element(g)
-        if self.pack_capable:
-            arr = np.array([g], dtype=np.int64)
-            return int(self._lengths_packed(self._pack(arr))[0])
-        return self._word_length_slow(g)
-
-    def _word_length_slow(self, g: Element) -> int:
-        if g == self.identity:
-            return 0
-        seen = {self.identity}
-        frontier = [self.identity]
-        radius = 0
-        while frontier:
-            radius += 1
-            nxt = []
-            for h in frontier:
-                for s in self.generators:
-                    z = self.multiply(h, s)
-                    if z not in seen:
-                        if z == g:
-                            return radius
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        raise GroupModelError("generators do not reach requested element")
+        arr = np.array([self.check_element(g)], dtype=np.int64)
+        return int(self._lengths_packed(self._pack(arr))[0])
 
     def word_distance(self, g: Element, h: Element) -> int:
         """Word metric d(g, h): length of g * h^-1 (right-invariant)."""
@@ -179,27 +145,12 @@ class GroupModel:
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
-        if self.pack_capable:
-            with self._lock:
-                while len(self._levels) <= radius:
-                    if not self._expand_level():
-                        break
-                levels = self._levels[: radius + 1]
-            coords = np.concatenate(levels) if levels else np.empty((0, self.dim))
-            out = FiniteSet(self, [tuple(int(c) for c in row) for row in coords])
-        else:
-            elems = {self.identity}
-            frontier = [self.identity]
-            for _ in range(radius):
-                nxt = []
-                for h in frontier:
-                    for s in self.generators:
-                        z = self.multiply(h, s)
-                        if z not in elems:
-                            elems.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            out = FiniteSet(self, elems)
+        with self._lock:
+            while len(self._levels) <= radius:
+                if not self._expand_level():
+                    break
+            levels = self._levels[: radius + 1]
+        out = _from_coords(self, np.concatenate(levels))
         self._ball_cache[radius] = out
         return out
 
@@ -210,16 +161,11 @@ class GroupModel:
             raise ValueError("diameter of the empty set is undefined")
         if len(Q) == 1:
             return 0
-        if not self.pack_capable:
-            return max(
-                self.word_distance(g, h) for g in Q.sorted_elements for h in Q.sorted_elements
-            )
         coords = Q.coords
         chunks: list[np.ndarray] = []
         diffs = np.empty(0, dtype=np.int64)
-        for row in coords:
-            h_inv = self.inverse(tuple(int(c) for c in row))
-            chunks.append(self._pack(self.rmul_array(coords, h_inv)))
+        for h in Q.sorted_elements:
+            chunks.append(self._pack(self.rmul_array(coords, self.inverse(h))))
             if len(chunks) * len(coords) > 4_000_000:
                 diffs = np.unique(np.concatenate([diffs] + chunks))
                 chunks = []
@@ -302,78 +248,82 @@ class Heisenberg3(GroupModel):
 
 
 class FiniteSet:
-    """Immutable finite subset of a group, with cached geometry."""
+    """Immutable finite subset of a group, with cached geometry.
+
+    The content is ``packed``, the sorted unique int64 keys of the elements;
+    coordinates and element tuples are views built from it on first use.
+    """
 
     __slots__ = (
         "model",
-        "_elems",
-        "_sorted",
+        "packed",
         "_coords",
-        "_packed",
+        "_sorted",
+        "_elems",
         "_diameter",
         "_parts_cache",
         "_hash",
     )
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
+        rows = [model.check_element(g) for g in elements]
+        coords = np.array(rows, dtype=np.int64).reshape(len(rows), model.dim)
+        self._set_keys(model, np.unique(model._pack(coords)))
+
+    def _set_keys(self, model: GroupModel, keys: np.ndarray) -> None:
+        keys.flags.writeable = False
         self.model = model
-        self._elems = frozenset(model.check_element(g) for g in elements)
-        self._sorted: Optional[tuple[Element, ...]] = None
+        self.packed = keys
         self._coords: Optional[np.ndarray] = None
-        self._packed: Optional[np.ndarray] = None
+        self._sorted: Optional[tuple[Element, ...]] = None
+        self._elems: Optional[frozenset[Element]] = None
         self._diameter: Optional[int] = None
         self._parts_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._hash: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.sorted_elements)
 
     def __contains__(self, g: object) -> bool:
-        return g in self._elems
+        return g in self.elements
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteSet)
             and other.model is self.model
-            and other._elems == self._elems
+            and np.array_equal(other.packed, self.packed)
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((id(self.model), self._elems))
+            self._hash = hash((id(self.model), self.packed.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteSet({self.model.describe()}, n={len(self)})"
 
     @property
-    def elements(self) -> frozenset[Element]:
-        return self._elems
-
-    @property
-    def sorted_elements(self) -> tuple[Element, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._elems))
-        return self._sorted
-
-    @property
     def coords(self) -> np.ndarray:
         if self._coords is None:
-            if self._elems:
-                self._coords = np.array(self.sorted_elements, dtype=np.int64)
-            else:
-                self._coords = np.empty((0, self.model.dim), dtype=np.int64)
+            self._coords = self.model._unpack(self.packed)
+            self._coords.flags.writeable = False
         return self._coords
 
     @property
-    def packed(self) -> np.ndarray:
-        # lexicographic tuple order agrees with packed numeric order
-        if self._packed is None:
-            self._packed = self.model._pack(self.coords)
-        return self._packed
+    def sorted_elements(self) -> tuple[Element, ...]:
+        # tolist() yields Python ints, so reprs (pattern digests) are stable
+        if self._sorted is None:
+            self._sorted = tuple(map(tuple, self.coords.tolist()))
+        return self._sorted
+
+    @property
+    def elements(self) -> frozenset[Element]:
+        if self._elems is None:
+            self._elems = frozenset(self.sorted_elements)
+        return self._elems
 
     @property
     def diameter(self) -> int:
@@ -383,32 +333,38 @@ class FiniteSet:
 
     def right_translate(self, x: Sequence[int]) -> "FiniteSet":
         x = self.model.check_element(x)
-        if not self._elems:
-            return self
         return _from_coords(self.model, self.model.rmul_array(self.coords, x))
 
     def left_translate(self, s: Sequence[int]) -> "FiniteSet":
         s = self.model.check_element(s)
-        if not self._elems:
-            return self
         return _from_coords(self.model, self.model.lmul_array(s, self.coords))
 
+    def _keys_of(self, other: "FiniteSet") -> np.ndarray:
+        if other.model is not self.model:
+            raise GroupModelError("set operation across different group models")
+        return other.packed
+
     def union(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self.model, self._elems | other._elems)
+        return _from_packed(self.model, np.union1d(self.packed, self._keys_of(other)))
 
     def intersection(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self.model, self._elems & other._elems)
+        keys = np.intersect1d(self.packed, self._keys_of(other), assume_unique=True)
+        return _from_packed(self.model, keys)
 
     def difference(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self.model, self._elems - other._elems)
-
-
-def _from_coords(model: GroupModel, coords: np.ndarray) -> FiniteSet:
-    return FiniteSet(model, [tuple(int(c) for c in row) for row in coords])
+        keys = np.setdiff1d(self.packed, self._keys_of(other), assume_unique=True)
+        return _from_packed(self.model, keys)
 
 
 def _from_packed(model: GroupModel, keys: np.ndarray) -> FiniteSet:
-    return _from_coords(model, model._unpack(keys))
+    """Set with the given sorted unique keys (not checked)."""
+    out = FiniteSet.__new__(FiniteSet)
+    out._set_keys(model, keys)
+    return out
+
+
+def _from_coords(model: GroupModel, coords: np.ndarray) -> FiniteSet:
+    return _from_packed(model, np.unique(model._pack(coords)))
 
 
 # -- boundaries ----------------------------------------------------------------
@@ -437,16 +393,14 @@ def _boundary_parts(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray, np.nd
     if cached is not None:
         return cached
     model = Q.model
-    if not model.pack_capable:
-        return _boundary_parts_slow(Q, R)
     empty = np.empty(0, dtype=np.int64)
     if len(Q) == 0 or R == 0:
-        parts = (empty, empty, Q.packed.copy())
+        parts = (empty, empty, Q.packed)
         Q._parts_cache[R] = parts
         return parts
     coords = Q.coords
     q_packed = Q.packed
-    gens = [s for s in model.generators]
+    gens = model.generators
 
     def neighbours(level_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cand = np.concatenate([model.lmul_array(s, level_coords) for s in gens])
@@ -473,58 +427,30 @@ def _boundary_parts(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray, np.nd
         level_idx = fresh
     interior_bdry = q_packed[inside_mask]
     shrunk = q_packed[~inside_mask]
-    # exterior shells: complement points at distance 1, 2, ..., R from Q
-    ext_keys = empty
+    # exterior shells: complement points at distance 1, 2, ..., R from Q.
+    # The generators are symmetric, so the neighbours of shell r lie in
+    # shells r-1, r and r+1 (shell 0 being Q): excluding the last two
+    # shells is enough, and the disjoint shells are sorted once at the end.
+    shells: list[np.ndarray] = []
+    prev, cur = empty, q_packed
     level_coords = coords
     for _ in range(R):
         keys, cand = neighbours(level_coords)
-        outside = ~_in_sorted(q_packed, keys) & ~_in_sorted(ext_keys, keys)
-        if not outside.any():
+        fresh_mask = ~_in_sorted(cur, keys) & ~_in_sorted(prev, keys)
+        if not fresh_mask.any():
             break
-        level_coords = cand[outside]
-        ext_keys = np.union1d(ext_keys, keys[outside])
+        prev, cur = cur, keys[fresh_mask]
+        level_coords = cand[fresh_mask]
+        shells.append(cur)
+    ext_keys = np.sort(np.concatenate(shells)) if shells else empty
     parts = (interior_bdry, ext_keys, shrunk)
     Q._parts_cache[R] = parts
     return parts
 
 
-def _boundary_parts_slow(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # dim > 3 fallback on plain sets; rarely used, kept for generality
-    model = Q.model
-    elems = Q.elements
-    if len(Q) == 0 or R == 0:
-        parts = (_obj(set()), _obj(set()), _obj(set(elems)))
-    else:
-        ball = model.ball(R)
-        inter = set(elems)
-        union = set(elems)
-        for s in ball.sorted_elements:
-            if s == model.identity:
-                continue
-            s_q = {model.multiply(s, q) for q in elems}
-            inter &= s_q
-            union |= s_q
-        parts = (_obj(elems - inter), _obj(union - elems), _obj(inter))
-    Q._parts_cache[R] = parts
-    return parts
-
-
-def _obj(elems: set) -> np.ndarray:
-    arr = np.empty(len(elems), dtype=object)
-    for i, e in enumerate(sorted(elems)):
-        arr[i] = e
-    return arr
-
-
-def _as_set(Q: FiniteSet, packed_or_obj: np.ndarray) -> FiniteSet:
-    if packed_or_obj.dtype == object:
-        return FiniteSet(Q.model, list(packed_or_obj))
-    return _from_packed(Q.model, packed_or_obj)
-
-
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
     """Interior R-boundary: points of Q within distance R of the complement."""
-    return _as_set(Q, _boundary_parts(Q, R)[0])
+    return _from_packed(Q.model, _boundary_parts(Q, R)[0])
 
 
 def boundary_int_size(Q: FiniteSet, R: int) -> int:
@@ -538,28 +464,23 @@ def boundary_size(Q: FiniteSet, R: int) -> int:
 
 def boundary_ext(Q: FiniteSet, R: int) -> FiniteSet:
     """Exterior R-boundary: points outside Q within distance R of Q."""
-    return _as_set(Q, _boundary_parts(Q, R)[1])
+    return _from_packed(Q.model, _boundary_parts(Q, R)[1])
 
 
 def boundary(Q: FiniteSet, R: int) -> FiniteSet:
     """Two-sided R-boundary of Q."""
     parts = _boundary_parts(Q, R)
-    if parts[0].dtype == object:
-        return FiniteSet(Q.model, list(parts[0]) + list(parts[1]))
-    return _from_packed(Q.model, np.concatenate([parts[0], parts[1]]))
+    return _from_packed(Q.model, np.union1d(parts[0], parts[1]))
 
 
 def shrink(Q: FiniteSet, R: int) -> FiniteSet:
     """Q_R = Q minus its two-sided R-boundary; may be empty."""
-    return _as_set(Q, _boundary_parts(Q, R)[2])
+    return _from_packed(Q.model, _boundary_parts(Q, R)[2])
 
 
 def grow(Q: FiniteSet, R: int) -> FiniteSet:
     """Q^R = Q together with its two-sided R-boundary."""
-    parts = _boundary_parts(Q, R)
-    if parts[1].dtype == object:
-        return FiniteSet(Q.model, set(Q.elements) | set(parts[1]))
-    return _from_packed(Q.model, np.union1d(Q.packed, parts[1]))
+    return _from_packed(Q.model, np.union1d(Q.packed, _boundary_parts(Q, R)[1]))
 
 
 # -- Folner tiles and grids ------------------------------------------------------
@@ -580,24 +501,16 @@ class TilingSpec:
         self.n = n
         self._bounding_diameter: Optional[int] = None
         if isinstance(model, Heisenberg3):
-            elems = [
-                (a, b, c)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n * n)
-            ]
+            sides = [n, n, n * n]
             self.grid_description = f"{{(a,b,c) | a,b in {n}Z, c in {n * n}Z}}"
         elif isinstance(model, FreeAbelian):
-            rng = range(n)
-            grids = np.stack(
-                np.meshgrid(*([list(rng)] * model.dim), indexing="ij"), axis=-1
-            ).reshape(-1, model.dim)
-            elems = [tuple(int(c) for c in row) for row in grids]
+            sides = [n] * model.dim
             self.grid_description = f"({n}Z)^{model.dim}"
             self._bounding_diameter = model.dim * n
         else:
             raise GroupModelError("tilings are provided for Z^d and H3 only")
-        self.tile = FiniteSet(model, elems)
+        axes = np.meshgrid(*[np.arange(k, dtype=np.int64) for k in sides], indexing="ij")
+        self.tile = _from_coords(model, np.stack(axes, axis=-1).reshape(-1, model.dim))
 
     @property
     def bounding_diameter(self) -> int:
@@ -682,27 +595,11 @@ def grid_cover(A: FiniteSet, x: Sequence[int], spec: TilingSpec) -> GridCover:
     """
     model = A.model
     x = model.check_element(x)
-    if len(A) == 0:
-        empty = FiniteSet(model, [])
-        return GridCover(empty, empty)
-    tile_size = len(spec.tile)
-    shifted = model.rmul_array(A.coords, x)
-    _, g0 = spec.decompose_array(shifted)
+    _, g0 = spec.decompose_array(model.rmul_array(A.coords, x))
     gamma = model.rmul_array(g0, model.inverse(x))
-    if model.pack_capable:
-        keys = model._pack(gamma)
-        uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        inside = counts == tile_size
-        interior = _from_coords(model, gamma[first[inside]])
-        crossing = _from_coords(model, gamma[first[~inside]])
-        return GridCover(interior, crossing)
-    tallies: dict[Element, int] = {}
-    for row in gamma:
-        g = tuple(int(c) for c in row)
-        tallies[g] = tallies.get(g, 0) + 1
-    interior_elems = [g for g, c in tallies.items() if c == tile_size]
-    crossing_elems = [g for g, c in tallies.items() if c < tile_size]
-    return GridCover(FiniteSet(model, interior_elems), FiniteSet(model, crossing_elems))
+    keys, counts = np.unique(model._pack(gamma), return_counts=True)
+    inside = counts == len(spec.tile)
+    return GridCover(_from_packed(model, keys[inside]), _from_packed(model, keys[~inside]))
 
 
 def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
@@ -710,22 +607,15 @@ def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     model = tile.model
     if len(tile) == 0:
         raise ValueError("tile must be non-empty")
-    if len(U) == 0:
-        return FiniteSet(model, [])
-    if model.pack_capable:
-        out: Optional[np.ndarray] = None
-        for q in tile.sorted_elements:
-            shifted = np.sort(model._pack(model.lmul_array(model.inverse(q), U.coords)))
-            out = shifted if out is None else np.intersect1d(out, shifted, assume_unique=True)
-            if out.size == 0:
-                break
-        assert out is not None
-        return _from_packed(model, out)
-    result: Optional[set[Element]] = None
-    for q in tile.sorted_elements:
-        q_inv = model.inverse(q)
-        shifted = {model.multiply(q_inv, u) for u in U.elements}
-        result = shifted if result is None else (result & shifted)
-        if not result:
+    # the intersection of the translates q^-1 U over q in the tile; it is not
+    # seeded with U, because the tile need not contain the identity
+    translates = (
+        np.sort(model._pack(model.lmul_array(model.inverse(q), U.coords)))
+        for q in tile.sorted_elements
+    )
+    out = next(translates)
+    for shifted in translates:
+        if out.size == 0:
             break
-    return FiniteSet(model, result or set())
+        out = np.intersect1d(out, shifted, assume_unique=True)
+    return _from_packed(model, out)

@@ -210,10 +210,10 @@ def cmd_folner_audit(cfg: RunConfig, outdir: Path) -> None:
     for n in cfg.tile_indices():
         spec = folner_set(model, n)
         tile = spec.tile
-        sphere: set = set()
+        sphere = tile
         for s in model.generators:
-            sphere |= tile.right_translate(s).elements
-        grown = len(sphere - tile.elements)
+            sphere = sphere.union(tile.right_translate(s))
+        grown = len(sphere) - len(tile)
         if model.describe() == "H3":
             expected = 5 * n**3 - 2 * n**2 + n
             if grown != expected:

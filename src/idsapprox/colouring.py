@@ -283,7 +283,7 @@ def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
             best_values = moved
             best_d = d
     assert best_values is not None and best_d is not None
-    dom = FiniteSet(model, list(best_values))
+    dom = P.domain.right_translate(model.inverse(best_d))
     return PatternClass(Pattern(dom, best_values)), best_d
 
 

@@ -54,7 +54,7 @@ SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "group": {"enum": ["zd", "h3"]},
-        "d": {"type": "integer", "minimum": 1},
+        "d": {"type": "integer", "minimum": 1, "maximum": 8},
         "tile_n": {
             "type": "array",
             "items": {"type": "integer", "minimum": 1},

@@ -270,14 +270,11 @@ def check_almost_additive(
     decomposition; returns (measured deviation, boundary budget)."""
     if not parts:
         raise ValueError("need at least one part")
-    model = parts[0].model
-    total = sum(len(p) for p in parts)
-    union_elems: set = set()
-    for p in parts:
-        union_elems |= p.elements
-    if len(union_elems) != total:
+    union = parts[0]
+    for p in parts[1:]:
+        union = union.union(p)
+    if len(union) != sum(len(p) for p in parts):
         raise ValueError("parts are not pairwise disjoint")
-    union = FiniteSet(model, union_elems)
     lhs = sup_distance(
         F.evaluate(union), weighted_sum([(1.0, F.evaluate(p)) for p in parts])
     )

@@ -6,6 +6,7 @@ from idsapprox.cayley import (
     FiniteSet,
     FreeAbelian,
     GroupModelError,
+    Heisenberg3,
     admissible_positions,
     boundary_ext,
     boundary_int,
@@ -358,10 +359,8 @@ def test_decompose_of_product_is_identity(z2, h3):
                 assert spec.decompose(model.multiply(q, gamma)) == (q, gamma)
 
 
-def test_dim_four_fallback_paths():
-    # packing stops at dim 3; the set-based fallbacks must stay correct
+def test_dim_four_packs():
     z4 = FreeAbelian(4)
-    assert not z4.pack_capable
     assert z4.word_distance((0, 0, 0, 0), (1, -1, 0, 2)) == 4
     Q = folner_set(z4, 2).tile
     assert len(Q) == 16
@@ -391,7 +390,7 @@ def test_h3_per_generator_sphere_split(h3):
 def test_boundary_union_formula_identity(z2, h3):
     # the finite union reformulation, evaluated literally as a second oracle
     rng = random.Random(55)
-    for model in (z2, h3):
+    for model in (z2, h3, FreeAbelian(4)):
         for _ in range(8):
             Q = random_subset(model, rng, radius=2, size=9)
             for R in (1, 2, 3):
@@ -404,3 +403,42 @@ def test_boundary_union_formula_identity(z2, h3):
                     ext_union |= s_q - Q.elements
                 assert boundary_int(Q, R).elements == int_union
                 assert boundary_ext(Q, R).elements == ext_union
+
+
+@pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())
+def test_packing_round_trip_at_bound(model):
+    edge = model.pack_bound - 1
+    rows = [[edge] * model.dim, [-edge] * model.dim, [edge, -edge] * (model.dim // 2) + [0] * (model.dim % 2)]
+    A = FiniteSet(model, rows)
+    assert A.elements == {tuple(r) for r in rows}
+    assert FiniteSet(model, A.sorted_elements) == A
+    for c in (model.pack_bound, -model.pack_bound):
+        with pytest.raises(GroupModelError):
+            FiniteSet(model, [[c] + [0] * (model.dim - 1)])
+        with pytest.raises(GroupModelError):
+            FiniteSet(model, [[0] * (model.dim - 1) + [c]])
+
+
+@pytest.mark.parametrize("model", [FreeAbelian(1), FreeAbelian(4), Heisenberg3()], ids=lambda m: m.describe())
+def test_finite_set_matches_frozenset_oracle(model):
+    rng = random.Random(7)
+    pool = list(model.ball(3).sorted_elements)
+    samples = [[]] + [rng.choices(pool, k=rng.randint(1, 12)) for _ in range(6)]
+    samples.append(list(samples[-1]))  # an equal set built separately
+    cases = [(FiniteSet(model, s), frozenset(s)) for s in samples]
+    for A, a in cases:
+        assert len(A) == len(a) and A.sorted_elements == tuple(sorted(a))
+        assert A.coords.shape == (len(a), model.dim)
+        for g in pool:
+            assert (g in A) == (g in a)
+        x = rng.choice(pool)
+        assert A.right_translate(x).elements == {model.multiply(g, x) for g in a}
+        assert A.left_translate(x).elements == {model.multiply(x, g) for g in a}
+        for B, b in cases:
+            assert (A == B) == (a == b)
+            if a == b:
+                assert hash(A) == hash(B)
+            assert A.union(B).elements == a | b
+            assert A.intersection(B).elements == a & b
+            assert A.difference(B).elements == a - b
+            assert A.union(B) == FiniteSet(model, a | b)

@@ -15,11 +15,13 @@ def read(path: Path):
     return path.read_text()
 
 
-def test_schema_rejects_bad_config(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"group": "zd", "d": 0, "colouring": {"kind": "trivial"}, "operator": {"kind": "adjacency"}}))
-    rc = run(["ids", "--config", bad, "--out", tmp_path / "out"])
-    assert rc == 2
+def test_schema_rejects_bad_config(tmp_path, capsys):
+    for d in (0, 9):  # below the minimum; above the maximum (packing needs d <= 8)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"group": "zd", "d": d, "colouring": {"kind": "trivial"}, "operator": {"kind": "adjacency"}}))
+        rc = run(["ids", "--config", bad, "--out", tmp_path / "out"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["path"] == "$.d"
 
 
 def test_schema_error_reports_path():
