@@ -1,18 +1,28 @@
 """Colourings, patterns, occurrence counting and pattern frequencies.
 
 Counts and frequencies are exact rationals; floating point only enters the
-spectral modules.  Pattern equivalence is right-translation equivalence,
-and canonical class representatives are chosen as the lexicographically
-least serialized translate whose domain contains the identity.
+spectral modules.  Colours are read for whole coordinate arrays at once, as
+codes indexing the alphabet (``Colouring.colour_codes``), and a pattern holds
+its symbols as a string array aligned with the sorted keys of its domain, so
+restriction, translation, occurrence counts and spectra are numpy gathers.
+Pattern equivalence is right-translation equivalence, and canonical class
+representatives are chosen as the lexicographically least serialized
+translate whose domain contains the identity; that order compares symbol
+strings, not alphabet positions, so it does not depend on how an alphabet
+is ordered.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .cayley import (
     Element,
@@ -20,6 +30,7 @@ from .cayley import (
     FreeAbelian,
     GroupModel,
     TilingSpec,
+    _from_packed,
     admissible_positions,
 )
 
@@ -60,8 +71,13 @@ class Colouring:
     model: GroupModel
     alphabet: Alphabet
 
-    def colour(self, g: Element) -> str:
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        """Index into ``alphabet.symbols`` of the colour of every coordinate row."""
         raise NotImplementedError
+
+    def colour(self, g: Element) -> str:
+        row = np.array([self.model.check_element(g)], dtype=np.int64)
+        return self.alphabet.symbols[int(self.colour_codes(row)[0])]
 
     def describe(self) -> str:
         return type(self).__name__
@@ -73,8 +89,8 @@ class TrivialColouring(Colouring):
         self.symbol = symbol
         self.alphabet = Alphabet((symbol,))
 
-    def colour(self, g: Element) -> str:
-        return self.symbol
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        return np.zeros(len(coords), dtype=np.int64)
 
 
 class ExplicitColouring(Colouring):
@@ -94,9 +110,16 @@ class ExplicitColouring(Colouring):
         for s in self.table.values():
             if s not in alphabet:
                 raise ColouringError(f"symbol {s!r} not in alphabet")
+        dom = FiniteSet(model, self.table)
+        symbols = [self.table[g] for g in dom.sorted_elements] + [default]
+        self._keys = dom.packed
+        self._codes = np.array([alphabet.symbols.index(s) for s in symbols], dtype=np.int64)
 
-    def colour(self, g: Element) -> str:
-        return self.table.get(g, self.default)
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        keys = self.model._pack(coords)
+        idx = np.searchsorted(self._keys, keys)
+        idx[~np.isin(keys, self._keys)] = len(self._keys)  # the default's code
+        return self._codes[idx]
 
 
 class PeriodicFoldColouring(Colouring):
@@ -109,10 +132,22 @@ class PeriodicFoldColouring(Colouring):
         if set(self.table) != set(spec.tile.elements):
             raise ColouringError("table must colour the tile exactly")
         self.alphabet = Alphabet(tuple(sorted(set(self.table.values()))))
+        symbols = [self.table[q] for q in spec.tile.sorted_elements]
+        self._codes = np.array([self.alphabet.symbols.index(s) for s in symbols], dtype=np.int64)
 
-    def colour(self, g: Element) -> str:
-        q, _ = self.spec.decompose(g)
-        return self.table[q]
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        q, _ = self.spec.decompose_array(coords)
+        return self._codes[np.searchsorted(self.spec.tile.packed, self.model._pack(q))]
+
+
+def _cut(thresholds: Sequence[int], u: np.ndarray) -> np.ndarray:
+    """Index of the first threshold above each digest u (uint64): the number
+    of thresholds at most u.  The last threshold is 2^64 and above every u."""
+    out = np.zeros(len(u), dtype=np.int64)
+    for t in thresholds[:-1]:
+        if t < 1 << 64:
+            out += u >= np.uint64(t)
+    return out
 
 
 class PercolationColouring(Colouring):
@@ -120,7 +155,9 @@ class PercolationColouring(Colouring):
 
     The colour at g is a pure function of the seed and the canonical
     coordinates of g, so translated patterns are compared by re-indexing the
-    same sample rather than re-sampling.
+    same sample rather than re-sampling.  The 64-bit digest u selects the
+    first symbol whose cumulative weight exceeds u / 2^64; for integer u this
+    is exactly u < ceil(cum * 2^64), so the thresholds are integers.
     """
 
     def __init__(
@@ -139,28 +176,18 @@ class PercolationColouring(Colouring):
         if len(ws) != len(alphabet) or any(w < 0 for w in ws) or sum(ws) != 1:
             raise ColouringError("weights must be a probability vector over the alphabet")
         self.weights = ws
-        self._cum = []
-        acc = Fraction(0)
-        for w in ws:
-            acc += w
-            self._cum.append(acc)
+        self.thresholds = tuple(math.ceil(cum * (1 << 64)) for cum in accumulate(ws))
         self._key = struct.pack("<q", self.seed)
-        self._cache: dict[Element, str] = {}
 
-    def colour(self, g: Element) -> str:
-        cached = self._cache.get(g)
-        if cached is not None:
-            return cached
-        data = struct.pack(f"<{len(g)}q", *g)
-        digest = hashlib.blake2b(data, digest_size=8, key=self._key).digest()
-        u = Fraction(int.from_bytes(digest, "little"), 1 << 64)
-        for sym, cum in zip(self.alphabet.symbols, self._cum):
-            if u < cum:
-                self._cache[g] = sym
-                return sym
-        sym = self.alphabet.symbols[-1]
-        self._cache[g] = sym
-        return sym
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        # each row hashes as its little-endian int64 coordinates
+        raw = np.ascontiguousarray(coords, dtype="<i8").tobytes()
+        step = 8 * self.model.dim
+        digests = b"".join(
+            hashlib.blake2b(raw[i : i + step], digest_size=8, key=self._key).digest()
+            for i in range(0, len(raw), step)
+        )
+        return _cut(self.thresholds, np.frombuffer(digests, dtype="<u8"))
 
 
 class HalfLineMod3(Colouring):
@@ -172,49 +199,65 @@ class HalfLineMod3(Colouring):
         self.model = model
         self.alphabet = Alphabet((WHITE, BLACK))
 
-    def colour(self, g: Element) -> str:
-        x = g[0]
-        return WHITE if x >= 0 or x % 3 == 0 else BLACK
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        x = coords[:, 0]
+        return ((x < 0) & (x % 3 != 0)).astype(np.int64)
 
 
 class HalfLineMod3Window(HalfLineMod3):
     """Half-line colouring with the far-negative cutoff (white below -100)."""
 
-    def colour(self, g: Element) -> str:
-        x = g[0]
-        return WHITE if x >= 0 or x <= -100 or x % 3 == 0 else BLACK
+    def colour_codes(self, coords: np.ndarray) -> np.ndarray:
+        return super().colour_codes(coords) * (coords[:, 0] > -100)
 
 
 # -- patterns -----------------------------------------------------------------
 
 
 class Pattern:
-    """Colour map on a finite domain."""
+    """Colour map on a finite domain.
 
-    __slots__ = ("domain", "values", "_key")
+    ``symbols`` is a string array aligned with ``domain.packed``; ``values``
+    and ``key`` are views built from it on first use.
+    """
+
+    __slots__ = ("domain", "symbols", "_values", "_key")
 
     def __init__(self, domain: FiniteSet, values: Mapping[Element, str]) -> None:
         if set(values) != set(domain.elements):
             raise ColouringError("pattern values must cover the domain exactly")
+        symbols = np.array([values[g] for g in domain.sorted_elements], dtype=str)
+        self._set(domain, symbols)
+
+    def _set(self, domain: FiniteSet, symbols: np.ndarray) -> None:
+        symbols.flags.writeable = False
         self.domain = domain
-        self.values = dict(values)
+        self.symbols = symbols
+        self._values: Optional[dict[Element, str]] = None
         self._key: Optional[tuple] = None
 
     @property
+    def values(self) -> dict[Element, str]:
+        if self._values is None:
+            self._values = dict(zip(self.domain.sorted_elements, self.symbols.tolist()))
+        return self._values
+
+    @property
     def key(self) -> tuple:
+        # Python ints and strs, so the repr hashed by PatternClass.digest is stable
         if self._key is None:
-            self._key = tuple((g, self.values[g]) for g in self.domain.sorted_elements)
+            self._key = tuple(zip(self.domain.sorted_elements, self.symbols.tolist()))
         return self._key
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Pattern)
-            and other.domain.model is self.domain.model
-            and other.key == self.key
+            and other.domain == self.domain
+            and np.array_equal(other.symbols, self.symbols)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.domain.model), self.key))
+        return hash((self.domain, tuple(self.symbols.tolist())))
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -224,6 +267,13 @@ class Pattern:
 
     def __repr__(self) -> str:
         return f"Pattern(|D|={len(self)})"
+
+
+def _pattern(domain: FiniteSet, symbols: np.ndarray) -> Pattern:
+    """Pattern with symbols already aligned with domain.packed (not checked)."""
+    out = Pattern.__new__(Pattern)
+    out._set(domain, symbols)
+    return out
 
 
 @dataclass(frozen=True)
@@ -237,11 +287,7 @@ class PatternClass:
         return self.canonical.key
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PatternClass)
-            and other.canonical.domain.model is self.canonical.domain.model
-            and other.key == self.key
-        )
+        return isinstance(other, PatternClass) and other.canonical == self.canonical
 
     def __hash__(self) -> int:
         return hash(self.canonical)
@@ -254,15 +300,16 @@ class PatternClass:
 
 def restrict(C: Colouring, Q: FiniteSet) -> Pattern:
     """Restriction of the colouring to the finite set Q."""
-    return Pattern(Q, {g: C.colour(g) for g in Q.sorted_elements})
+    return _pattern(Q, np.array(C.alphabet.symbols)[C.colour_codes(Q.coords)])
 
 
 def translate_pattern(P: Pattern, x: Sequence[int]) -> Pattern:
     """Right translate: domain D(P)x, value at y*x equals P(y)."""
     model = P.domain.model
     x = model.check_element(x)
-    values = {model.multiply(y, x): s for y, s in P.values.items()}
-    return Pattern(P.domain.right_translate(x), values)
+    keys = model._pack(model.rmul_array(P.domain.coords, x))
+    order = np.argsort(keys)
+    return _pattern(_from_packed(model, keys[order]), P.symbols[order])
 
 
 def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
@@ -271,20 +318,22 @@ def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     if len(P) == 0:
         raise ColouringError("cannot canonicalize a pattern with empty domain")
     model = P.domain.model
-    best: Optional[tuple] = None
-    best_values: Optional[dict] = None
-    best_d: Optional[Element] = None
-    for d in P.domain.sorted_elements:
-        d_inv = model.inverse(d)
-        moved = {model.multiply(y, d_inv): s for y, s in P.values.items()}
-        key = tuple(sorted(moved.items()))
-        if best is None or key < best:
-            best = key
-            best_values = moved
-            best_d = d
-    assert best_values is not None and best_d is not None
-    dom = P.domain.right_translate(model.inverse(best_d))
-    return PatternClass(Pattern(dom, best_values)), best_d
+    coords = P.domain.coords
+    elements = P.domain.sorted_elements
+    # row i: the keys of the translate P d_i^-1, sorted, and its symbols
+    translates = [model.rmul_array(coords, model.inverse(d)) for d in elements]
+    keys = model._pack(np.concatenate(translates)).reshape(len(elements), -1)
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    # serialized forms compare (element, symbol) pairs, symbols as strings
+    _, codes = np.unique(P.symbols, return_inverse=True)
+    serial = np.empty((len(elements), 2 * len(elements)), dtype=np.int64)
+    serial[:, 0::2] = keys
+    serial[:, 1::2] = codes.reshape(-1)[order]
+    # lexsort is stable: among equal translates the least d wins
+    best = int(np.lexsort(serial.T[::-1])[0])
+    canonical = _pattern(_from_packed(model, keys[best].copy()), P.symbols[order[best]])
+    return PatternClass(canonical), elements[best]
 
 
 def canonicalize(P: Pattern) -> PatternClass:
@@ -302,13 +351,13 @@ def count_occurrences(P: Pattern, Pbig: Pattern) -> int:
     if len(P) == 0:
         raise ColouringError("occurrences of the empty pattern are undefined")
     model = P.domain.model
-    candidates = admissible_positions(P.domain, Pbig.domain)
-    dom_items = tuple(P.values.items())
-    count = 0
-    for x in candidates.sorted_elements:
-        if all(Pbig.values[model.multiply(d, x)] == s for d, s in dom_items):
-            count += 1
-    return count
+    X = admissible_positions(P.domain, Pbig.domain).coords
+    match = np.ones(len(X), dtype=bool)
+    for d, s in zip(P.domain.sorted_elements, P.symbols):
+        # d x lies in D(Pbig) for every admissible x
+        idx = np.searchsorted(Pbig.domain.packed, model._pack(model.lmul_array(d, X)))
+        match &= Pbig.symbols[idx] == s
+    return int(match.sum())
 
 
 def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
@@ -332,23 +381,22 @@ def occurring_pattern_spectrum(
     """Tally of pattern classes over all tile positions inside U.
 
     Positions are grouped by the based pattern pulled back to the tile,
-    which is then canonicalized once per distinct based form; the counts
-    sum to the number of admissible positions.
+    which is then canonicalized once per distinct based form, in order of
+    first occurrence; the counts sum to the number of admissible positions.
     """
     model = tile.model
-    positions = admissible_positions(tile, U)
-    tile_order = tile.sorted_elements
-    by_key: dict[tuple, tuple[int, Element]] = {}
-    for x in positions.sorted_elements:
-        key = tuple(C.colour(model.multiply(q, x)) for q in tile_order)
-        prev = by_key.get(key)
-        by_key[key] = (prev[0] + 1, prev[1]) if prev else (1, x)
+    X = admissible_positions(tile, U).coords
+    # row p: the colour codes of tile * x_p, in tile order
+    points = np.concatenate([model.lmul_array(q, X) for q in tile.sorted_elements])
+    codes = C.colour_codes(points).reshape(len(tile), len(X)).T
+    rows, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+    symbols = np.array(C.alphabet.symbols)
     out: dict[PatternClass, SpectrumEntry] = {}
-    for key, (count, position) in by_key.items():
-        based = Pattern(tile, dict(zip(tile_order, key)))
-        cls, d_shift = canonicalize_with_shift(based)
+    for r in np.argsort(first).tolist():
+        cls, d_shift = canonicalize_with_shift(_pattern(tile, symbols[rows[r]]))
         # canonical * (d_shift * position) is the restriction of C at position
-        witness = model.multiply(d_shift, position)
+        witness = model.multiply(d_shift, X[first[r]].tolist())
+        count = int(counts[r])
         prev_entry = out.get(cls)
         if prev_entry is None:
             out[cls] = SpectrumEntry(count, witness)
@@ -387,15 +435,14 @@ class TrivialFrequencies(FrequencyProvider):
         self.symbol = symbol
 
     def frequency(self, cls: PatternClass) -> Fraction:
-        ok = all(s == self.symbol for s in cls.canonical.values.values())
+        ok = bool((cls.canonical.symbols == self.symbol).all())
         return Fraction(1) if ok else Fraction(0)
 
     def total_mass(self, tile: FiniteSet) -> Fraction:
         return Fraction(1)
 
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
-        based = Pattern(tile, {g: self.symbol for g in tile.sorted_elements})
-        cls, d_shift = canonicalize_with_shift(based)
+        cls, d_shift = canonicalize_with_shift(_pattern(tile, np.full(len(tile), self.symbol)))
         return [(cls, d_shift)]
 
 
@@ -408,7 +455,7 @@ class PercolationFrequencies(FrequencyProvider):
 
     def frequency(self, cls: PatternClass) -> Fraction:
         out = Fraction(1)
-        for s in cls.canonical.values.values():
+        for s in cls.canonical.symbols.tolist():
             out *= self._weight[s]
         return out
 

@@ -86,9 +86,9 @@ class LocalRule:
     # -- pattern and block access -------------------------------------------
 
     def local_pattern(self, C: Colouring, x: Element) -> LocalPattern:
-        model = self.model
-        symbols = tuple(C.colour(model.multiply(q, x)) for q in self._window)
-        return LocalPattern(self._window, symbols)
+        window = self.model.ball(2 * self.overall_range).coords
+        codes = C.colour_codes(self.model.rmul_array(window, self.model.check_element(x)))
+        return LocalPattern(self._window, tuple(C.alphabet.symbols[c] for c in codes.tolist()))
 
     def _blocks_for(self, keys: Sequence[tuple[tuple[str, ...], Element]]) -> np.ndarray:
         """Kernel blocks for (pattern symbols, offset) keys, stacked (n, k, k).
@@ -180,9 +180,8 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     # Q, then the points q x, window position major
     points = np.concatenate([X] + [model.lmul_array(q, X) for q in window])
     point_id, first = _row_ids(points)
-    symbols, codes = np.unique(
-        np.array([C.colour(tuple(g)) for g in points[first].tolist()]), return_inverse=True
-    )
+    symbols = np.array(C.alphabet.symbols)
+    codes = C.colour_codes(points[first])
     row_of = np.full(len(first), -1)
     row_of[point_id[:n]] = np.arange(n)
     window_ids = point_id[n:].reshape(len(window), n)

@@ -224,13 +224,14 @@ def test_infeasible_cell_reported_run_continues(tmp_path):
 
 
 def test_workers_flag_gives_same_output(tmp_path):
-    base = ["ids", "--preset", "example4_1", "--folner-j", "3,6"]
-    blobs = []
-    for name, extra in (("w1", ["--workers", "1"]), ("w4", ["--workers", "4"])):
-        out = tmp_path / name
-        assert run(base + ["--out", out] + extra) == 0
-        blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert blobs[0] == blobs[1]
+    for preset, js in (("example4_1", "3,6"), ("z2_percolation", "6,10")):
+        base = ["ids", "--preset", preset, "--folner-j", js]
+        blobs = []
+        for name, extra in (("w1", ["--workers", "1"]), ("w4", ["--workers", "4"])):
+            out = tmp_path / preset / name
+            assert run(base + ["--out", out] + extra) == 0
+            blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1]
 
 
 def test_hop_table_operator_from_config(tmp_path):

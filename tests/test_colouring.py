@@ -1,10 +1,16 @@
+import hashlib
 import random
+import struct
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from idsapprox.cayley import (
     FiniteSet,
+    FreeAbelian,
+    Heisenberg3,
     admissible_positions,
     boundary_int_size,
     boundary_size,
@@ -17,15 +23,18 @@ from idsapprox.colouring import (
     BLACK,
     ColouringError,
     EmpiricalFrequencies,
+    ExplicitColouring,
     FrequencyProviderError,
     HalfLineMod3,
     HalfLineMod3Window,
     Pattern,
     PercolationColouring,
+    PeriodicFoldColouring,
     PercolationFrequencies,
     TrivialColouring,
     TrivialFrequencies,
     WHITE,
+    _cut,
     canonicalize,
     canonicalize_with_shift,
     count_occurrences,
@@ -317,3 +326,149 @@ def test_percolation_determinism_and_translation_consistency(z2):
 def test_pattern_class_digest_is_stable(z1):
     P = make_pattern(z1, {(0,): "a", (1,): "b"})
     assert canonicalize(P).digest() == canonicalize(translate_pattern(P, (9,))).digest()
+
+
+# -- reference implementations: the per-element algorithms of the array code
+
+
+def _colour_reference(C, g):
+    """Colour of one element, read off the colouring's definition."""
+    if isinstance(C, TrivialColouring):
+        return C.symbol
+    if isinstance(C, ExplicitColouring):
+        return C.table.get(g, C.default)
+    if isinstance(C, PeriodicFoldColouring):
+        return C.table[C.spec.decompose(g)[0]]
+    if isinstance(C, PercolationColouring):
+        data = struct.pack(f"<{len(g)}q", *g)
+        key = struct.pack("<q", C.seed)
+        digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
+        u = Fraction(int.from_bytes(digest, "little"), 1 << 64)
+        for sym, cum in zip(C.alphabet.symbols, accumulate(C.weights)):
+            if u < cum:
+                return sym
+        return C.alphabet.symbols[-1]
+    x = g[0]
+    if isinstance(C, HalfLineMod3Window):
+        return WHITE if x >= 0 or x <= -100 or x % 3 == 0 else BLACK
+    return WHITE if x >= 0 or x % 3 == 0 else BLACK
+
+
+def _canonical_reference(P):
+    """Least sorted tuple of (element, symbol) pairs over the translates
+    P d^-1, the first d in element order winning ties; with its digest."""
+    model = P.domain.model
+    best = best_d = None
+    for d in P.domain.sorted_elements:
+        d_inv = model.inverse(d)
+        key = tuple(sorted((model.multiply(y, d_inv), s) for y, s in P.values.items()))
+        if best is None or key < best:
+            best, best_d = key, d
+    return best, best_d, hashlib.blake2b(repr(best).encode(), digest_size=8).hexdigest()
+
+
+def _spectrum_reference(C, tile, U):
+    """Per-position loop: class key -> (count, witness), first occurrence order."""
+    model = tile.model
+    by_symbols = {}
+    for x in admissible_positions(tile, U).sorted_elements:
+        key = tuple(_colour_reference(C, model.multiply(q, x)) for q in tile.sorted_elements)
+        count, position = by_symbols.get(key, (0, x))
+        by_symbols[key] = (count + 1, position)
+    out = {}
+    for key, (count, position) in by_symbols.items():
+        best, d, _ = _canonical_reference(Pattern(tile, dict(zip(tile.sorted_elements, key))))
+        witness = model.multiply(d, position)
+        prev = out.get(best)
+        out[best] = (count, witness) if prev is None else (prev[0] + count, min(prev[1], witness))
+    return out
+
+
+def _colouring_case(name):
+    z1, z2, h3 = FreeAbelian(1), FreeAbelian(2), Heisenberg3()
+    box = [(a, b) for a in range(-6, 6) for b in range(-6, 6)]
+    h3_pts = list(h3.ball(3).sorted_elements) + [(-7, 5, -40), (9, -8, 33)]
+    if name == "trivial":
+        return TrivialColouring(z2, "o"), box
+    if name == "explicit":
+        table = {(0, 0): "r", (-3, 2): "p", (4, -1): "r", (-6, -6): "p"}
+        return ExplicitColouring(z2, Alphabet(("q", "p", "r")), table, "q"), box
+    if name == "periodic":
+        spec = folner_set(h3, 2)
+        table = {q: ("u", "t", "s")[i % 3] for i, q in enumerate(spec.tile.sorted_elements)}
+        return PeriodicFoldColouring(spec, table), h3_pts
+    if name == "percolation":
+        weights = (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
+        alphabet = Alphabet(("open", "closed", "ajar"))
+        return PercolationColouring(h3, alphabet, seed=-5, weights=weights), h3_pts
+    if name == "halfline":
+        return HalfLineMod3(z1), [(x,) for x in range(-40, 10)]
+    return HalfLineMod3Window(z1), [(x,) for x in range(-110, 5)]
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "explicit", "periodic", "percolation", "halfline", "window"]
+)
+def test_colour_codes_match_definition(name):
+    C, points = _colouring_case(name)
+    codes = C.colour_codes(np.array(points, dtype=np.int64))
+    assert codes.dtype == np.int64
+    expected = [C.alphabet.symbols.index(_colour_reference(C, g)) for g in points]
+    assert codes.tolist() == expected
+    assert [C.colour(g) for g in points] == [C.alphabet.symbols[i] for i in expected]
+    assert len(C.colour_codes(np.empty((0, C.model.dim), dtype=np.int64))) == 0
+
+
+def test_percolation_thresholds_are_exact(z1):
+    third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
+    for weights in ((third, half, sixth), (half, Fraction(0), half), (Fraction(0), third, 2 * third)):
+        C = PercolationColouring(z1, Alphabet(("a", "b", "c")), seed=1, weights=weights)
+        cums = list(accumulate(weights))
+        assert C.thresholds[-1] == 1 << 64
+        us = {0, (1 << 64) - 1}
+        us |= {u for t in C.thresholds for u in (t - 1, t, t + 1) if 0 <= u < 1 << 64}
+        us = sorted(us)
+        # the colour rule on the unit interval: first i with u / 2^64 < cum_i
+        expected = [next(i for i, c in enumerate(cums) if Fraction(u, 1 << 64) < c) for u in us]
+        assert _cut(C.thresholds, np.array(us, dtype=np.uint64)).tolist() == expected
+
+
+def _check_canonical(P):
+    cls, d = canonicalize_with_shift(P)
+    key, ref_d, ref_digest = _canonical_reference(P)
+    assert cls.key == key
+    assert d == ref_d
+    assert cls.digest() == ref_digest
+    assert translate_pattern(cls.canonical, d) == P
+
+
+@pytest.mark.parametrize("symbols", [("white", "black"), ("open", "closed")])
+def test_canonicalize_matches_tuple_reference(symbols):
+    rng = random.Random(21)
+    for model in (FreeAbelian(1), FreeAbelian(2), Heisenberg3()):
+        pool = list(model.ball(3).sorted_elements)
+        for _ in range(40):
+            dom = rng.sample(pool, rng.randint(1, min(9, len(pool))))
+            _check_canonical(make_pattern(model, {g: rng.choice(symbols) for g in dom}))
+        # constant and periodic patterns on tiles: translates agree on symbols
+        for n in (2, 3):
+            tile = folner_set(model, n).tile
+            for period in (1, 2, 3):
+                values = {g: symbols[i // period % 2] for i, g in enumerate(tile.sorted_elements)}
+                _check_canonical(make_pattern(model, values))
+
+
+def test_spectrum_matches_per_position_loop(z1, h3):
+    weights = (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
+    perc = PercolationColouring(h3, Alphabet(("open", "closed", "ajar")), seed=3, weights=weights)
+    cases = [
+        (perc, folner_set(h3, 2).tile, folner_set(h3, 4).tile),
+        (HalfLineMod3(z1), folner_set(z1, 3).tile, interval(z1, -30, 10)),
+    ]
+    for C, tile, U in cases:
+        spec = occurring_pattern_spectrum(C, tile, U)
+        got = {cls.key: (e.count, e.witness) for cls, e in spec.items()}
+        ref = _spectrum_reference(C, tile, U)
+        assert got == ref
+        assert list(got) == list(ref)
+        assert len(ref) > 2
