@@ -9,9 +9,11 @@ boundary cardinalities and pattern translations are all compatible.
 
 A finite set is held as the sorted array of its packed int64 keys: each
 coordinate gets 63 // dim bits, so every supported group packs and key order
-is lexicographic element order.  Word lengths are memoised per model in an
-expanding breadth-first table; boundaries, diameters, tile covers and
-positions are array operations on the keys.
+is lexicographic element order.  In both groups that order is invariant
+under left and right translation, so the keys of a translated set are
+sorted already and no translation re-sorts them.  Word lengths are memoised
+per model in an expanding breadth-first table; boundaries, diameters, tile
+covers and positions are array operations on the keys.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ class GroupModelError(ValueError):
 
 
 class GroupModel:
-    """Base class for a finitely generated group with a symmetric generator set."""
+    """Base class for a finitely generated group with a symmetric generator set.
+
+    Every model keeps packed-key order invariant under ``rmul_array`` and
+    ``lmul_array``: if key(g) < key(h) then key(g*s) < key(h*s) and
+    key(s*g) < key(s*h).  Translates of sorted sets are therefore sorted.
+    """
 
     dim: int
     generators: tuple[Element, ...]
@@ -332,12 +339,14 @@ class FiniteSet:
         return self._diameter
 
     def right_translate(self, x: Sequence[int]) -> "FiniteSet":
+        """The set times x; element i of the result is element i of the set times x."""
         x = self.model.check_element(x)
-        return _from_coords(self.model, self.model.rmul_array(self.coords, x))
+        return _from_packed(self.model, self.model._pack(self.model.rmul_array(self.coords, x)))
 
     def left_translate(self, s: Sequence[int]) -> "FiniteSet":
+        """s times the set; element i of the result is s times element i of the set."""
         s = self.model.check_element(s)
-        return _from_coords(self.model, self.model.lmul_array(s, self.coords))
+        return _from_packed(self.model, self.model._pack(self.model.lmul_array(s, self.coords)))
 
     def _keys_of(self, other: "FiniteSet") -> np.ndarray:
         if other.model is not self.model:
@@ -610,8 +619,7 @@ def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     # the intersection of the translates q^-1 U over q in the tile; it is not
     # seeded with U, because the tile need not contain the identity
     translates = (
-        np.sort(model._pack(model.lmul_array(model.inverse(q), U.coords)))
-        for q in tile.sorted_elements
+        model._pack(model.lmul_array(model.inverse(q), U.coords)) for q in tile.sorted_elements
     )
     out = next(translates)
     for shifted in translates:

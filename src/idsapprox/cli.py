@@ -76,6 +76,13 @@ def _preset_text(name: str) -> str:
         raise ConfigError("$.preset", f"unknown preset {name!r}") from exc
 
 
+def _int_list(text: str, path: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(path, f"expected a comma list of integers, got {text!r}") from exc
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     if args.preset and args.config:
         raise ConfigError("$", "give either --preset or --config, not both")
@@ -90,11 +97,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
     else:
         raise ConfigError("$", "a --preset or --config is required")
+    if not isinstance(obj, dict):
+        raise ConfigError("$", "top-level config must be an object")
     if args.folner_j:
-        obj["folner_j"] = [int(p) for p in args.folner_j.split(",")]
+        obj["folner_j"] = _int_list(args.folner_j, "$.folner_j")
     if args.tile_n:
-        obj["tile_n"] = [int(p) for p in args.tile_n.split(",")]
-    if args.workers:
+        obj["tile_n"] = _int_list(args.tile_n, "$.tile_n")
+    if args.workers is not None:
         obj["workers"] = args.workers
     if args.seed is not None:
         obj.setdefault("colouring", {})["seed"] = args.seed
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON run config")
         p.add_argument("--preset", help="name of a shipped preset config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=0, help="worker pool size")
+        p.add_argument("--workers", type=int, default=None, help="worker pool size")
         p.add_argument("--seed", type=int, default=None, help="override colouring seed")
         p.add_argument("--folner-j", default="", help="override folner_j (comma list)")
         p.add_argument("--tile-n", default="", help="override tile_n (comma list)")

@@ -5,11 +5,11 @@ spectral modules.  Colours are read for whole coordinate arrays at once, as
 codes indexing the alphabet (``Colouring.colour_codes``), and a pattern holds
 its symbols as a string array aligned with the sorted keys of its domain, so
 restriction, translation, occurrence counts and spectra are numpy gathers.
-Pattern equivalence is right-translation equivalence, and canonical class
-representatives are chosen as the lexicographically least serialized
-translate whose domain contains the identity; that order compares symbol
-strings, not alphabet positions, so it does not depend on how an alphabet
-is ordered.
+Pattern equivalence is right-translation equivalence, and the canonical
+class representative is the translate that moves the greatest domain element
+to the identity: key order is translation invariant, so among the translates
+whose domain contains the identity it has the lexicographically least
+serialized form, and the symbols never decide.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .cayley import (
     FreeAbelian,
     GroupModel,
     TilingSpec,
-    _from_packed,
     admissible_positions,
 )
 
@@ -305,35 +304,20 @@ def restrict(C: Colouring, Q: FiniteSet) -> Pattern:
 
 def translate_pattern(P: Pattern, x: Sequence[int]) -> Pattern:
     """Right translate: domain D(P)x, value at y*x equals P(y)."""
-    model = P.domain.model
-    x = model.check_element(x)
-    keys = model._pack(model.rmul_array(P.domain.coords, x))
-    order = np.argsort(keys)
-    return _pattern(_from_packed(model, keys[order]), P.symbols[order])
+    return _pattern(P.domain.right_translate(x), P.symbols)
 
 
 def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """Canonical class of P together with the shift d such that the canonical
-    representative right-translated by d equals P."""
+    representative right-translated by d equals P.
+
+    Translation keeps key order, so of the translates P e^-1 (e in D) the one
+    whose domain starts lowest is P d^-1 with d = max(D); symbols never decide.
+    """
     if len(P) == 0:
         raise ColouringError("cannot canonicalize a pattern with empty domain")
-    model = P.domain.model
-    coords = P.domain.coords
-    elements = P.domain.sorted_elements
-    # row i: the keys of the translate P d_i^-1, sorted, and its symbols
-    translates = [model.rmul_array(coords, model.inverse(d)) for d in elements]
-    keys = model._pack(np.concatenate(translates)).reshape(len(elements), -1)
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
-    # serialized forms compare (element, symbol) pairs, symbols as strings
-    _, codes = np.unique(P.symbols, return_inverse=True)
-    serial = np.empty((len(elements), 2 * len(elements)), dtype=np.int64)
-    serial[:, 0::2] = keys
-    serial[:, 1::2] = codes.reshape(-1)[order]
-    # lexsort is stable: among equal translates the least d wins
-    best = int(np.lexsort(serial.T[::-1])[0])
-    canonical = _pattern(_from_packed(model, keys[best].copy()), P.symbols[order[best]])
-    return PatternClass(canonical), elements[best]
+    d = tuple(P.domain.coords[-1].tolist())
+    return PatternClass(translate_pattern(P, P.domain.model.inverse(d))), d
 
 
 def canonicalize(P: Pattern) -> PatternClass:
@@ -382,7 +366,9 @@ def occurring_pattern_spectrum(
 
     Positions are grouped by the based pattern pulled back to the tile,
     which is then canonicalized once per distinct based form, in order of
-    first occurrence; the counts sum to the number of admissible positions.
+    first occurrence.  Every form has the same domain, hence the same
+    canonical domain, so distinct forms are distinct classes; the counts
+    sum to the number of admissible positions.
     """
     model = tile.model
     X = admissible_positions(tile, U).coords
@@ -396,13 +382,7 @@ def occurring_pattern_spectrum(
         cls, d_shift = canonicalize_with_shift(_pattern(tile, symbols[rows[r]]))
         # canonical * (d_shift * position) is the restriction of C at position
         witness = model.multiply(d_shift, X[first[r]].tolist())
-        count = int(counts[r])
-        prev_entry = out.get(cls)
-        if prev_entry is None:
-            out[cls] = SpectrumEntry(count, witness)
-        else:
-            keep = min(prev_entry.witness, witness)
-            out[cls] = SpectrumEntry(prev_entry.count + count, keep)
+        out[cls] = SpectrumEntry(int(counts[r]), witness)
     return out
 
 
@@ -492,11 +472,6 @@ class EmpiricalFrequencies(FrequencyProvider):
         cached = self._freq_cache.get(cls)
         if cached is not None:
             return cached
-        for spectrum in self._spectra.values():
-            if cls in spectrum:
-                return self._freq_cache.setdefault(
-                    cls, Fraction(spectrum[cls].count, len(self.reference))
-                )
         value = empirical_frequency(cls.canonical, self.colouring, self.reference)
         self._freq_cache[cls] = value
         return value

@@ -419,7 +419,11 @@ def test_packing_round_trip_at_bound(model):
             FiniteSet(model, [[0] * (model.dim - 1) + [c]])
 
 
-@pytest.mark.parametrize("model", [FreeAbelian(1), FreeAbelian(4), Heisenberg3()], ids=lambda m: m.describe())
+@pytest.mark.parametrize(
+    "model",
+    [FreeAbelian(1), FreeAbelian(2), FreeAbelian(4), FreeAbelian(8), Heisenberg3()],
+    ids=lambda m: m.describe(),
+)
 def test_finite_set_matches_frozenset_oracle(model):
     rng = random.Random(7)
     pool = list(model.ball(3).sorted_elements)
@@ -431,9 +435,15 @@ def test_finite_set_matches_frozenset_oracle(model):
         assert A.coords.shape == (len(a), model.dim)
         for g in pool:
             assert (g in A) == (g in a)
-        x = rng.choice(pool)
-        assert A.right_translate(x).elements == {model.multiply(g, x) for g in a}
-        assert A.left_translate(x).elements == {model.multiply(x, g) for g in a}
+        # the far shift carries across bit fields; on H3 the c term grows as b*a'
+        if isinstance(model, Heisenberg3):
+            far = (500, -500, 500)
+        else:
+            far = tuple((-1) ** i * (model.pack_bound // 4) for i in range(model.dim))
+        for x in (rng.choice(pool), far):
+            # equality compares packed arrays, so keys out of order would fail
+            assert A.right_translate(x) == FiniteSet(model, {model.multiply(g, x) for g in a})
+            assert A.left_translate(x) == FiniteSet(model, {model.multiply(x, g) for g in a})
         for B, b in cases:
             assert (A == B) == (a == b)
             if a == b:

@@ -22,6 +22,18 @@ def test_schema_rejects_bad_config(tmp_path, capsys):
         rc = run(["ids", "--config", bad, "--out", tmp_path / "out"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["path"] == "$.d"
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    good = ["ids", "--preset", "h3_adjacency"]
+    for args, path in [
+        (good + ["--folner-j", "3,,4"], "$.folner_j"),
+        (good + ["--folner-j", "a"], "$.folner_j"),
+        (good + ["--tile-n", "x"], "$.tile_n"),
+        (good + ["--workers", "0"], "$.workers"),
+        (["ids", "--config", array, "--seed", "3"], "$"),
+    ]:
+        assert run(args + ["--out", tmp_path / "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["path"] == path
 
 
 def test_schema_error_reports_path():

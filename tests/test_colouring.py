@@ -464,6 +464,9 @@ def test_spectrum_matches_per_position_loop(z1, h3):
     cases = [
         (perc, folner_set(h3, 2).tile, folner_set(h3, 4).tile),
         (HalfLineMod3(z1), folner_set(z1, 3).tile, interval(z1, -30, 10)),
+        # tiles that do not contain the identity
+        (perc, folner_set(h3, 2).tile.right_translate((1, -2, 5)), folner_set(h3, 4).tile),
+        (HalfLineMod3(z1), FiniteSet(z1, [(-2,), (0,), (3,)]), interval(z1, -30, 10)),
     ]
     for C, tile, U in cases:
         spec = occurring_pattern_spectrum(C, tile, U)
