@@ -18,11 +18,11 @@ covers and positions are array operations on the keys.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401 - np.unique imports it on first use; load it with the package
 
 Element = tuple[int, ...]
 
@@ -48,7 +48,6 @@ class GroupModel:
         self.pack_bound = 1 << (self.pack_bits - 1)  # coordinates satisfy |c| < bound
         self._pack_shifts = self.pack_bits * np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         self._pack_scale = np.left_shift(1, self._pack_shifts)
-        self._lock = threading.Lock()
         # word-length table: packed keys (sorted), distances, per-level coords
         e = np.array([self.identity], dtype=np.int64)
         self._wl_keys = self._pack(e)
@@ -127,14 +126,13 @@ class GroupModel:
 
     def _lengths_packed(self, keys: np.ndarray) -> np.ndarray:
         """Word lengths for packed keys, expanding the table as needed."""
-        with self._lock:
-            while True:
-                idx = np.searchsorted(self._wl_keys, keys)
-                idx_c = np.minimum(idx, len(self._wl_keys) - 1)
-                if bool((self._wl_keys[idx_c] == keys).all()):
-                    return self._wl_dist[idx_c].astype(np.int64)
-                if not self._expand_level():
-                    raise GroupModelError("generators do not reach requested element")
+        while True:
+            idx = np.searchsorted(self._wl_keys, keys)
+            idx_c = np.minimum(idx, len(self._wl_keys) - 1)
+            if bool((self._wl_keys[idx_c] == keys).all()):
+                return self._wl_dist[idx_c].astype(np.int64)
+            if not self._expand_level():
+                raise GroupModelError("generators do not reach requested element")
 
     def word_length(self, g: Element) -> int:
         """Minimal number of generators whose product equals g."""
@@ -152,12 +150,10 @@ class GroupModel:
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
-        with self._lock:
-            while len(self._levels) <= radius:
-                if not self._expand_level():
-                    break
-            levels = self._levels[: radius + 1]
-        out = _from_coords(self, np.concatenate(levels))
+        while len(self._levels) <= radius:
+            if not self._expand_level():
+                break
+        out = _from_coords(self, np.concatenate(self._levels[: radius + 1]))
         self._ball_cache[radius] = out
         return out
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -83,20 +83,30 @@ def _int_list(text: str, path: str) -> list[int]:
         raise ConfigError(path, f"expected a comma list of integers, got {text!r}") from exc
 
 
+def _finite(text: str) -> float:
+    """JSON float hook: rejects NaN, +-Infinity and literals that overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError("$", f"non-finite number {text} in config")
+    return value
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     if args.preset and args.config:
         raise ConfigError("$", "give either --preset or --config, not both")
     if args.preset:
-        obj = json.loads(_preset_text(args.preset))
+        text = _preset_text(args.preset)
     elif args.config:
         try:
-            obj = json.loads(Path(args.config).read_text())
+            text = Path(args.config).read_text()
         except FileNotFoundError as exc:
             raise ConfigError("$", f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"invalid JSON: {exc}") from exc
     else:
         raise ConfigError("$", "a --preset or --config is required")
+    try:
+        obj = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("$", "top-level config must be an object")
     if args.folner_j:
@@ -141,22 +151,12 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
         reference = volumes.get(ref_j) or make(ref_j)
         freqs = cfg.frequency_provider(model, colouring, reference)
 
-        def build(j: int):
-            try:
-                return j, ids_approximant(rule, colouring, volumes[j], tau=tau), None
-            except IdsError as exc:
-                return j, None, str(exc)
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                built = list(pool.map(build, js))
-        else:
-            built = [build(j) for j in js]
-
         approx = {}
-        for j, ap, err in sorted(built):
-            if err is not None:
-                errors.append({"side": side, "j": j, "error": err})
+        for j in js:
+            try:
+                ap = ids_approximant(rule, colouring, volumes[j], tau=tau)
+            except IdsError as exc:
+                errors.append({"side": side, "j": j, "error": str(exc)})
                 continue
             approx[j] = ap
             _write_step_csv(outdir / f"approximant_{side}_j{j}.csv", ap.step)
@@ -200,9 +200,7 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
             totals = [(side_certs[(j, spec.n)], spec.n) for spec in specs]
             if totals:
                 best_total, best_n = min(totals)
-                summary.append(
-                    {"side": side, "j": j, "best_n": best_n, "best_total": best_total}
-                )
+                summary.append({"side": side, "j": j, "best_n": best_n, "best_total": best_total})
 
     cert_rows.sort(key=lambda r: (r["side"], r["j"], r["n"]))
     _write_json(outdir / "certificates.json", {"rows": cert_rows, "errors": errors})
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON run config")
         p.add_argument("--preset", help="name of a shipped preset config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size")
+        p.add_argument("--workers", type=int, default=None, help="ignored: cells run serially")
         p.add_argument("--seed", type=int, default=None, help="override colouring seed")
         p.add_argument("--folner-j", default="", help="override folner_j (comma list)")
         p.add_argument("--tile-n", default="", help="override tile_n (comma list)")

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Optional
-
-import jsonschema
+from typing import Callable, Iterator, Optional
 
 from .cayley import FiniteSet, FreeAbelian, GroupModel, Heisenberg3, TilingSpec, folner_set, interval_folner
 from .colouring import (
@@ -48,6 +45,7 @@ _COLOURING_KINDS = [
 ]
 _OPERATOR_KINDS = ["adjacency", "percolation", "laplacian", "hop_table"]
 
+_POSITIVE_INT = {"type": "integer", "minimum": 1}
 SCHEMA = {
     "type": "object",
     "required": ["group", "colouring", "operator"],
@@ -55,14 +53,8 @@ SCHEMA = {
     "properties": {
         "group": {"enum": ["zd", "h3"]},
         "d": {"type": "integer", "minimum": 1, "maximum": 8},
-        "tile_n": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "folner_j": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-        },
+        "tile_n": {"type": "array", "items": _POSITIVE_INT},
+        "folner_j": {"type": "array", "items": _POSITIVE_INT},
         "folner": {
             "type": "object",
             "additionalProperties": False,
@@ -73,7 +65,7 @@ SCHEMA = {
                     "items": {"enum": ["positive", "negative"]},
                     "minItems": 1,
                 },
-                "scale": {"type": "integer", "minimum": 1},
+                "scale": _POSITIVE_INT,
             },
         },
         "colouring": {
@@ -100,32 +92,69 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["auto", "empirical", "analytic"]},
-                "reference_j": {"type": "integer", "minimum": 1},
+                "reference_j": _POSITIVE_INT,
             },
         },
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "seeds": {"type": "array", "items": {"type": "integer"}},
         "epsilons": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "freq_window": {"type": "integer", "minimum": 1},
-        "freq_max_domain": {"type": "integer", "minimum": 1},
-        "volume_side": {"type": "integer", "minimum": 1},
+        "freq_window": _POSITIVE_INT,
+        "freq_max_domain": _POSITIVE_INT,
+        "volume_side": _POSITIVE_INT,
         "kernel_seed": {"type": "integer"},
         "emit_raw_counting": {"type": "boolean"},
         "emit_eigenvalues": {"type": "boolean"},
-        "workers": {"type": "integer", "minimum": 1},
+        "workers": _POSITIVE_INT,
     },
 }
 
 
+# JSON Schema (Draft 2020-12) types: booleans are not numbers, integral floats are integers
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_TYPES["integer"] = lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer())
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt, "exclusiveMinimum": operator.le}
+
+
+def schema_errors(schema: dict, value, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """(path, message) for each violation of ``schema`` by ``value``, for the
+    keywords SCHEMA uses, in schema order; a value of the wrong type is
+    reported once, without checking the other keywords at its node."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+        return
+    for key, arg in schema.items():
+        if key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS and _TYPES["number"](value) and _BOUNDS[key](value, arg):
+            yield path, f"{value!r} violates {key} {arg!r}"
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            yield path, f"{value!r} has fewer than {arg} items"
+        elif key == "required" and isinstance(value, dict):
+            yield from ((path, f"{n!r} is a required property") for n in arg if n not in value)
+        elif key == "additionalProperties" and isinstance(value, dict) and arg is False:
+            extra = [name for name in value if name not in schema.get("properties", {})]
+            if extra:
+                yield path, f"additional properties are not allowed: {extra!r}"
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from schema_errors(sub, value[name], path + (name,))
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from schema_errors(arg, item, path + (i,))
+
+
 def validate_config(obj: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise ConfigError(path, err.message)
+    first = min(schema_errors(SCHEMA, obj), key=lambda e: e[0], default=None)
+    if first is not None:
+        path = "$" + "".join(f"[{p!r}]" if isinstance(p, int) else f".{p}" for p in first[0])
+        raise ConfigError(path, first[1])
     if obj["group"] == "zd" and "d" not in obj:
         raise ConfigError("$.d", "lattice dimension d is required for group 'zd'")
     if obj["colouring"]["kind"] == "percolation" and "seed" not in obj["colouring"]:
@@ -141,26 +170,11 @@ class RunConfig:
 
     raw: dict
     tolerance: Optional[float] = None
-    workers: int = 1
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         validate_config(obj)
-        return cls(
-            raw=obj,
-            tolerance=obj.get("tolerance"),
-            workers=int(obj.get("workers", 1)),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError("$", "top-level config must be an object")
-        return cls.from_dict(obj)
+        return cls(raw=obj, tolerance=obj.get("tolerance"))
 
     # -- constructors ---------------------------------------------------------
 
@@ -228,13 +242,10 @@ class RunConfig:
         if folner.get("kind", "tiles") == "tiles":
             return {"tiles": lambda j: folner_set(model, j).tile}
         scale = int(folner.get("scale", 3))
-        sides = folner.get("sides", ["positive"])
-        out: dict[str, Callable[[int], FiniteSet]] = {}
-        for side in sides:
-            out[side] = (
-                lambda j, s=side: interval_folner(model, j, scale=scale, side=s)
-            )
-        return out
+        return {
+            side: (lambda j, s=side: interval_folner(model, j, scale=scale, side=s))
+            for side in folner.get("sides", ["positive"])
+        }
 
     def folner_indices(self) -> list[int]:
         return sorted(set(self.raw.get("folner_j", [2, 3, 4])))
@@ -254,12 +265,8 @@ class RunConfig:
         spec = self.raw.get("frequencies", {"kind": "auto"})
         kind = spec.get("kind", "auto")
         if kind == "auto":
-            if isinstance(colouring, TrivialColouring):
-                kind = "analytic"
-            elif isinstance(colouring, PercolationColouring):
-                kind = "analytic"
-            else:
-                kind = "empirical"
+            analytic = isinstance(colouring, (TrivialColouring, PercolationColouring))
+            kind = "analytic" if analytic else "empirical"
         if kind == "analytic":
             if isinstance(colouring, TrivialColouring):
                 return TrivialFrequencies(model, colouring.symbol)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .cayley import Element, FiniteSet, GroupModel
 from .colouring import Alphabet, Colouring
@@ -79,7 +78,6 @@ class LocalRule:
         self.name = name or type(self).__name__
         self._window = model.ball(2 * self.overall_range).sorted_elements
         self._offsets = model.ball(range_m).sorted_elements
-        # grow under the GIL; concurrent readers are fine
         self._block_cache: dict[tuple, np.ndarray] = {}
         self._block_norms: list[float] = []  # spectral norm of each cached block
 
@@ -119,12 +117,15 @@ class LocalRule:
 
 @dataclass
 class RestrictedMatrix:
-    """Finite restriction H[Q] with a fixed, reproducible row order."""
+    """Finite restriction H[Q] with a fixed, reproducible row order, held as
+    its nonzero entries: vals[i] at (rows[i], cols[i]), each position once."""
 
     Q: FiniteSet
     order: tuple[Element, ...]
     k: int
-    data: scipy.sparse.csr_matrix  # rows i*k..i*k+k-1 belong to order[i]
+    rows: np.ndarray  # rows i*k..i*k+k-1 belong to order[i]
+    cols: np.ndarray
+    vals: np.ndarray
     norm_hint: float = 0.0
 
     @property
@@ -132,20 +133,17 @@ class RestrictedMatrix:
         return self.k * len(self.order)
 
     def to_dense(self) -> np.ndarray:
-        return self.data.toarray()
-
-    def index_of(self, g: Element) -> int:
-        return self.order.index(g)
+        dense = np.zeros((self.dim, self.dim))
+        dense[self.rows, self.cols] = self.vals
+        return dense
 
     def to_coordinate_text(self) -> str:
         """Plain-text symmetric coordinate dump (upper triangle, 1-based)."""
-        dense = self.to_dense()
+        upper = np.nonzero(self.rows <= self.cols)[0]
+        upper = upper[np.lexsort((self.cols[upper], self.rows[upper]))]
+        rows, cols, vals = (a[upper].tolist() for a in (self.rows, self.cols, self.vals))
         lines = [f"% symmetric {self.dim} {self.dim} k={self.k}"]
-        rows, cols = np.nonzero(dense)
-        for i, j in zip(rows, cols):
-            if j < i:
-                continue
-            lines.append(f"{i + 1} {j + 1} {float(dense[i, j])!r}")
+        lines += [f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows, cols, vals)]
         return "\n".join(lines) + "\n"
 
 
@@ -217,9 +215,9 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     cols = (y[:, None, None] * k + a[None, :]).repeat(k, axis=1).ravel()
     vals = blocks[block_id].ravel()
     nz = vals != 0.0
-    dim = k * n
-    data = scipy.sparse.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(dim, dim))
-    return RestrictedMatrix(Q, Q.sorted_elements, k, data, norm_hint=norm_bound(rule))
+    return RestrictedMatrix(
+        Q, Q.sorted_elements, k, rows[nz], cols[nz], vals[nz], norm_hint=norm_bound(rule)
+    )
 
 
 # -- concrete rules ---------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Symmetric eigensolves, eigenvalue counting functions and perturbation gaps.
 
-Every eigensolve takes one path: the matrix is held in CSR form, checked
-for symmetry, split into the connected components of its nonzero pattern
-(the counting function of a direct sum is the sum of the counting
-functions), and the components of each size are solved together by
-LAPACK's symmetric solver on one stacked array.  Counting functions cluster
-eigenvalues closer than the tolerance tau into a single breakpoint.
+Every eigensolve takes one path: the matrix is read as its nonzero entries
+(COO arrays), checked for symmetry, split into the connected components of
+its nonzero pattern (the counting function of a direct sum is the sum of
+the counting functions), and the components of each size are solved together
+by LAPACK's symmetric solver on one stacked array.  Counting functions
+cluster eigenvalues closer than the tolerance tau into a single breakpoint.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .ergodic import StepFunction
+from .operators import RestrictedMatrix
 
 
 class SpectraError(RuntimeError):
@@ -34,28 +34,49 @@ class QuasiModeError(ValueError):
 DEFAULT_TAU_SCALE = 1e-9
 
 
-def _as_csr(M) -> scipy.sparse.csr_matrix:
-    """CSR form of a restriction, a sparse matrix or a dense array."""
-    if hasattr(M, "to_dense"):
-        M = M.data  # a RestrictedMatrix keeps its CSR matrix in .data
-    if not scipy.sparse.issparse(M):
-        M = np.asarray(M, dtype=np.float64)
-        if M.ndim != 2:
+def _symmetric_coo(M) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Dimension n and nonzero entries (rows, cols, vals) of M (a RestrictedMatrix,
+    a dense array or a sparse matrix with ``tocoo()``), which must be square
+    with max |M - M^T| <= 1e-12 * max(1, max |M|)."""
+    if isinstance(M, RestrictedMatrix):
+        shape, rows, cols, vals = (M.dim, M.dim), M.rows, M.cols, M.vals
+    elif hasattr(M, "tocoo"):
+        A = M.tocoo(copy=True)
+        A.sum_duplicates()
+        shape, rows, cols, vals = A.shape, A.row.astype(np.int64), A.col.astype(np.int64), A.data
+    else:
+        A = np.asarray(M, dtype=np.float64)
+        if A.ndim != 2:
             raise SpectraError("matrix must be square")
-    return scipy.sparse.csr_matrix(M, dtype=np.float64)
+        shape, (rows, cols) = A.shape, np.nonzero(A)
+        vals = A[rows, cols]
+    if shape[0] != shape[1]:
+        raise SpectraError("matrix must be square")
+    n, nz = shape[0], vals != 0.0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz].astype(np.float64, copy=False)
+    # each position of M - M^T collects M_ij and -M_ji
+    _, pos = np.unique(np.concatenate([rows * n + cols, cols * n + rows]), return_inverse=True)
+    asym = np.bincount(pos.ravel(), weights=np.concatenate([vals, -vals]))
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    if float(np.abs(asym).max(initial=0.0)) > 1e-12 * scale:
+        raise SpectraError("matrix is not symmetric")
+    return n, rows, cols, vals
 
 
-def _as_dense(M) -> np.ndarray:
-    return _as_csr(M).toarray()
+def _symmetric_dense(M) -> np.ndarray:
+    n, rows, cols, vals = _symmetric_coo(M)
+    dense = np.zeros((n, n))
+    dense[rows, cols] = vals
+    return dense
 
 
-def default_tau(M, A=None) -> float:
+def default_tau(M, coo: Optional[tuple] = None) -> float:
     """DEFAULT_TAU_SCALE times the norm hint of M, or, without one, times
-    max |A_ij| * dim of its matrix A."""
+    max |A_ij| * dim of its matrix A (``coo``, if given, is ``_symmetric_coo(M)``)."""
     hint = getattr(M, "norm_hint", None)
     if hint is None or hint <= 0:
-        A = _as_csr(M) if A is None else A
-        hint = float(abs(A).max()) * A.shape[0] if A.shape[0] else 1.0
+        n, _, _, vals = _symmetric_coo(M) if coo is None else coo
+        hint = float(np.abs(vals).max(initial=0.0)) * n if n else 1.0
     return DEFAULT_TAU_SCALE * max(1.0, float(hint))
 
 
@@ -68,17 +89,6 @@ class EigenvalueList:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _check_symmetric(A) -> None:
-    """A dense array or sparse matrix must be square and symmetric."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise SpectraError("matrix must be square")
-    if A.shape[0] == 0:
-        return
-    scale = max(1.0, float(abs(A).max()))
-    if float(abs(A - A.T).max()) > 1e-12 * scale:
-        raise SpectraError("matrix is not symmetric")
 
 
 def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -103,16 +113,13 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
     """All eigenvalues of a symmetric matrix, with multiplicity.
 
-    M is a RestrictedMatrix, a scipy.sparse matrix or a dense array.
+    M is a RestrictedMatrix, a dense array, or a sparse matrix with
+    ``tocoo()``; the eigensolve reads only its nonzero entries.
     """
-    A = _as_csr(M)
-    _check_symmetric(A)
+    coo = _symmetric_coo(M)
     if tau is None:
-        tau = default_tau(M, A)
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    nz = A.data != 0.0
-    rows, cols, vals = rows[nz], A.indices[nz], A.data[nz]
+        tau = default_tau(M, coo)
+    n, rows, cols, vals = coo
     # components in order of their smallest row; rows ascending within each
     label = _component_labels(n, rows, cols)
     order = np.argsort(label, kind="stable")
@@ -185,12 +192,10 @@ def numerical_rank(C: np.ndarray, tau: float) -> int:
 
 def rank_perturbation_gap(A, C, tau: Optional[float] = None) -> int:
     """Max over E of |n(A)(E) - n(A+C)(E)|; must not exceed rank(C)."""
-    A = _as_dense(A)
-    C = _as_dense(C)
+    A = _symmetric_dense(A)
+    C = _symmetric_dense(C)
     if A.shape != C.shape:
         raise SpectraError("perturbation must match the matrix dimension")
-    _check_symmetric(A)
-    _check_symmetric(C)
     if tau is None:
         tau = default_tau(A + C)
     ev_a = eigenvalues(A, tau).values
@@ -205,8 +210,7 @@ def rank_perturbation_gap(A, C, tau: Optional[float] = None) -> int:
 def projection_truncation_gap(A, keep: Sequence[int], tau: Optional[float] = None) -> int:
     """Max over E of |n(A)(E) - n(pAi)(E)| for a coordinate-subspace truncation;
     must not exceed 4 * (dim V - dim U)."""
-    A = _as_dense(A)
-    _check_symmetric(A)
+    A = _symmetric_dense(A)
     keep = np.asarray(sorted(set(int(i) for i in keep)), dtype=np.int64)
     if keep.size and (keep[0] < 0 or keep[-1] >= A.shape[0]):
         raise SpectraError("kept indices out of range")
@@ -235,8 +239,7 @@ def quasi_mode_count(
     Hypotheses checked literally: the vectors are orthonormal, the images
     (A-lam)u_i are pairwise orthogonal, and every residual norm is < eps.
     """
-    A = _as_dense(A)
-    _check_symmetric(A)
+    A = _symmetric_dense(A)
     U = np.column_stack([np.asarray(u, dtype=np.float64) for u in vectors])
     m = U.shape[1]
     gram = U.T @ U
@@ -265,12 +268,10 @@ def spectral_shift_integral(H, G, tau: Optional[float] = None) -> float:
     Computed exactly as the area between the two counting functions; bounded
     by the trace norm of the difference.
     """
-    Hd = _as_dense(H)
-    Gd = _as_dense(G)
+    Hd = _symmetric_dense(H)
+    Gd = _symmetric_dense(G)
     if Hd.shape != Gd.shape:
         raise SpectraError("spectral shift needs matrices of equal dimension")
-    _check_symmetric(Hd)
-    _check_symmetric(Gd)
     if tau is None:
         tau = min(default_tau(Hd), default_tau(Gd))
     nh = counting_function(eigenvalues(Hd, tau))

@@ -1,10 +1,17 @@
+import copy
 import json
+import random
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+import idsapprox
+from idsapprox import cli
 from idsapprox.cli import main
-from idsapprox.config import ConfigError, validate_config
+from idsapprox.config import SCHEMA, ConfigError, schema_errors, validate_config
 
 
 def run(args):
@@ -24,6 +31,17 @@ def test_schema_rejects_bad_config(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["path"] == "$.d"
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
+    # Python's json module accepts these non-standard constants
+    nan = tmp_path / "nan.json"
+    nan.write_text(
+        '{"group": "zd", "d": 1, "colouring": {"kind": "trivial"},'
+        ' "operator": {"kind": "adjacency"}, "tolerance": NaN}'
+    )
+    inf = tmp_path / "inf.json"
+    inf.write_text(
+        '{"group": "zd", "d": 1, "colouring": {"kind": "trivial"},'
+        ' "operator": {"kind": "hop_table", "params": {"table": {"1": Infinity, "-1": 1.0}}}}'
+    )
     good = ["ids", "--preset", "h3_adjacency"]
     for args, path in [
         (good + ["--folner-j", "3,,4"], "$.folner_j"),
@@ -31,9 +49,108 @@ def test_schema_rejects_bad_config(tmp_path, capsys):
         (good + ["--tile-n", "x"], "$.tile_n"),
         (good + ["--workers", "0"], "$.workers"),
         (["ids", "--config", array, "--seed", "3"], "$"),
+        (["ids", "--config", nan], "$"),
+        (["ids", "--config", inf], "$"),
     ]:
         assert run(args + ["--out", tmp_path / "out"]) == 2
         assert json.loads(capsys.readouterr().err)["path"] == path
+
+
+def test_preset_rejects_non_finite_numbers(tmp_path, capsys, monkeypatch):
+    text = cli._preset_text("example4_1").replace('"tile_n"', '"tolerance": -Infinity, "tile_n"')
+    monkeypatch.setattr(cli, "_preset_text", lambda name: text)
+    assert run(["ids", "--preset", "example4_1", "--out", tmp_path / "out"]) == 2
+    assert json.loads(capsys.readouterr().err)["path"] == "$"
+
+
+FULL_CONFIG = {
+    "group": "zd",
+    "d": 2,
+    "tile_n": [1, 2],
+    "folner_j": [3, 4],
+    "folner": {"kind": "tiles", "sides": ["positive", "negative"], "scale": 3},
+    "colouring": {"kind": "percolation", "seed": 1, "params": {"alphabet": ["a", "b"]}},
+    "operator": {"kind": "adjacency", "params": {}},
+    "frequencies": {"kind": "auto", "reference_j": 4},
+    "tolerance": 1e-9,
+    "seeds": [1, 2],
+    "epsilons": [0.1, 0.0],
+    "freq_window": 50,
+    "freq_max_domain": 3,
+    "volume_side": 20,
+    "kernel_seed": 1,
+    "emit_raw_counting": True,
+    "emit_eigenvalues": False,
+    "workers": 1,
+}
+MUTANTS = [0, -1, 1, 2.0, 2.5, 9, 1e-9, True, False, None, "x", "zd", "tiles", "positive",
+           [], [0], [1, 2.0], ["negative"], {}, {"kind": "x"}, {"kind": "trivial"}]
+
+
+def _mutate(obj, rng):
+    """Replace, delete or add one entry somewhere inside obj (in place)."""
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.7:
+        parent, key = node, rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        node = node[key]
+    action = rng.choice(("replace", "delete", "add"))
+    if action == "add" and isinstance(node, dict):
+        node[rng.choice(["extra", "kind", "seed", "sides", "scale", "params"])] = copy.deepcopy(
+            rng.choice(MUTANTS)
+        )
+    elif action == "delete" and parent is not None:
+        del parent[key]
+    elif parent is not None:
+        parent[key] = copy.deepcopy(rng.choice(MUTANTS))
+
+
+def _reference_path(obj):
+    errors = sorted(
+        jsonschema.Draft202012Validator(SCHEMA).iter_errors(obj), key=lambda e: list(e.absolute_path)
+    )
+    return tuple(errors[0].absolute_path) if errors else None
+
+
+def _walker_path(obj):
+    return min((path for path, _ in schema_errors(SCHEMA, obj)), default=None)
+
+
+def test_schema_walker_matches_jsonschema():
+    assert _walker_path(FULL_CONFIG) is None and _reference_path(FULL_CONFIG) is None
+    for key, value, path in [
+        ("d", 2.0, None),  # integral floats are integers
+        ("d", True, ("d",)),  # booleans are not numbers
+        ("tolerance", True, ("tolerance",)),
+        ("tolerance", 0, ("tolerance",)),
+        ("seeds", [1, 1.5], ("seeds", 1)),
+        ("folner", {"kind": "tiles", "sides": []}, ("folner", "sides")),
+    ]:
+        obj = dict(FULL_CONFIG, **{key: value})
+        assert _reference_path(obj) == path
+        assert _walker_path(obj) == path
+    # a type failure hides the other keywords at its node
+    assert [p for p, _ in schema_errors(SCHEMA, dict(FULL_CONFIG, d=-1.5))] == [("d",)]
+    rng = random.Random(6)
+    invalid = 0
+    for _ in range(3000):
+        obj = copy.deepcopy(FULL_CONFIG)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(obj, rng)
+        ref = _reference_path(obj)
+        assert _walker_path(obj) == ref, obj
+        invalid += ref is not None
+    assert invalid > 1000
+
+
+def test_cli_import_leaves_out_test_dependencies():
+    src = str(Path(idsapprox.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import idsapprox.cli; "
+        "print([m for m in ('scipy', 'jsonschema') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_schema_error_reports_path():

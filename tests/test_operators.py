@@ -266,14 +266,17 @@ def test_offset_table_symmetry_validation(z1):
 
 
 def test_sparse_storage_above_threshold(z1):
-    import scipy.sparse
-
     rule = adjacency_rule(z1)
     C = TrivialColouring(z1)
     big = interval(z1, 0, 2500)
     M = restrict_operator(rule, C, big)
-    assert scipy.sparse.issparse(M.data)
-    assert M.to_dense().shape == (2501, 2501)
+    # the path on 2501 points: two nonzero entries per edge, nothing else stored
+    assert len(M.rows) == len(M.cols) == len(M.vals) == 5000
+    assert M.rows.max() < M.dim and M.cols.max() < M.dim
+    dense = np.zeros((M.dim, M.dim))
+    dense[M.rows, M.cols] = M.vals
+    assert np.array_equal(dense, np.eye(2501, k=1) + np.eye(2501, k=-1))
+    assert np.array_equal(M.to_dense(), dense)
 
 
 def test_coordinate_text_export(z1):
