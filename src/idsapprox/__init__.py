@@ -79,7 +79,6 @@ from .operators import (
     adjacency_rule,
     check_invariance,
     laplacian_rule,
-    norm_bound,
     offset_table_rule,
     percolation_rule,
     periodic_fold,

@@ -284,6 +284,8 @@ def _pattern_family(model, alphabet, max_domain: int) -> list[Pattern]:
 
 
 def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
+    if cfg.raw["colouring"]["kind"] != "percolation":
+        raise ConfigError("$.colouring.kind", "percolation needs a percolation colouring")
     model = cfg.model()
     seeds = [int(s) for s in cfg.raw.get("seeds", [0])]
     window_side = int(cfg.raw.get("freq_window", 100))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -22,7 +23,7 @@ from .colouring import (
     TrivialColouring,
     TrivialFrequencies,
 )
-from .operators import LocalRule, adjacency_rule, laplacian_rule, percolation_rule
+from .operators import LocalRule, adjacency_rule, laplacian_rule, offset_table_rule, percolation_rule
 
 
 class ConfigError(ValueError):
@@ -188,53 +189,52 @@ class RunConfig:
         kind = spec["kind"]
         params = spec.get("params", {})
         seed = seed_override if seed_override is not None else spec.get("seed", 0)
-        if kind == "trivial":
-            return TrivialColouring(model, params.get("symbol", "o"))
-        if kind == "halfline_mod3":
-            return HalfLineMod3(model)
-        if kind == "halfline_mod3_window":
-            return HalfLineMod3Window(model)
-        if kind == "percolation":
-            alphabet = Alphabet(tuple(params.get("alphabet", ["open", "closed"])))
-            weights = params.get("weights")
-            if weights is not None:
-                weights = [Fraction(w) for w in weights]
-            return PercolationColouring(model, alphabet, seed, weights)
-        if kind == "periodic":
-            spec_n = int(params["tile_n"])
-            tiling = folner_set(model, spec_n)
-            table = {_parse_coords(k): v for k, v in params["table"].items()}
-            return PeriodicFoldColouring(tiling, table)
-        if kind == "explicit":
-            alphabet = Alphabet(tuple(params["alphabet"]))
-            table = {_parse_coords(k): v for k, v in params.get("table", {}).items()}
-            return ExplicitColouring(model, alphabet, table, params["default"])
+        with _params_errors("$.colouring.params"):
+            if kind == "trivial":
+                return TrivialColouring(model, params.get("symbol", "o"))
+            if kind == "halfline_mod3":
+                return HalfLineMod3(model)
+            if kind == "halfline_mod3_window":
+                return HalfLineMod3Window(model)
+            if kind == "percolation":
+                alphabet = Alphabet(tuple(params.get("alphabet", ["open", "closed"])))
+                weights = params.get("weights")
+                if weights is not None:
+                    weights = [Fraction(w) for w in weights]
+                return PercolationColouring(model, alphabet, seed, weights)
+            if kind == "periodic":
+                tiling = folner_set(model, int(params["tile_n"]))
+                table = {_parse_coords(k): v for k, v in params["table"].items()}
+                return PeriodicFoldColouring(tiling, table)
+            if kind == "explicit":
+                alphabet = Alphabet(tuple(params["alphabet"]))
+                table = {_parse_coords(k): v for k, v in params.get("table", {}).items()}
+                return ExplicitColouring(model, alphabet, table, params["default"])
         raise ConfigError("$.colouring.kind", f"unknown colouring {kind!r}")
 
     def rule(self, model: GroupModel, colouring: Colouring) -> LocalRule:
         spec = self.raw["operator"]
         kind = spec["kind"]
         params = spec.get("params", {})
-        if kind == "adjacency":
-            return adjacency_rule(model)
-        if kind == "percolation":
-            return percolation_rule(model, colouring.alphabet, params["retained"])
-        if kind == "laplacian":
-            base_spec = params.get("base", {"kind": "adjacency", "params": {}})
-            if base_spec["kind"] == "adjacency":
-                base = adjacency_rule(model)
-            elif base_spec["kind"] == "percolation":
-                base = percolation_rule(
-                    model, colouring.alphabet, base_spec["params"]["retained"]
-                )
-            else:
-                raise ConfigError("$.operator.params.base.kind", "unsupported base rule")
-            return laplacian_rule(base)
-        if kind == "hop_table":
-            from .operators import offset_table_rule
-
-            table = {_parse_coords(k): float(v) for k, v in params["table"].items()}
-            return offset_table_rule(model, table)
+        with _params_errors("$.operator.params"):
+            if kind == "adjacency":
+                return adjacency_rule(model)
+            if kind == "percolation":
+                return percolation_rule(model, colouring.alphabet, params["retained"])
+            if kind == "laplacian":
+                base_spec = params.get("base", {"kind": "adjacency", "params": {}})
+                if base_spec["kind"] == "adjacency":
+                    base = adjacency_rule(model)
+                elif base_spec["kind"] == "percolation":
+                    base = percolation_rule(
+                        model, colouring.alphabet, base_spec["params"]["retained"]
+                    )
+                else:
+                    raise ConfigError("$.operator.params.base.kind", "unsupported base rule")
+                return laplacian_rule(base)
+            if kind == "hop_table":
+                table = {_parse_coords(k): float(v) for k, v in params["table"].items()}
+                return offset_table_rule(model, table)
         raise ConfigError("$.operator.kind", f"unknown operator {kind!r}")
 
     def folner_sides(self, model: GroupModel) -> dict[str, Callable[[int], FiniteSet]]:
@@ -277,6 +277,17 @@ class RunConfig:
                 f"no analytic frequencies for colouring {colouring.describe()}",
             )
         return EmpiricalFrequencies(colouring, reference)
+
+
+@contextmanager
+def _params_errors(path: str) -> Iterator[None]:
+    """Report a construction failure of the ingredient at ``path`` as a config error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:

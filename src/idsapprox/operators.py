@@ -4,7 +4,9 @@ A local rule holds the kernel blocks of such an operator as a function of
 the local colouring pattern.  The pattern is read on the ball of radius 2R
 around the row point x (translated to the identity) and the column point is
 addressed by the offset w = y * x^-1, so a rule is invariant under right
-translations by construction.  Restrictions H[Q] read the ambient colouring;
+translations by construction.  The kernel is a map over whole batches of
+patterns: assembly calls it once per offset w, on the patterns at every x
+whose partner w x lies in Q.  Restrictions H[Q] read the ambient colouring;
 they never re-evaluate patterns against Q.
 """
 
@@ -27,28 +29,46 @@ class SymmetryError(OperatorError):
     """The kernel violates block symmetry; restrictions would not be selfadjoint."""
 
 
-class LocalPattern:
-    """Read-only view of a colouring around a base point, pulled back to e."""
+class LocalPatterns:
+    """Read-only view of the colouring around m base points, each pulled back to e.
 
-    __slots__ = ("window", "symbols", "_index")
+    ``symbol_at(q)`` is the array of the m symbols at window point q; only
+    that column of the windows is gathered.
+    """
 
-    def __init__(self, window: tuple[Element, ...], symbols: tuple[str, ...]) -> None:
-        self.window = window
-        self.symbols = symbols
-        self._index = {q: i for i, q in enumerate(window)}
+    __slots__ = ("_column", "_symbols", "_codes", "_point_id", "_base")
 
-    def symbol_at(self, q: Element) -> str:
-        return self.symbols[self._index[q]]
+    def __init__(
+        self,
+        column: Mapping[Element, int],
+        symbols: np.ndarray,
+        codes: np.ndarray,
+        point_id: np.ndarray,
+        base: np.ndarray,
+    ) -> None:
+        self._column = column  # window point -> row of point_id
+        self._symbols = symbols  # the alphabet, as an array
+        self._codes = codes  # colour code of every distinct point
+        self._point_id = point_id  # (window point, base point) -> distinct point
+        self._base = base  # columns of point_id holding the m base points
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def symbol_at(self, q: Element) -> np.ndarray:
+        return self._symbols[self._codes[self._point_id[self._column[q], self._base]]]
 
 
-KernelFn = Callable[[LocalPattern, Element], object]
+KernelFn = Callable[[LocalPatterns, Element], object]
 
 
 class LocalRule:
     """Kernel of a finite-range, colouring-invariant operator.
 
-    ``kernel(pattern, offset)`` must return the k x k block p_y H i_x for
-    y = offset * x, given the local pattern at x; it is only consulted for
+    ``kernel(patterns, offset)`` gives the k x k blocks p_y H i_x for
+    y = offset * x, one for each of the m local patterns at x in the batch
+    ``patterns``: a scalar (k = 1) or one (k, k) block shared by all m, an
+    (m,) array (k = 1) or an (m, k, k) array.  It is only consulted for
     offsets of word length at most the hopping range M.  Blocks must satisfy
     kernel(pattern at y, offset^-1) == kernel(pattern at x, offset)^T, which
     is validated during assembly.
@@ -77,34 +97,25 @@ class LocalRule:
         self.kernel = kernel
         self.name = name or type(self).__name__
         self._window = model.ball(2 * self.overall_range).sorted_elements
+        self._column = {q: i for i, q in enumerate(self._window)}
         self._offsets = model.ball(range_m).sorted_elements
-        self._block_cache: dict[tuple, np.ndarray] = {}
-        self._block_norms: list[float] = []  # spectral norm of each cached block
 
     # -- pattern and block access -------------------------------------------
 
-    def local_pattern(self, C: Colouring, x: Element) -> LocalPattern:
-        window = self.model.ball(2 * self.overall_range).coords
-        codes = C.colour_codes(self.model.rmul_array(window, self.model.check_element(x)))
-        return LocalPattern(self._window, tuple(C.alphabet.symbols[c] for c in codes.tolist()))
-
-    def _blocks_for(self, keys: Sequence[tuple[tuple[str, ...], Element]]) -> np.ndarray:
-        """Kernel blocks for (pattern symbols, offset) keys, stacked (n, k, k).
-
-        Each block enters the cache once, with its spectral norm recorded.
-        """
-        cache = self._block_cache
-        new = [key for key in keys if key not in cache]
-        if new:
-            raw = np.array(
-                [np.reshape(self.kernel(LocalPattern(self._window, s), w), (self.k, self.k))
-                 for s, w in new],
-                dtype=np.float64,
+    def blocks(self, patterns: LocalPatterns, w: Element) -> np.ndarray:
+        """The kernel's blocks for offset w over the batch, as (m, k, k)."""
+        m, k = len(patterns), self.k
+        raw = np.asarray(self.kernel(patterns, w), dtype=np.float64)
+        if raw.shape not in [(k, k), (m, k, k)] + ([(), (m,)] if k == 1 else []):
+            raise OperatorError(
+                f"kernel returned shape {raw.shape} for {m} patterns with k={k}"
             )
-            raw.setflags(write=False)
-            cache.update(zip(new, raw))
-            self._block_norms.extend(np.linalg.norm(raw, 2, axis=(1, 2)).tolist())
-        return np.array([cache[key] for key in keys]).reshape(-1, self.k, self.k)
+        return np.broadcast_to(raw.reshape(-1, k, k), (m, k, k))
+
+    def window_codes(self, C: Colouring, x: Element) -> np.ndarray:
+        """Colour codes of the window around x, in window order."""
+        window = self.model.ball(2 * self.overall_range).coords
+        return C.colour_codes(self.model.rmul_array(window, self.model.check_element(x)))
 
     def block_at(self, C: Colouring, x: Element, y: Element) -> np.ndarray:
         """Kernel block p_y H i_x, zero beyond the hopping range."""
@@ -112,7 +123,12 @@ class LocalRule:
         w = model.multiply(y, model.inverse(x))
         if model.word_length(w) > self.range_m:
             return np.zeros((self.k, self.k))
-        return self._blocks_for([(self.local_pattern(C, x).symbols, w)])[0]
+        codes = self.window_codes(C, x)
+        pattern = LocalPatterns(
+            self._column, np.array(C.alphabet.symbols), codes,
+            np.arange(len(codes))[:, None], np.zeros(1, dtype=np.int64),
+        )
+        return self.blocks(pattern, w)[0]
 
 
 @dataclass
@@ -147,65 +163,44 @@ class RestrictedMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer id of every row of a 2-D array (equal rows, equal ids) and the
-    index of one representative row per id, ids in lexicographic row order."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    return ids, order[first]
-
-
 def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> RestrictedMatrix:
     """Assemble H[Q] = p_Q H i_Q from the rule's kernel blocks.
 
-    Every point of the windows around Q is coloured once; rows sharing a
-    local pattern share their kernel blocks.  The block for (x, y = w x) is
-    kernel(pattern at x, w), and transpose consistency
-    kernel(pattern at y, w^-1) == kernel(pattern at x, w)^T (symmetry of the
-    diagonal blocks when w = e) is validated once per distinct
-    (pattern at x, pattern at y, w).
+    Every point of the windows around Q is coloured once.  For each offset w
+    the kernel is called once, on the patterns at every x in Q with
+    y = w x in Q; the block of (x, y) is its answer at x.  Transpose
+    consistency, block(y, x) == block(x, y)^T (symmetry of the diagonal
+    blocks when w = e), is validated on every pair.  The norm hint is the
+    largest spectral norm c of these blocks times |B_R|, a block-Schur bound
+    on ||H[Q]||: a row holds at most |B_M| <= |B_R| nonzero blocks.
     """
     model = rule.model
     k = rule.k
-    window = rule._window
-    offsets = rule._offsets
     X = Q.coords
     n = len(X)
-    # Q, then the points q x, window position major
-    points = np.concatenate([X] + [model.lmul_array(q, X) for q in window])
-    point_id, first = _row_ids(points)
+    # the point q x for every window point q (row) and every x in Q (column)
+    keys = np.stack([model._pack(model.lmul_array(q, X)) for q in rule._window])
+    points, point_id = np.unique(keys, return_inverse=True)
+    point_id = point_id.reshape(keys.shape)
+    codes = C.colour_codes(model._unpack(points))
+    row_of = np.full(len(points), -1)
+    row_of[point_id[rule._column[model.identity]]] = np.arange(n)
     symbols = np.array(C.alphabet.symbols)
-    codes = C.colour_codes(points[first])
-    row_of = np.full(len(first), -1)
-    row_of[point_id[:n]] = np.arange(n)
-    window_ids = point_id[n:].reshape(len(window), n)
-    pattern_id, reps = _row_ids(codes[window_ids].T)
-    # the symbols of each distinct pattern
-    patterns = list(map(tuple, symbols[codes[window_ids[:, reps]].T].tolist()))
-    # every ordered pair (x, y = w x) inside Q, with w = offsets[t]
-    targets = row_of[window_ids[[window.index(w) for w in offsets]]]
-    t, x = np.nonzero(targets >= 0)
-    y = targets[t, x]
-    # one kernel block per distinct (pattern at x, w)
-    block_id, block_reps = _row_ids(np.stack([pattern_id[x], t], axis=1))
-    rep_patterns = pattern_id[x[block_reps]].tolist()
-    blocks = rule._blocks_for(
-        [(patterns[p], offsets[w]) for p, w in zip(rep_patterns, t[block_reps].tolist())]
-    )
-    # the block of (y, x) for w^-1 was assembled too, as pair (y, x) is in Q
-    inverse = np.array([offsets.index(model.inverse(w)) for w in offsets])
-    pair_id = np.full((len(patterns), len(offsets)), -1)
-    pair_id[pattern_id[x], t] = block_id
-    _, triple_reps = _row_ids(np.stack([pattern_id[x], pattern_id[y], t], axis=1))
-    fwd = block_id[triple_reps]
-    back = pair_id[pattern_id[y[triple_reps]], inverse[t[triple_reps]]]
-    bad = ~(blocks[back] == blocks[fwd].transpose(0, 2, 1)).all(axis=(1, 2))
+    xs, ys, blocks = [], [], []
+    for w in rule._offsets:
+        targets = row_of[point_id[rule._column[w]]]
+        x = np.nonzero(targets >= 0)[0]
+        xs.append(x)
+        ys.append(targets[x])
+        blocks.append(rule.blocks(LocalPatterns(rule._column, symbols, codes, point_id, x), w))
+    x, y, B = np.concatenate(xs), np.concatenate(ys), np.concatenate(blocks)
+    # the pair (y, x) is in Q too, at the offset w^-1
+    pair = x * n + y
+    order = np.argsort(pair)
+    back = B[order[np.searchsorted(pair, y * n + x, sorter=order)]]
+    bad = ~(back == B.transpose(0, 2, 1)).all(axis=(1, 2))
     if bad.any():
-        i = triple_reps[np.argmax(bad)]
+        i = np.argmax(bad)
         raise SymmetryError(
             f"kernel blocks at ({Q.sorted_elements[x[i]]}, {Q.sorted_elements[y[i]]}) "
             "are not transpose-consistent"
@@ -213,10 +208,14 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     a = np.arange(k)
     rows = (x[:, None, None] * k + a[:, None]).repeat(k, axis=2).ravel()
     cols = (y[:, None, None] * k + a[None, :]).repeat(k, axis=1).ravel()
-    vals = blocks[block_id].ravel()
+    vals = B.ravel()
     nz = vals != 0.0
+    # |b| is the spectral norm of a 1 x 1 block, without one SVD per pair
+    norms = np.abs(B[:, 0, 0]) if k == 1 else np.linalg.norm(B, 2, axis=(1, 2))
+    c = float(norms.max(initial=0.0))
     return RestrictedMatrix(
-        Q, Q.sorted_elements, k, rows[nz], cols[nz], vals[nz], norm_hint=norm_bound(rule)
+        Q, Q.sorted_elements, k, rows[nz], cols[nz], vals[nz],
+        norm_hint=c * len(model.ball(rule.overall_range)),
     )
 
 
@@ -226,7 +225,7 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
 def adjacency_rule(model: GroupModel) -> LocalRule:
     """Cayley-graph adjacency: block 1 at word distance one, else 0."""
 
-    def kernel(pattern: LocalPattern, w: Element) -> float:
+    def kernel(patterns: LocalPatterns, w: Element) -> float:
         return 0.0 if w == model.identity else 1.0
 
     return LocalRule(model, 1, 1, 1, kernel, name="adjacency")
@@ -242,15 +241,12 @@ def percolation_rule(
     for s in kept:
         if s not in alphabet:
             raise OperatorError(f"retained symbol {s!r} not in alphabet")
-    kept_set = frozenset(kept)
     e = model.identity
 
-    def kernel(pattern: LocalPattern, w: Element) -> float:
+    def kernel(patterns: LocalPatterns, w: Element) -> object:
         if w == e:
             return 0.0
-        if pattern.symbol_at(e) in kept_set and pattern.symbol_at(w) in kept_set:
-            return 1.0
-        return 0.0
+        return np.isin(patterns.symbol_at(e), kept) & np.isin(patterns.symbol_at(w), kept)
 
     return LocalRule(model, 1, 1, 1, kernel, name=f"percolation[{','.join(kept)}]")
 
@@ -267,10 +263,9 @@ def offset_table_rule(
     for w, v in entries.items():
         if entries.get(model.inverse(w), 0.0) != v:
             raise SymmetryError(f"offset table not symmetric at {w}")
-    hop = max((model.word_length(w) for w, v in entries.items() if v != 0.0), default=1)
-    hop = max(hop, 1)
+    hop = max([1] + [model.word_length(w) for w, v in entries.items() if v != 0.0])
 
-    def kernel(pattern: LocalPattern, w: Element) -> float:
+    def kernel(patterns: LocalPatterns, w: Element) -> float:
         return entries.get(w, 0.0)
 
     return LocalRule(model, 1, hop, 1, kernel, name=name)
@@ -285,10 +280,10 @@ def laplacian_rule(base: LocalRule) -> LocalRule:
     e = model.identity
     gens = tuple(s for s in model.ball(1).sorted_elements if s != e)
 
-    def kernel(pattern: LocalPattern, w: Element) -> float:
+    def kernel(patterns: LocalPatterns, w: Element) -> np.ndarray:
         if w == e:
-            return float(sum(float(base.kernel(pattern, s)) for s in gens))
-        return -float(base.kernel(pattern, w))
+            return sum(base.blocks(patterns, s) for s in gens)
+        return -base.blocks(patterns, w)
 
     return LocalRule(
         model, 1, 1, max(1, base.invariance_n), kernel, name=f"laplacian({base.name})"
@@ -342,7 +337,7 @@ def periodic_fold(cover: PeriodicCover) -> LocalRule:
                         "cover kernel exceeds the declared hopping range"
                     )
 
-    def kernel(pattern: LocalPattern, w: Element) -> np.ndarray:
+    def kernel(patterns: LocalPatterns, w: Element) -> np.ndarray:
         block = np.empty((d, d))
         for i in range(d):
             for j in range(d):
@@ -380,7 +375,7 @@ def check_invariance(
         x = model.check_element(x)
         t = model.check_element(t)
         xt = model.multiply(x, t)
-        if rule.local_pattern(C, x).symbols != rule.local_pattern(C, xt).symbols:
+        if not np.array_equal(rule.window_codes(C, x), rule.window_codes(C, xt)):
             continue
         for w in rule._offsets:
             y = model.multiply(w, x)
@@ -391,16 +386,3 @@ def check_invariance(
             if not np.array_equal(b1, b2):
                 report.violations.append((x, t, w))
     return report
-
-
-def norm_bound(rule: LocalRule) -> float:
-    """Operator-norm certificate c * |B_R| over the block values seen so far.
-
-    c is the maximal spectral norm among the kernel blocks evaluated during
-    assembly; the bound is an upper certificate relative to that enumeration,
-    not the exact operator norm.
-    """
-    norms = rule._block_norms
-    if not norms:
-        return 0.0
-    return max(norms) * len(rule.model.ball(rule.overall_range))

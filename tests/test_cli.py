@@ -153,6 +153,61 @@ def test_cli_import_leaves_out_test_dependencies():
     assert out.stdout.strip() == "[]"
 
 
+BAD_PARAMS = {
+    "hop_table_value": ({}, {"kind": "hop_table", "params": {"table": {"1,0": "x", "-1,0": 1.0}}}),
+    "hop_table_not_a_table": ({}, {"kind": "hop_table", "params": {"table": 5}}),
+    "percolation_without_retained": ({}, {"kind": "percolation"}),
+    "retained_outside_alphabet": ({}, {"kind": "percolation", "params": {"retained": ["purple"]}}),
+    "asymmetric_hop_table": ({}, {"kind": "hop_table", "params": {"table": {"1,0": 1.0, "-1,0": 2.0}}}),
+    "short_offset": ({}, {"kind": "hop_table", "params": {"table": {"1": 1.0, "-1": 1.0}}}),
+    "weights": ({"params": {"weights": ["1/3", "1/3"]}}, {"kind": "adjacency"}),
+    "explicit_default": (
+        {"kind": "explicit", "params": {"alphabet": ["open", "closed"], "default": "purple"}},
+        {"kind": "adjacency"},
+    ),
+    "periodic_table": (
+        {"kind": "periodic", "params": {"tile_n": 2, "table": {"0,0": "open"}}},
+        {"kind": "adjacency"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_bad_params_exit_2(tmp_path, capsys, case):
+    colouring, op = BAD_PARAMS[case]
+    cfg = {
+        "group": "zd",
+        "d": 2,
+        "colouring": {"kind": "percolation", "seed": 1, "params": {"alphabet": ["open", "closed"]}},
+        "operator": op,
+        "folner_j": [3],
+        "tile_n": [1],
+    }
+    cfg["colouring"].update(colouring)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["ids", "--config", p, "--out", tmp_path / "out"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["path"] == ("$.operator.params" if op["kind"] != "adjacency" else "$.colouring.params")
+    assert not (tmp_path / "out").exists()
+
+
+def test_percolation_command_needs_percolation_colouring(tmp_path, capsys):
+    out = tmp_path / "perc"
+    assert run(["percolation", "--preset", "example4_1", "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err)["path"] == "$.colouring.kind"
+    assert not out.exists()
+
+
+def test_cells_do_not_depend_on_earlier_cells(tmp_path):
+    blobs = []
+    for js in ("5", "2,5"):
+        out = tmp_path / js
+        assert run(["ids", "--preset", "example4_1", "--folner-j", js, "--out", out]) == 0
+        blobs.append({f.name: f.read_bytes() for f in sorted(out.glob("*_j5.csv"))})
+    assert len(blobs[0]) == 6 and blobs[0] == blobs[1]
+
+
 def test_schema_error_reports_path():
     with pytest.raises(ConfigError) as exc:
         validate_config(

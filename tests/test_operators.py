@@ -13,12 +13,12 @@ from idsapprox.colouring import (
 )
 from idsapprox.operators import (
     LocalRule,
+    OperatorError,
     PeriodicCover,
     SymmetryError,
     adjacency_rule,
     check_invariance,
     laplacian_rule,
-    norm_bound,
     offset_table_rule,
     percolation_rule,
     periodic_fold,
@@ -31,7 +31,7 @@ def test_zero_rule(z1):
     rule = offset_table_rule(z1, {}, name="zero")
     M = restrict_operator(rule, TrivialColouring(z1), interval(z1, 0, 5))
     assert np.all(M.to_dense() == 0.0)
-    assert norm_bound(rule) == 0.0
+    assert M.norm_hint == 0.0
 
 
 def test_path_graph_tridiagonal(z1):
@@ -191,8 +191,7 @@ def test_norm_bound_adjacency():
         model = FreeAbelian(d)
         rule = adjacency_rule(model)
         C = TrivialColouring(model)
-        restrict_operator(rule, C, model.ball(2))
-        bound = norm_bound(rule)
+        bound = restrict_operator(rule, C, model.ball(2)).norm_hint
         assert bound == 2 * d + 1
         # true norm oracle: large restriction stays within the certificate
         big = restrict_operator(rule, C, folner_set(model, 8 if d < 3 else 5).tile)
@@ -327,7 +326,7 @@ def oracle_cases():
     yield offset_table_rule(z1, {(1,): 0.5, (-1,): 0.5, (2,): -1.0, (-2,): -1.0}), halfline, random_subset(z1, rng, 8, 12)
     yield percolation_rule(z2, ab, ["a"]), perc2, folner_set(z2, 6).tile
     yield laplacian_rule(percolation_rule(z2, ab, ["a"])), perc2, random_subset(z2, rng, 4, 30)
-    yield percolation_rule(z4, ab, ["a"]), perc4, z4.ball(2)  # Z^4 does not pack
+    yield percolation_rule(z4, ab, ["a"]), perc4, z4.ball(2)
     yield adjacency_rule(h3), TrivialColouring(h3), folner_set(h3, 2).tile
     yield chain_fold(z1), TrivialColouring(z1), random_subset(z1, rng, 6, 9)
 
@@ -351,8 +350,8 @@ def test_assembly_empty_set(z2):
 def test_pattern_dependent_asymmetry_raises(z2):
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=7)
 
-    def reads_only_x(pattern, w):  # the block at (x, y) ignores the colour of y
-        return 0.0 if w == (0, 0) else float(pattern.symbol_at((0, 0)) == "a")
+    def reads_only_x(patterns, w):  # the block at (x, y) ignores the colour of y
+        return 0.0 if w == (0, 0) else patterns.symbol_at((0, 0)) == "a"
 
     rule = LocalRule(z2, 1, 1, 1, reads_only_x)
     with pytest.raises(SymmetryError):
@@ -371,15 +370,84 @@ def test_nonsymmetric_diagonal_block_raises(z1):
 def test_norm_hint_matches_recomputation(z2):
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=8)
 
-    def kernel(pattern, w):  # spectral norms 2, 1 and 1 against entries <= 1
+    def kernel(patterns, w):  # spectral norms 2, 1 and 1 against entries <= 1
         if w != (0, 0):
             return np.full((2, 2), 0.5)
-        d = float(pattern.symbol_at((0, 0)) == "a")
-        return [[d, 1.0], [1.0, d]]
+        d = (patterns.symbol_at((0, 0)) == "a").astype(float)
+        return np.stack([np.stack([d, np.ones_like(d)], -1), np.stack([np.ones_like(d), d], -1)], -2)
 
     rng = random.Random(31)
     for rule in (laplacian_rule(percolation_rule(z2, C.alphabet, ["a"])), LocalRule(z2, 2, 1, 1, kernel)):
         for _ in range(4):
-            M = restrict_operator(rule, C, random_subset(z2, rng, 5, 25))
-            brute = max(np.linalg.norm(b, 2) for b in rule._block_cache.values())
+            Q = random_subset(z2, rng, 5, 25)
+            M = restrict_operator(rule, C, Q)
+            brute = max(np.linalg.norm(rule.block_at(C, x, y), 2) for x in Q for y in Q)
             assert M.norm_hint == brute * len(z2.ball(rule.overall_range))
+
+
+def test_norm_hint_independent_of_call_history(z2):
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=3)
+    Q = FiniteSet(z2, [(0, 0), (1, 0)])
+    fresh = restrict_operator(laplacian_rule(percolation_rule(z2, C.alphabet, ["a"])), C, Q)
+    rule = laplacian_rule(percolation_rule(z2, C.alphabet, ["a"]))
+    restrict_operator(rule, C, folner_set(z2, 10).tile)
+    assert restrict_operator(rule, C, Q).norm_hint == fresh.norm_hint
+
+
+# -- the batch kernel contract ------------------------------------------------------
+
+
+def retained_pairs(patterns, w):
+    """(m,) percolation values on the colour 'a' (zero on the diagonal)."""
+    if w == (0, 0):
+        return np.zeros(len(patterns))
+    return ((patterns.symbol_at((0, 0)) == "a") & (patterns.symbol_at(w) == "a")).astype(float)
+
+
+HOP = np.array([[1.0, 0.5], [0.5, -1.0]])  # symmetric, so every offset may share it
+
+KERNEL_FORMS = {
+    "scalar": (1, lambda p, w: 0.0 if w == (0, 0) else 1.0),
+    "kk": (1, lambda p, w: [[0.0 if w == (0, 0) else 1.0]]),
+    "m": (1, retained_pairs),
+    "mkk": (1, lambda p, w: retained_pairs(p, w)[:, None, None]),
+    "kk_k2": (2, lambda p, w: 2.0 * np.eye(2) if w == (0, 0) else HOP),
+    "mkk_k2": (
+        2,
+        lambda p, w: np.multiply.outer(
+            (p.symbol_at((0, 0)) == "a") + 1.0 if w == (0, 0) else retained_pairs(p, w),
+            np.eye(2) if w == (0, 0) else HOP,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(KERNEL_FORMS))
+def test_batch_kernel_forms_match_pairwise_oracle(z2, form):
+    k, kernel = KERNEL_FORMS[form]
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=12)
+    Q = random_subset(z2, random.Random(32), 4, 30)
+    rule = LocalRule(z2, k, 1, 1, kernel)
+    M = restrict_operator(rule, C, Q).to_dense()
+    assert np.array_equal(M, pairwise_matrix(rule, C, Q))
+    if k == 1:  # the pattern-free forms are adjacency, the others percolation on 'a'
+        same = adjacency_rule(z2) if form in ("scalar", "kk") else percolation_rule(z2, C.alphabet, ["a"])
+        assert np.array_equal(M, restrict_operator(same, C, Q).to_dense())
+
+
+@pytest.mark.parametrize(
+    "k, kernel",
+    [
+        (1, lambda p, w: np.zeros(len(p) + 1)),  # one value too many
+        (1, lambda p, w: np.zeros((len(p), 2))),
+        (1, lambda p, w: np.zeros((2, 2))),  # a (k, k) block of the wrong k
+        (2, lambda p, w: 0.0),  # scalars stand for blocks only when k = 1
+        (2, lambda p, w: np.zeros(len(p))),
+        (2, lambda p, w: np.zeros((len(p), 2, 1))),
+    ],
+    ids=["k1_extra_value", "k1_m_by_2", "k1_block_2x2", "k2_scalar", "k2_m", "k2_m_by_2_by_1"],
+)
+def test_batch_kernel_wrong_shape_raises(z2, k, kernel):
+    rule = LocalRule(z2, k, 1, 1, kernel)
+    with pytest.raises(OperatorError, match="shape"):
+        restrict_operator(rule, TrivialColouring(z2), folner_set(z2, 3).tile)
