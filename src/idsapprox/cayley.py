@@ -12,8 +12,18 @@ coordinate gets 63 // dim bits, so every supported group packs and key order
 is lexicographic element order.  In both groups that order is invariant
 under left and right translation, so the keys of a translated set are
 sorted already and no translation re-sorts them.  Word lengths are memoised
-per model in an expanding breadth-first table; boundaries, diameters, tile
-covers and positions are array operations on the keys.
+per model in an expanding breadth-first table; diameters, tile covers and
+positions are array operations on the keys.
+
+Boundaries are read from distance shells that each set grows once.  Exterior
+shell r holds the points outside Q at distance r from Q, interior shell r the
+points of Q at distance r from the complement.  Both sweeps take one step
+rule: the next shell is the neighbours of the current shell minus the last
+two shells (and, inside, minus the points outside Q).  The rule needs a
+symmetric generator set: then being neighbours is a symmetric relation and
+the neighbours of a point at distance r lie at distance r-1, r or r+1.  A
+sweep resumes where the last call stopped, so every R-boundary, shrink and
+grow of a set reads a prefix of the same shells.
 """
 
 from __future__ import annotations
@@ -264,7 +274,7 @@ class FiniteSet:
         "_sorted",
         "_elems",
         "_diameter",
-        "_parts_cache",
+        "_shells",
         "_hash",
     )
 
@@ -281,7 +291,8 @@ class FiniteSet:
         self._sorted: Optional[tuple[Element, ...]] = None
         self._elems: Optional[frozenset[Element]] = None
         self._diameter: Optional[int] = None
-        self._parts_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # interior and exterior distance shells 1, 2, ... (see ``_shells``)
+        self._shells: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
         self._hash: Optional[int] = None
 
     def __len__(self) -> int:
@@ -375,6 +386,10 @@ def _from_coords(model: GroupModel, coords: np.ndarray) -> FiniteSet:
 # -- boundaries ----------------------------------------------------------------
 
 
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
 def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Membership mask of needles in a sorted unique array."""
     if haystack.size == 0:
@@ -384,108 +399,87 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[idx] == needles
 
 
-def _boundary_parts(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed (interior boundary, exterior boundary, R-shrink) of Q.
+def _sweep(
+    model: GroupModel,
+    shells: list[np.ndarray],
+    R: int,
+    before: list[np.ndarray],
+    inside: Optional[np.ndarray] = None,
+) -> list[np.ndarray]:
+    """Packed shells 1..R of a sweep, growing ``shells`` from where it stopped.
 
-    Both boundary shells are grown level by level with generator steps
-    (multi-source BFS in the Cayley graph), so the cost is R sweeps over
-    boundary-sized sets rather than one sweep per element of the ball B_R.
-    For R = 0 both boundaries are empty.
+    ``before`` holds shells -1 and 0.  The next shell is the neighbours of the
+    current one outside the last two shells, kept to ``inside`` when given.
+    """
+    while len(shells) < R:
+        prev, cur = (before + shells)[-2:]
+        coords = model._unpack(cur)
+        steps = [model.lmul_array(s, coords) for s in model.generators]
+        keys = np.sort(model._pack(np.concatenate(steps)))
+        # first of each run of equal keys: sorting beats np.unique's hash table here
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        keep = ~_in_sorted(prev, keys) & ~_in_sorted(cur, keys)
+        if inside is not None:
+            keep &= _in_sorted(inside, keys)
+        shells.append(keys[keep])
+    return shells[:R]
+
+
+def _shells(Q: FiniteSet, R: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Packed (interior, exterior) shells 1..R of Q, read from its record.
+
+    The exterior sweep starts from Q.  The points of Q next to the complement
+    are the in-Q neighbours of exterior shell 1, so the interior sweep starts
+    from there (``ext[:1]`` holds that shell whenever R >= 1).
     """
     if R < 0:
         raise ValueError("boundary radius must be >= 0")
-    cached = Q._parts_cache.get(R)
-    if cached is not None:
-        return cached
-    model = Q.model
-    empty = np.empty(0, dtype=np.int64)
-    if len(Q) == 0 or R == 0:
-        parts = (empty, empty, Q.packed)
-        Q._parts_cache[R] = parts
-        return parts
-    coords = Q.coords
-    q_packed = Q.packed
-    gens = model.generators
+    inner, ext = Q._shells
+    ext_r = _sweep(Q.model, ext, R, [_EMPTY, Q.packed])
+    return _sweep(Q.model, inner, R, [_EMPTY] + ext[:1], Q.packed), ext_r
 
-    def neighbours(level_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cand = np.concatenate([model.lmul_array(s, level_coords) for s in gens])
-        keys = model._pack(cand)
-        keys, first = np.unique(keys, return_index=True)
-        return keys, cand[first]
 
-    # interior shells: points of Q at complement distance 1, 2, ..., R
-    inside_mask = np.zeros(len(q_packed), dtype=bool)
-    for s in gens:
-        stepped = model._pack(model.lmul_array(s, coords))
-        inside_mask |= ~_in_sorted(q_packed, stepped)
-    level_idx = np.nonzero(inside_mask)[0]
-    for _ in range(R - 1):
-        if level_idx.size == 0:
-            break
-        keys, _ = neighbours(coords[level_idx])
-        keys = keys[_in_sorted(q_packed, keys)]
-        pos = np.searchsorted(q_packed, keys)
-        fresh = np.unique(pos[~inside_mask[pos]])
-        if fresh.size == 0:
-            break
-        inside_mask[fresh] = True
-        level_idx = fresh
-    interior_bdry = q_packed[inside_mask]
-    shrunk = q_packed[~inside_mask]
-    # exterior shells: complement points at distance 1, 2, ..., R from Q.
-    # The generators are symmetric, so the neighbours of shell r lie in
-    # shells r-1, r and r+1 (shell 0 being Q): excluding the last two
-    # shells is enough, and the disjoint shells are sorted once at the end.
-    shells: list[np.ndarray] = []
-    prev, cur = empty, q_packed
-    level_coords = coords
-    for _ in range(R):
-        keys, cand = neighbours(level_coords)
-        fresh_mask = ~_in_sorted(cur, keys) & ~_in_sorted(prev, keys)
-        if not fresh_mask.any():
-            break
-        prev, cur = cur, keys[fresh_mask]
-        level_coords = cand[fresh_mask]
-        shells.append(cur)
-    ext_keys = np.sort(np.concatenate(shells)) if shells else empty
-    parts = (interior_bdry, ext_keys, shrunk)
-    Q._parts_cache[R] = parts
-    return parts
+def _union(shells: list[np.ndarray]) -> np.ndarray:
+    """Sorted keys of disjoint packed shells."""
+    return np.sort(np.concatenate([_EMPTY] + shells))
 
 
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
     """Interior R-boundary: points of Q within distance R of the complement."""
-    return _from_packed(Q.model, _boundary_parts(Q, R)[0])
+    return _from_packed(Q.model, _union(_shells(Q, R)[0]))
 
 
 def boundary_int_size(Q: FiniteSet, R: int) -> int:
-    return len(_boundary_parts(Q, R)[0])
+    return sum(map(len, _shells(Q, R)[0]))
 
 
 def boundary_size(Q: FiniteSet, R: int) -> int:
-    parts = _boundary_parts(Q, R)
-    return len(parts[0]) + len(parts[1])
+    inner, ext = _shells(Q, R)
+    return sum(map(len, inner + ext))
 
 
 def boundary_ext(Q: FiniteSet, R: int) -> FiniteSet:
     """Exterior R-boundary: points outside Q within distance R of Q."""
-    return _from_packed(Q.model, _boundary_parts(Q, R)[1])
+    return _from_packed(Q.model, _union(_shells(Q, R)[1]))
 
 
 def boundary(Q: FiniteSet, R: int) -> FiniteSet:
     """Two-sided R-boundary of Q."""
-    parts = _boundary_parts(Q, R)
-    return _from_packed(Q.model, np.union1d(parts[0], parts[1]))
+    inner, ext = _shells(Q, R)
+    return _from_packed(Q.model, _union(inner + ext))
 
 
 def shrink(Q: FiniteSet, R: int) -> FiniteSet:
     """Q_R = Q minus its two-sided R-boundary; may be empty."""
-    return _from_packed(Q.model, _boundary_parts(Q, R)[2])
+    keys = np.setdiff1d(Q.packed, _union(_shells(Q, R)[0]), assume_unique=True)
+    return _from_packed(Q.model, keys)
 
 
 def grow(Q: FiniteSet, R: int) -> FiniteSet:
     """Q^R = Q together with its two-sided R-boundary."""
-    return _from_packed(Q.model, np.union1d(Q.packed, _boundary_parts(Q, R)[1]))
+    return _from_packed(Q.model, _union([Q.packed] + _shells(Q, R)[1]))
 
 
 # -- Folner tiles and grids ------------------------------------------------------

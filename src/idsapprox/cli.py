@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .cayley import FiniteSet, folner_set
+from .cayley import FiniteSet, boundary_ext, folner_set
 from .colouring import (
     Pattern,
     PercolationFrequencies,
@@ -217,10 +217,7 @@ def cmd_folner_audit(cfg: RunConfig, outdir: Path) -> None:
     for n in cfg.tile_indices():
         spec = folner_set(model, n)
         tile = spec.tile
-        sphere = tile
-        for s in model.generators:
-            sphere = sphere.union(tile.right_translate(s))
-        grown = len(sphere) - len(tile)
+        grown = len(boundary_ext(tile, 1))
         if model.describe() == "H3":
             expected = 5 * n**3 - 2 * n**2 + n
             if grown != expected:

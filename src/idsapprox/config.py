@@ -197,7 +197,7 @@ class RunConfig:
             if kind == "halfline_mod3_window":
                 return HalfLineMod3Window(model)
             if kind == "percolation":
-                alphabet = Alphabet(tuple(params.get("alphabet", ["open", "closed"])))
+                alphabet = Alphabet(_symbols(params.get("alphabet", ["open", "closed"])))
                 weights = params.get("weights")
                 if weights is not None:
                     weights = [Fraction(w) for w in weights]
@@ -207,7 +207,7 @@ class RunConfig:
                 table = {_parse_coords(k): v for k, v in params["table"].items()}
                 return PeriodicFoldColouring(tiling, table)
             if kind == "explicit":
-                alphabet = Alphabet(tuple(params["alphabet"]))
+                alphabet = Alphabet(_symbols(params["alphabet"]))
                 table = {_parse_coords(k): v for k, v in params.get("table", {}).items()}
                 return ExplicitColouring(model, alphabet, table, params["default"])
         raise ConfigError("$.colouring.kind", f"unknown colouring {kind!r}")
@@ -220,15 +220,14 @@ class RunConfig:
             if kind == "adjacency":
                 return adjacency_rule(model)
             if kind == "percolation":
-                return percolation_rule(model, colouring.alphabet, params["retained"])
+                return percolation_rule(model, colouring.alphabet, _symbols(params["retained"]))
             if kind == "laplacian":
                 base_spec = params.get("base", {"kind": "adjacency", "params": {}})
                 if base_spec["kind"] == "adjacency":
                     base = adjacency_rule(model)
                 elif base_spec["kind"] == "percolation":
-                    base = percolation_rule(
-                        model, colouring.alphabet, base_spec["params"]["retained"]
-                    )
+                    retained = _symbols(base_spec["params"]["retained"])
+                    base = percolation_rule(model, colouring.alphabet, retained)
                 else:
                     raise ConfigError("$.operator.params.base.kind", "unsupported base rule")
                 return laplacian_rule(base)
@@ -288,6 +287,13 @@ def _params_errors(path: str) -> Iterator[None]:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _symbols(value: object) -> tuple[str, ...]:
+    """A JSON list of symbols; a string would otherwise split into its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list of symbols")
+    return tuple(value)
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:

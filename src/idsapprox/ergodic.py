@@ -82,9 +82,6 @@ class StepFunction:
     def terminal_value(self) -> float:
         return float(self.values[-1]) if self.values.size else self.base
 
-    def scale(self, c: float) -> "StepFunction":
-        return StepFunction(self.breakpoints, self.values * c, base=self.base * c)
-
     def over(self, denom: float) -> "StepFunction":
         """True division by denom (exact where values are multiples of it)."""
         return StepFunction(self.breakpoints, self.values / denom, base=self.base / denom)

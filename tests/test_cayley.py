@@ -388,21 +388,34 @@ def test_h3_per_generator_sphere_split(h3):
 
 
 def test_boundary_union_formula_identity(z2, h3):
-    # the finite union reformulation, evaluated literally as a second oracle
+    # the finite union reformulation, evaluated literally as a second oracle;
+    # the radii are asked out of order on one shared set, so every answer
+    # after the first reads a prefix of the shells that R = 3 grew
     rng = random.Random(55)
-    for model in (z2, h3, FreeAbelian(4)):
-        for _ in range(8):
-            Q = random_subset(model, rng, radius=2, size=9)
-            for R in (1, 2, 3):
-                ball = model.ball(R)
-                int_union = set()
-                ext_union = set()
-                for s in ball.sorted_elements:
-                    s_q = {model.multiply(s, q) for q in Q.sorted_elements}
-                    int_union |= Q.elements - s_q
-                    ext_union |= s_q - Q.elements
-                assert boundary_int(Q, R).elements == int_union
-                assert boundary_ext(Q, R).elements == ext_union
+    sets = [
+        random_subset(model, rng, radius=2, size=9)
+        for model in (z2, h3, FreeAbelian(4))
+        for _ in range(8)
+    ]
+    box = [(a, b) for a in range(5) for b in range(5) if (a, b) != (2, 2)]
+    strip = [(a, b) for a in range(8) for b in range(2)]  # interior shell 2 is empty
+    sets += [FiniteSet(z2, box), FiniteSet(z2, strip)]
+    for Q in sets:
+        model = Q.model
+        for R in (3, 0, 1, 2):
+            ball = model.ball(R)
+            int_union = set()
+            ext_union = set()
+            for s in ball.sorted_elements:
+                s_q = {model.multiply(s, q) for q in Q.sorted_elements}
+                int_union |= Q.elements - s_q
+                ext_union |= s_q - Q.elements
+            assert boundary_int(Q, R).elements == int_union
+            assert boundary_ext(Q, R).elements == ext_union
+            assert shrink(Q, R) == Q.difference(boundary_int(Q, R))
+            assert grow(Q, R) == Q.union(boundary_ext(Q, R))
+        # interior and exterior record: three shells each, none grown again
+        assert [len(shells) for shells in Q._shells] == [3, 3]
 
 
 @pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())

@@ -169,6 +169,15 @@ BAD_PARAMS = {
         {"kind": "periodic", "params": {"tile_n": 2, "table": {"0,0": "open"}}},
         {"kind": "adjacency"},
     ),
+    # a string is not a list of symbols, though iterating it gives characters
+    "explicit_string_alphabet": (
+        {"kind": "explicit", "params": {"alphabet": "ab", "default": "a"}},
+        {"kind": "adjacency"},
+    ),
+    "percolation_string_alphabet": (
+        {"params": {"alphabet": "open"}},
+        {"kind": "percolation", "params": {"retained": ["o"]}},
+    ),
 }
 
 
@@ -188,7 +197,8 @@ def test_bad_params_exit_2(tmp_path, capsys, case):
     p.write_text(json.dumps(cfg))
     assert run(["ids", "--config", p, "--out", tmp_path / "out"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["path"] == ("$.operator.params" if op["kind"] != "adjacency" else "$.colouring.params")
+    # the colouring is built first, so its params are blamed whenever a case sets any
+    assert err["path"] == ("$.colouring.params" if colouring else "$.operator.params")
     assert not (tmp_path / "out").exists()
 
 
