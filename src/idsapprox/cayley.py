@@ -7,13 +7,18 @@ right translations g -> g*t are isometries (distance(g, h) is the word
 length of g*h^-1), which is the orientation under which tile translates,
 boundary cardinalities and pattern translations are all compatible.
 
+Each model has one array product, ``mul_array``, broadcast over leading axes.
+Every translate and every product of two sets (generators times a shell, a
+tile times its positions) is one call of it, in blocks of ``_CHUNK`` rows.
+
 A finite set is held as the sorted array of its packed int64 keys: each
 coordinate gets 63 // dim bits, so every supported group packs and key order
 is lexicographic element order.  In both groups that order is invariant
-under left and right translation, so the keys of a translated set are
-sorted already and no translation re-sorts them.  Word lengths are memoised
-per model in an expanding breadth-first table; diameters, tile covers and
-positions are array operations on the keys.
+under ``mul_array`` by a fixed factor on either side, so the keys of a
+translated set are sorted already and no translation re-sorts them.
+Distinct keys are found by sorting (``_unique_keys``).  Word lengths are
+memoised per model in an expanding breadth-first table; diameters, tile
+covers and positions are array operations on the keys.
 
 Boundaries are read from distance shells that each set grows once.  Exterior
 shell r holds the points outside Q at distance r from Q, interior shell r the
@@ -35,6 +40,7 @@ import numpy as np
 import numpy.ma  # noqa: F401 - np.unique imports it on first use; load it with the package
 
 Element = tuple[int, ...]
+_CHUNK = 65_536  # rows of a set product held at once (admissible positions, diameters)
 
 
 class GroupModelError(ValueError):
@@ -44,8 +50,8 @@ class GroupModelError(ValueError):
 class GroupModel:
     """Base class for a finitely generated group with a symmetric generator set.
 
-    Every model keeps packed-key order invariant under ``rmul_array`` and
-    ``lmul_array``: if key(g) < key(h) then key(g*s) < key(h*s) and
+    Every model keeps packed-key order invariant under ``mul_array`` by a
+    fixed factor: if key(g) < key(h) then key(g*s) < key(h*s) and
     key(s*g) < key(s*h).  Translates of sorted sets are therefore sorted.
     """
 
@@ -73,13 +79,15 @@ class GroupModel:
     def inverse(self, g: Element) -> Element:
         raise NotImplementedError
 
-    def rmul_array(self, coords: np.ndarray, s: Element) -> np.ndarray:
-        """Right-multiply every row by the constant element s."""
-        raise NotImplementedError
-
-    def lmul_array(self, s: Element, coords: np.ndarray) -> np.ndarray:
-        """Left-multiply every row by the constant element s."""
-        raise NotImplementedError
+    def mul_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Elementwise product g*h of coordinate arrays (or elements), broadcast
+        over the leading axes, coordinates on the last.  Here the sum of Z^d,
+        one coordinate at a time so inner loops run over rows; H3 overrides it."""
+        g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
+        out = np.empty(np.broadcast_shapes(g.shape, h.shape), dtype=np.int64)
+        for c in range(self.dim):
+            np.add(g[..., c], h[..., c], out=out[..., c])
+        return out
 
     def check_element(self, g: Sequence[int]) -> Element:
         g = tuple(int(c) for c in g)
@@ -115,12 +123,10 @@ class GroupModel:
         frontier = self._levels[-1]
         if frontier.size == 0:
             return False
-        cands = np.concatenate([self.rmul_array(frontier, s) for s in self.generators])
+        cands = self.mul_array(frontier, np.array(self.generators)[:, None]).reshape(-1, self.dim)
         keys = self._pack(cands)
         keys, first = np.unique(keys, return_index=True)
-        idx = np.searchsorted(self._wl_keys, keys)
-        idx_c = np.minimum(idx, len(self._wl_keys) - 1)
-        known = self._wl_keys[idx_c] == keys
+        known = _in_sorted(self._wl_keys, keys)
         new_keys = keys[~known]
         new_coords = cands[first[~known]]
         radius = len(self._levels)
@@ -172,17 +178,19 @@ class GroupModel:
     def set_diameter(self, Q: "FiniteSet") -> int:
         if len(Q) == 0:
             raise ValueError("diameter of the empty set is undefined")
-        if len(Q) == 1:
-            return 0
         coords = Q.coords
+        inverses = np.array([self.inverse(h) for h in Q.sorted_elements], dtype=np.int64)
+        rows = max(1, _CHUNK // len(Q))
         chunks: list[np.ndarray] = []
-        diffs = np.empty(0, dtype=np.int64)
-        for h in Q.sorted_elements:
-            chunks.append(self._pack(self.rmul_array(coords, self.inverse(h))))
-            if len(chunks) * len(coords) > 4_000_000:
-                diffs = np.unique(np.concatenate([diffs] + chunks))
+        diffs = _EMPTY
+        for start in range(0, len(Q), rows):
+            # row i of the block: every g * h_i^-1
+            block = self.mul_array(coords, inverses[start : start + rows, None])
+            chunks.append(self._pack(block).ravel())
+            if sum(map(len, chunks)) > 4_000_000:
+                diffs = _unique_keys(np.concatenate([diffs] + chunks))
                 chunks = []
-        diffs = np.unique(np.concatenate([diffs] + chunks))
+        diffs = _unique_keys(np.concatenate([diffs] + chunks))
         return int(self._lengths_packed(diffs).max())
 
 
@@ -216,12 +224,6 @@ class FreeAbelian(GroupModel):
         g = self.check_element(g)
         return tuple(-a for a in g)
 
-    def rmul_array(self, coords: np.ndarray, s: Element) -> np.ndarray:
-        return coords + np.asarray(s, dtype=np.int64)
-
-    def lmul_array(self, s: Element, coords: np.ndarray) -> np.ndarray:
-        return coords + np.asarray(s, dtype=np.int64)
-
 
 class Heisenberg3(GroupModel):
     """Discrete Heisenberg group: (a,b,c)(a',b',c') = (a+a', b+b', c+c'+b a')."""
@@ -243,20 +245,9 @@ class Heisenberg3(GroupModel):
         a, b, c = self.check_element(g)
         return (-a, -b, a * b - c)
 
-    def rmul_array(self, coords: np.ndarray, s: Element) -> np.ndarray:
-        a, b, c = s
-        out = np.empty_like(coords)
-        out[:, 0] = coords[:, 0] + a
-        out[:, 1] = coords[:, 1] + b
-        out[:, 2] = coords[:, 2] + c + coords[:, 1] * a
-        return out
-
-    def lmul_array(self, s: Element, coords: np.ndarray) -> np.ndarray:
-        a, b, c = s
-        out = np.empty_like(coords)
-        out[:, 0] = a + coords[:, 0]
-        out[:, 1] = b + coords[:, 1]
-        out[:, 2] = c + coords[:, 2] + b * coords[:, 0]
+    def mul_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        out = super().mul_array(g, h)
+        out[..., 2] += np.multiply(np.asarray(g)[..., 1], np.asarray(h)[..., 0], dtype=np.int64)
         return out
 
 
@@ -281,7 +272,7 @@ class FiniteSet:
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
         coords = np.array(rows, dtype=np.int64).reshape(len(rows), model.dim)
-        self._set_keys(model, np.unique(model._pack(coords)))
+        self._set_keys(model, _unique_keys(model._pack(coords)))
 
     def _set_keys(self, model: GroupModel, keys: np.ndarray) -> None:
         keys.flags.writeable = False
@@ -348,12 +339,12 @@ class FiniteSet:
     def right_translate(self, x: Sequence[int]) -> "FiniteSet":
         """The set times x; element i of the result is element i of the set times x."""
         x = self.model.check_element(x)
-        return _from_packed(self.model, self.model._pack(self.model.rmul_array(self.coords, x)))
+        return _from_packed(self.model, self.model._pack(self.model.mul_array(self.coords, x)))
 
     def left_translate(self, s: Sequence[int]) -> "FiniteSet":
         """s times the set; element i of the result is s times element i of the set."""
         s = self.model.check_element(s)
-        return _from_packed(self.model, self.model._pack(self.model.lmul_array(s, self.coords)))
+        return _from_packed(self.model, self.model._pack(self.model.mul_array(s, self.coords)))
 
     def _keys_of(self, other: "FiniteSet") -> np.ndarray:
         if other.model is not self.model:
@@ -361,7 +352,8 @@ class FiniteSet:
         return other.packed
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
-        return _from_packed(self.model, np.union1d(self.packed, self._keys_of(other)))
+        keys = _unique_keys(np.concatenate([self.packed, self._keys_of(other)]))
+        return _from_packed(self.model, keys)
 
     def intersection(self, other: "FiniteSet") -> "FiniteSet":
         keys = np.intersect1d(self.packed, self._keys_of(other), assume_unique=True)
@@ -380,14 +372,22 @@ def _from_packed(model: GroupModel, keys: np.ndarray) -> FiniteSet:
 
 
 def _from_coords(model: GroupModel, coords: np.ndarray) -> FiniteSet:
-    return _from_packed(model, np.unique(model._pack(coords)))
-
-
-# -- boundaries ----------------------------------------------------------------
+    return _from_packed(model, _unique_keys(model._pack(coords)))
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+
+
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, found by sorting: faster than np.unique's hash table."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+# -- boundaries ----------------------------------------------------------------
 
 
 def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -413,13 +413,8 @@ def _sweep(
     """
     while len(shells) < R:
         prev, cur = (before + shells)[-2:]
-        coords = model._unpack(cur)
-        steps = [model.lmul_array(s, coords) for s in model.generators]
-        keys = np.sort(model._pack(np.concatenate(steps)))
-        # first of each run of equal keys: sorting beats np.unique's hash table here
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
+        steps = model.mul_array(np.array(model.generators)[:, None], model._unpack(cur))
+        keys = _unique_keys(model._pack(steps).ravel())
         keep = ~_in_sorted(prev, keys) & ~_in_sorted(cur, keys)
         if inside is not None:
             keep &= _in_sorted(inside, keys)
@@ -594,8 +589,8 @@ def grid_cover(A: FiniteSet, x: Sequence[int], spec: TilingSpec) -> GridCover:
     """
     model = A.model
     x = model.check_element(x)
-    _, g0 = spec.decompose_array(model.rmul_array(A.coords, x))
-    gamma = model.rmul_array(g0, model.inverse(x))
+    _, g0 = spec.decompose_array(model.mul_array(A.coords, x))
+    gamma = model.mul_array(g0, model.inverse(x))
     keys, counts = np.unique(model._pack(gamma), return_counts=True)
     inside = counts == len(spec.tile)
     return GridCover(_from_packed(model, keys[inside]), _from_packed(model, keys[~inside]))
@@ -606,14 +601,16 @@ def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     model = tile.model
     if len(tile) == 0:
         raise ValueError("tile must be non-empty")
-    # the intersection of the translates q^-1 U over q in the tile; it is not
-    # seeded with U, because the tile need not contain the identity
-    translates = (
-        model._pack(model.lmul_array(model.inverse(q), U.coords)) for q in tile.sorted_elements
-    )
-    out = next(translates)
-    for shifted in translates:
-        if out.size == 0:
-            break
-        out = np.intersect1d(out, shifted, assume_unique=True)
-    return _from_packed(model, out)
+    # the candidates q_0^-1 U already put q_0 x in U (the tile need not
+    # contain the identity); they shrink with each block of tile rows, and
+    # stay sorted because left translation keeps key order
+    q = tile.coords
+    X = model.mul_array(model.inverse(q[0].tolist()), U.coords)
+    keys = model._pack(X)
+    start = 1
+    while start < len(q) and len(X):
+        stop = start + max(1, _CHUNK // len(X))
+        points = model._pack(model.mul_array(q[start:stop, None], X))
+        ok = _in_sorted(U.packed, points).all(axis=0)
+        X, keys, start = X.compress(ok, axis=0), keys[ok], stop  # compress: fast row pick
+    return _from_packed(model, keys)

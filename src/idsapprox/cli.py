@@ -315,12 +315,12 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
                 continue
             _write_step_csv(outdir / f"approximant_seed{seed}_j{j}.csv", ap.step)
             for spec in cfg.tiling_specs(model):
-                cert = ids_certificate(rule, colouring, U, spec, analytic, j=j)
+                # occurring-class spectrum of the tile over this volume
+                spectrum = occurring_pattern_spectrum(colouring, spec.tile, U)
+                cert = ids_certificate(rule, colouring, U, spec, analytic, j=j, spectrum=spectrum)
                 row = cert.as_dict()
                 row["seed"] = seed
                 cert_rows.append(row)
-                # occurring-class spectrum of the tile over this volume
-                spectrum = occurring_pattern_spectrum(colouring, spec.tile, U)
                 spec_lines = ["pattern,count,empirical,analytic"]
                 for cls, entry in sorted(
                     spectrum.items(), key=lambda kv: kv[0].key

@@ -336,12 +336,10 @@ def count_occurrences(P: Pattern, Pbig: Pattern) -> int:
         raise ColouringError("occurrences of the empty pattern are undefined")
     model = P.domain.model
     X = admissible_positions(P.domain, Pbig.domain).coords
-    match = np.ones(len(X), dtype=bool)
-    for d, s in zip(P.domain.sorted_elements, P.symbols):
-        # d x lies in D(Pbig) for every admissible x
-        idx = np.searchsorted(Pbig.domain.packed, model._pack(model.lmul_array(d, X)))
-        match &= Pbig.symbols[idx] == s
-    return int(match.sum())
+    # d x lies in D(Pbig) for every d in D(P) and every admissible x
+    points = model._pack(model.mul_array(P.domain.coords[:, None], X))
+    idx = np.searchsorted(Pbig.domain.packed, points)
+    return int((Pbig.symbols[idx] == P.symbols[:, None]).all(axis=0).sum())
 
 
 def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
@@ -373,7 +371,7 @@ def occurring_pattern_spectrum(
     model = tile.model
     X = admissible_positions(tile, U).coords
     # row p: the colour codes of tile * x_p, in tile order
-    points = np.concatenate([model.lmul_array(q, X) for q in tile.sorted_elements])
+    points = model.mul_array(tile.coords[:, None], X).reshape(-1, model.dim)
     codes = C.colour_codes(points).reshape(len(tile), len(X)).T
     rows, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
     symbols = np.array(C.alphabet.symbols)
@@ -493,18 +491,20 @@ def frequency_deviation(
     U: FiniteSet,
     freqs: FrequencyProvider,
     residual_tol: Fraction = Fraction(0),
+    spectrum: Optional[Mapping[PatternClass, SpectrumEntry]] = None,
 ) -> Fraction:
     """Sum over patterns with tile domain of |empirical - nu|.
 
     Occurring classes are compared directly; the frequency mass of
     non-occurring patterns (empirical frequency zero) is added as the
     residual of the provider's total mass, so the full pattern set is never
-    enumerated.
+    enumerated; ``spectrum``, if given, is the tile's occurring spectrum over U.
     """
     if len(U) == 0:
         raise ColouringError("deviation needs a non-empty volume")
     freqs.prepare(tile)
-    spectrum = occurring_pattern_spectrum(C, tile, U)
+    if spectrum is None:
+        spectrum = occurring_pattern_spectrum(C, tile, U)
     seen_mass = Fraction(0)
     deviation = Fraction(0)
     for cls, entry in spectrum.items():

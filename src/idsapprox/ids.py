@@ -31,6 +31,7 @@ from .colouring import (
     Colouring,
     FrequencyProvider,
     PatternClass,
+    SpectrumEntry,
     canonicalize,
     frequency_deviation,
     restrict,
@@ -162,9 +163,11 @@ def ids_certificate(
     spec: TilingSpec,
     freqs: FrequencyProvider,
     j: Optional[int] = None,
+    spectrum: Optional[Mapping[PatternClass, SpectrumEntry]] = None,
 ) -> ErrorCertificate:
     """The four-term certificate bounding the sup distance between the
-    approximant over U and the limiting distribution function."""
+    approximant over U and the limiting distribution function; ``spectrum``
+    is the tile's occurring spectrum over U, if the caller has it."""
     R = rule.overall_range
     tile = spec.tile
     tile_term = Fraction(8 * boundary_size(tile, R), len(tile))
@@ -172,7 +175,7 @@ def ids_certificate(
     folner_term = Fraction(
         (1 + 4 * ball_r) * boundary_size(U, spec.bounding_diameter), len(U)
     )
-    freq_term = frequency_deviation(C, tile, U, freqs)
+    freq_term = frequency_deviation(C, tile, U, freqs, spectrum=spectrum)
     renorm_term = Fraction(boundary_int_size(U, R), len(U))
     return ErrorCertificate(
         tile_term=float(tile_term),

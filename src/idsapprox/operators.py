@@ -115,7 +115,7 @@ class LocalRule:
     def window_codes(self, C: Colouring, x: Element) -> np.ndarray:
         """Colour codes of the window around x, in window order."""
         window = self.model.ball(2 * self.overall_range).coords
-        return C.colour_codes(self.model.rmul_array(window, self.model.check_element(x)))
+        return C.colour_codes(self.model.mul_array(window, self.model.check_element(x)))
 
     def block_at(self, C: Colouring, x: Element, y: Element) -> np.ndarray:
         """Kernel block p_y H i_x, zero beyond the hopping range."""
@@ -179,7 +179,7 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     X = Q.coords
     n = len(X)
     # the point q x for every window point q (row) and every x in Q (column)
-    keys = np.stack([model._pack(model.lmul_array(q, X)) for q in rule._window])
+    keys = model._pack(model.mul_array(np.array(rule._window)[:, None], X))
     points, point_id = np.unique(keys, return_inverse=True)
     point_id = point_id.reshape(keys.shape)
     codes = C.colour_codes(model._unpack(points))

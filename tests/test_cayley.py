@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from idsapprox import cayley
 from idsapprox.cayley import (
     FiniteSet,
     FreeAbelian,
@@ -50,6 +52,20 @@ def test_group_algebra_randomized(z2, h3):
             assert model.multiply(e, g) == g
             assert model.multiply(g, model.inverse(g)) == e
             assert model.multiply(model.inverse(g), g) == e
+    # the broadcasting array product against the tuple product, row by row
+    for model in [FreeAbelian(d) for d in range(1, 9)] + [h3]:
+        pool = list(model.ball(3).sorted_elements)
+        gs, hs = np.array(rng.choices(pool, k=5)), np.array(rng.choices(pool, k=7))
+        table = model.mul_array(gs[:, None], hs[None])  # (m,1,d) x (1,n,d)
+        assert table.shape == (5, 7, model.dim)
+        for i, g in enumerate(gs.tolist()):
+            for j, h in enumerate(hs.tolist()):
+                assert tuple(table[i, j].tolist()) == model.multiply(g, h)
+            # (d,) x (n,d) and (n,d) x (d,): one element times every row
+            left = [list(model.multiply(g, h)) for h in hs.tolist()]
+            right = [list(model.multiply(h, g)) for h in hs.tolist()]
+            assert model.mul_array(gs[i], hs).tolist() == left
+            assert model.mul_array(hs, gs[i]).tolist() == right
 
 
 def test_h3_product_and_inverse_formulas(h3):
@@ -313,11 +329,21 @@ def test_h3_diameter_bracket_small(h3):
         assert n <= d <= 6 * n
 
 
-def test_diameter_edge_cases(z1):
+def test_diameter_edge_cases(z1, z2, h3, monkeypatch):
     with pytest.raises(ValueError):
         FiniteSet(z1, []).diameter
     assert FiniteSet(z1, [(4,)]).diameter == 0
     assert interval(z1, 0, 9).diameter == 9
+    # brute force over pairs; the small budgets cut the products into blocks
+    # of two and three rows with a shorter last block
+    rng = random.Random(21)
+    for chunk in (cayley._CHUNK, 20, 30):
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        for model in (z2, h3, FreeAbelian(4)):
+            for size in (2, 7, 11):
+                Q = random_subset(model, rng, radius=3, size=size)
+                pairs = [(g, h) for g in Q.sorted_elements for h in Q.sorted_elements]
+                assert model.set_diameter(Q) == max(model.word_distance(g, h) for g, h in pairs)
 
 
 def test_interval_folner(z1):
@@ -329,11 +355,40 @@ def test_interval_folner(z1):
     )
 
 
-def test_admissible_positions(z1):
+def admissible_positions_reference(tile, U):
+    # the intersection of the translates q^-1 U over q in the tile
+    model = tile.model
+    translates = [U.left_translate(model.inverse(q)).elements for q in tile.sorted_elements]
+    return frozenset.intersection(*translates)
+
+
+def test_admissible_positions(z1, z2, h3, monkeypatch):
     tile = interval(z1, 0, 2)
     U = interval(z1, 0, 9)
     pos = admissible_positions(tile, U)
     assert pos.elements == frozenset((i,) for i in range(0, 8))
+    rng = random.Random(17)
+    cases = [(interval(z1, 0, 7), U), (interval(z1, 3, 5), U)]  # no identity in the second tile
+    for model in (z2, h3):
+        ball = model.ball(4)
+        e = model.identity
+        for _ in range(4):
+            dense = FiniteSet(model, rng.sample(ball.sorted_elements, len(ball) * 4 // 5))
+            tile = random_subset(model, rng, radius=2, size=rng.randint(2, 6))
+            cases.append((tile, dense))
+            cases.append((tile.difference(FiniteSet(model, [e])), dense))
+        cases.append((model.ball(3), model.ball(1)))  # tile larger than U: no position
+        far = tuple([0] * (model.dim - 1) + [60])
+        cases.append((FiniteSet(model, [e, far]), ball))  # every position fails
+    # the small budgets test the tile in blocks of several rows, the last
+    # block shorter, and the candidates shrink between blocks
+    for chunk in (cayley._CHUNK, 30, 7):
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        for tile, U in cases:
+            pos = admissible_positions(tile, U)
+            assert pos.elements == admissible_positions_reference(tile, U)
+            assert np.all(np.diff(pos.packed) > 0)
+    assert not admissible_positions(h3.ball(3), h3.ball(1)).elements
 
 
 def test_finite_set_semantics(z1):

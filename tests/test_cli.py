@@ -472,6 +472,28 @@ def test_percolation_spectrum_export(tmp_path):
     assert sum(counts) == 36  # all singleton positions inside the 6x6 tile volume
 
 
+def test_percolation_computes_each_spectrum_once(tmp_path, monkeypatch):
+    # the certificate's frequency term and the spectrum CSV share one spectrum per cell
+    from idsapprox import colouring
+
+    original = colouring.occurring_pattern_spectrum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, colouring):
+        monkeypatch.setattr(module, "occurring_pattern_spectrum", counted)
+    cfg = json.loads(read(small_percolation_config(tmp_path, seeds=(1, 2), window=10)))
+    cfg["tile_n"] = [1, 2]
+    path = tmp_path / "two_tiles.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "once"
+    assert run(["percolation", "--config", path, "--out", out]) == 0
+    assert len(list(out.glob("spectrum_*.csv"))) == len(calls) == 4
+
+
 def test_zd_certificates_carry_weakened_columns(tmp_path):
     out = tmp_path / "weak"
     assert run(["ids", "--preset", "example4_1", "--out", out, "--folner-j", "4"]) == 0
