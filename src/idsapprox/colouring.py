@@ -30,6 +30,8 @@ from .cayley import (
     FreeAbelian,
     GroupModel,
     TilingSpec,
+    _in_sorted,
+    _unique_keys,
     admissible_positions,
 )
 
@@ -156,7 +158,9 @@ class PercolationColouring(Colouring):
     coordinates of g, so translated patterns are compared by re-indexing the
     same sample rather than re-sampling.  The 64-bit digest u selects the
     first symbol whose cumulative weight exceeds u / 2^64; for integer u this
-    is exactly u < ceil(cum * 2^64), so the thresholds are integers.
+    is exactly u < ceil(cum * 2^64), so the thresholds are integers.  Each
+    instance keeps the packed keys of the points it has coloured (sorted) and
+    their codes, so a point is hashed once however often it is asked for.
     """
 
     def __init__(
@@ -177,16 +181,27 @@ class PercolationColouring(Colouring):
         self.weights = ws
         self.thresholds = tuple(math.ceil(cum * (1 << 64)) for cum in accumulate(ws))
         self._key = struct.pack("<q", self.seed)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._codes = np.empty(0, dtype=np.int64)
 
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
-        # each row hashes as its little-endian int64 coordinates
-        raw = np.ascontiguousarray(coords, dtype="<i8").tobytes()
-        step = 8 * self.model.dim
-        digests = b"".join(
-            hashlib.blake2b(raw[i : i + step], digest_size=8, key=self._key).digest()
-            for i in range(0, len(raw), step)
-        )
-        return _cut(self.thresholds, np.frombuffer(digests, dtype="<u8"))
+        keys = self.model._pack(coords)
+        new = _unique_keys(keys[~_in_sorted(self._keys, keys)])
+        if new.size:
+            # each point hashes as its little-endian int64 coordinates
+            raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
+            step = 8 * self.model.dim
+            digests = b"".join(
+                hashlib.blake2b(raw[i : i + step], digest_size=8, key=self._key).digest()
+                for i in range(0, len(raw), step)
+            )
+            at = np.searchsorted(self._keys, new)
+            self._keys = np.insert(self._keys, at, new)
+            self._codes = np.insert(
+                self._codes, at, _cut(self.thresholds, np.frombuffer(digests, dtype="<u8"))
+            )
+        # fancy indexing copies, so callers never hold a view of the store
+        return self._codes[np.searchsorted(self._keys, keys)]
 
 
 class HalfLineMod3(Colouring):
@@ -216,11 +231,11 @@ class HalfLineMod3Window(HalfLineMod3):
 class Pattern:
     """Colour map on a finite domain.
 
-    ``symbols`` is a string array aligned with ``domain.packed``; ``values``
-    and ``key`` are views built from it on first use.
+    ``symbols`` is a string array aligned with ``domain.packed``; ``values``,
+    ``key`` and ``codes`` are views built from it on first use.
     """
 
-    __slots__ = ("domain", "symbols", "_values", "_key")
+    __slots__ = ("domain", "symbols", "_values", "_key", "_codes")
 
     def __init__(self, domain: FiniteSet, values: Mapping[Element, str]) -> None:
         if set(values) != set(domain.elements):
@@ -234,6 +249,7 @@ class Pattern:
         self.symbols = symbols
         self._values: Optional[dict[Element, str]] = None
         self._key: Optional[tuple] = None
+        self._codes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def values(self) -> dict[Element, str]:
@@ -247,6 +263,13 @@ class Pattern:
         if self._key is None:
             self._key = tuple(zip(self.domain.sorted_elements, self.symbols.tolist()))
         return self._key
+
+    @property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct symbols, and the index into them of every symbol."""
+        if self._codes is None:
+            self._codes = np.unique(self.symbols, return_inverse=True)
+        return self._codes
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -334,12 +357,17 @@ def count_occurrences(P: Pattern, Pbig: Pattern) -> int:
     """Number of x with D(P)x inside D(Pbig) and matching values."""
     if len(P) == 0:
         raise ColouringError("occurrences of the empty pattern are undefined")
+    names, big_codes = Pbig.codes
+    mine, codes = P.codes
+    if not _in_sorted(names, mine).all():
+        return 0  # a symbol of P never occurs in Pbig
     model = P.domain.model
     X = admissible_positions(P.domain, Pbig.domain).coords
     # d x lies in D(Pbig) for every d in D(P) and every admissible x
     points = model._pack(model.mul_array(P.domain.coords[:, None], X))
     idx = np.searchsorted(Pbig.domain.packed, points)
-    return int((Pbig.symbols[idx] == P.symbols[:, None]).all(axis=0).sum())
+    want = np.searchsorted(names, mine)[codes]
+    return int((big_codes[idx] == want[:, None]).all(axis=0).sum())
 
 
 def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:

@@ -146,15 +146,18 @@ def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
 def cluster_values(values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Group sorted values whose neighbour gap is below tau.
 
-    Returns cluster means and multiplicities.
+    Returns cluster means and multiplicities.  The mean of a one-value
+    cluster is that value, so only larger clusters are averaged.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
     if values.size == 0:
         return values, np.empty(0, dtype=np.int64)
-    split = np.nonzero(np.diff(values) >= tau)[0] + 1
-    groups = np.split(values, split)
-    reps = np.array([float(g.mean()) for g in groups])
-    counts = np.array([len(g) for g in groups], dtype=np.int64)
+    start = np.flatnonzero(np.r_[True, np.diff(values) >= tau])
+    counts = np.diff(np.r_[start, values.size])
+    reps = values[start]
+    # .mean(), not np.add.reduceat: the two sums can differ in the last bit
+    for i in np.flatnonzero(counts > 1).tolist():
+        reps[i] = values[start[i] : start[i] + counts[i]].mean()
     return reps, counts
 
 

@@ -3,6 +3,7 @@ import random
 import struct
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from idsapprox.cayley import (
     FiniteSet,
     FreeAbelian,
+    GroupModelError,
     Heisenberg3,
     admissible_positions,
     boundary_int_size,
@@ -144,14 +146,8 @@ def test_count_single_symbol(z1):
 
 
 def test_count_occurrences_brute_force_oracle(z2):
-    rng = random.Random(9)
-    for _ in range(15):
-        big_dom = [(a, b) for a in range(5) for b in range(5)]
-        big = make_pattern(z2, {g: rng.choice("ab") for g in rng.sample(big_dom, 20)})
-        P = make_pattern(
-            z2, {(0, 0): rng.choice("ab"), (1, 0): rng.choice("ab")}
-        )
-        # oracle: scan every x in a bounding window
+    def oracle(P, big):
+        # scan every x in a bounding window
         expected = 0
         for xa in range(-3, 8):
             for xb in range(-3, 8):
@@ -163,7 +159,25 @@ def test_count_occurrences_brute_force_oracle(z2):
                 except KeyError:
                     continue
                 expected += ok
-        assert count_occurrences(P, big) == expected
+        return expected
+
+    rng = random.Random(9)
+    big_dom = [(a, b) for a in range(5) for b in range(5)]
+    for _ in range(15):
+        big = make_pattern(z2, {g: rng.choice("ab") for g in rng.sample(big_dom, 20)})
+        P = make_pattern(
+            z2, {(0, 0): rng.choice("ab"), (1, 0): rng.choice("ab")}
+        )
+        assert count_occurrences(P, big) == oracle(P, big)
+        # a symbol that the big pattern never shows, sorting between its two
+        absent = make_pattern(z2, {(0, 0): rng.choice("ab"), (0, 1): "aa"})
+        assert count_occurrences(absent, big) == oracle(absent, big) == 0
+    # a big pattern of one symbol
+    big = make_pattern(z2, {g: "b" for g in rng.sample(big_dom, 20)})
+    for values in ({(0, 0): "b", (1, 0): "b"}, {(0, 0): "b", (0, 1): "a"}, {(0, 0): "b"}):
+        P = make_pattern(z2, values)
+        assert count_occurrences(P, big) == oracle(P, big)
+    assert count_occurrences(make_pattern(z2, {(0, 0): "b"}), big) == 20
 
 
 def test_count_translation_invariance(z1):
@@ -417,6 +431,42 @@ def test_colour_codes_match_definition(name):
     assert codes.tolist() == expected
     assert [C.colour(g) for g in points] == [C.alphabet.symbols[i] for i in expected]
     assert len(C.colour_codes(np.empty((0, C.model.dim), dtype=np.int64))) == 0
+
+
+def test_percolation_store_matches_definition(monkeypatch):
+    C, points = _colouring_case("percolation")
+    pts = np.array(points, dtype=np.int64)
+    expected = np.array([C.alphabet.symbols.index(_colour_reference(C, g)) for g in points])
+    hashed = []
+    blake2b = hashlib.blake2b
+
+    def counted(data, **kw):
+        hashed.append(data)
+        return blake2b(data, **kw)
+
+    monkeypatch.setattr("idsapprox.colouring.hashlib", SimpleNamespace(blake2b=counted))
+    n, rng = len(pts), np.random.default_rng(4)
+    queries = [
+        np.arange(20),
+        np.arange(10, 40),  # overlaps the first
+        np.arange(n)[::-1],
+        np.tile(np.arange(5, 9), 3),  # duplicated rows
+        np.arange(0),
+        rng.permutation(n),
+        np.arange(n),
+    ]
+    answers = [C.colour_codes(pts[idx]) for idx in queries]
+    # one instance hashes every distinct point once, whatever it is asked
+    assert len(hashed) == len(set(hashed)) == len(set(points))
+    for idx, got in zip(queries, answers):
+        assert got.dtype == np.int64
+        assert got.tolist() == expected[idx].tolist()
+        assert got.tolist() == _colouring_case("percolation")[0].colour_codes(pts[idx]).tolist()
+        got[:] = -1  # an answer is a copy, not a view of the store
+    assert C.colour_codes(pts).tolist() == expected.tolist()
+    for c in (C.model.pack_bound, -C.model.pack_bound):
+        with pytest.raises(GroupModelError):
+            C.colour_codes(np.array([[0, c, 0]], dtype=np.int64))
 
 
 def test_percolation_thresholds_are_exact(z1):

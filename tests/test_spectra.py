@@ -104,6 +104,42 @@ def test_cluster_values_merges_ties():
     assert list(counts) == [2, 1]
 
 
+def _cluster_reference(values, tau):
+    """One mean per cluster over np.split: the definition of cluster_values."""
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    if values.size == 0:
+        return values, np.empty(0, dtype=np.int64)
+    groups = np.split(values, np.nonzero(np.diff(values) >= tau)[0] + 1)
+    reps = np.array([float(g.mean()) for g in groups])
+    return reps, np.array([len(g) for g in groups], dtype=np.int64)
+
+
+def test_cluster_values_matches_split_reference():
+    rng = np.random.default_rng(12)
+    tau = 1e-9
+    sizes = [1] * 40 + [2, 3, 4, 5, 6, 7, 30, 200, 1500]
+    rng.shuffle(sizes)
+    centres = np.cumsum(rng.uniform(1e-8, 3.0, len(sizes))) - 20.0
+    # members of a cluster sit within tau of their neighbours
+    planted = np.concatenate(
+        [c + np.cumsum(rng.uniform(0, 0.9 * tau, m)) for c, m in zip(centres, sizes)]
+    )
+    cases = [
+        rng.permutation(planted),
+        np.empty(0),
+        np.arange(50) * 0.37 - 4.0,  # every value alone
+        1.0 / 3 + np.cumsum(rng.uniform(0, 0.5 * tau, 800)),  # one cluster
+    ]
+    for values in cases:
+        reps, counts = cluster_values(values, tau)
+        ref_reps, ref_counts = _cluster_reference(values, tau)
+        assert reps.dtype == np.float64 and counts.dtype == np.int64
+        assert np.array_equal(reps, ref_reps) and np.array_equal(counts, ref_counts)
+    assert sorted(cluster_values(planted, tau)[1].tolist()) == sorted(sizes)
+    assert cluster_values(cases[2], tau)[1].tolist() == [1] * 50
+    assert cluster_values(cases[3], tau)[1].tolist() == [800]
+
+
 def test_rank_perturbation_examples():
     rng = random.Random(16)
     A = sym(rng, 20)
