@@ -22,10 +22,10 @@ from .cayley import FiniteSet, boundary_ext, folner_set
 from .colouring import (
     Pattern,
     PercolationFrequencies,
+    _code_rows,
+    _tally_rows,
     canonicalize,
-    count_occurrences,
     occurring_pattern_spectrum,
-    restrict,
 )
 from .config import ConfigError, RunConfig
 from .ergodic import StepFunction, sup_distance
@@ -252,26 +252,12 @@ def cmd_folner_audit(cfg: RunConfig, outdir: Path) -> None:
 
 
 def _pattern_family(model, alphabet, max_domain: int) -> list[Pattern]:
-    d = model.dim
     e = model.identity
-
-    def vec(i: int) -> tuple[int, ...]:
-        out = [0] * d
-        out[i] = 1
-        return tuple(out)
-
-    domains = [[e]]
-    if max_domain >= 2:
-        domains.append([e, vec(0)])
-        if d >= 2:
-            domains.append([e, vec(1)])
-    if max_domain >= 3:
-        domains.append([e, vec(0), tuple(2 * c for c in vec(0))])
-        if d >= 2:
-            domains.append([e, vec(0), vec(1)])
-            domains.append(
-                [e, vec(0), tuple(a + b for a, b in zip(vec(0), vec(1)))]
-            )
+    x, y = (tuple(int(i == k) for i in range(model.dim)) for k in (0, 1))
+    xx, xy = tuple(2 * c for c in x), tuple(a + b for a, b in zip(x, y))
+    # on Z^1, y is the identity and the domains holding it twice are dropped
+    domains = [[e], [e, x], [e, y], [e, x, xx], [e, x, y], [e, x, xy]]
+    domains = [dom for dom in domains if len(set(dom)) == len(dom) <= max_domain]
     out = []
     for dom in domains:
         fs = FiniteSet(model, dom)
@@ -288,23 +274,28 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
     window_side = int(cfg.raw.get("freq_window", 100))
     max_domain = int(cfg.raw.get("freq_max_domain", 3))
     window = folner_set(model, window_side).tile
+    # the alphabet and weights, hence the family and its frequencies, are seed-free
+    analytic = PercolationFrequencies(cfg.colouring(model))
+    alphabet = analytic.colouring.alphabet.symbols
+    family = []
+    for P in _pattern_family(model, analytic.colouring.alphabet, max_domain):
+        cls = canonicalize(P)
+        key = tuple(alphabet.index(s) for s in P.symbols.tolist())
+        family.append((P.domain, key, f"{cls.digest()},{len(P)}", analytic.frequency(cls)))
     lines = ["seed,pattern,domain_size,count,empirical,analytic,abs_diff"]
     cert_rows = []
     errors = []
     for seed in seeds:
         colouring = cfg.colouring(model, seed_override=seed)
-        analytic = PercolationFrequencies(colouring)
-        family = _pattern_family(model, colouring.alphabet, max_domain)
-        window_pattern = restrict(colouring, window)
-        for P in family:
-            cls = canonicalize(P)
-            count = count_occurrences(P, window_pattern)
+        tallies = {}  # per domain: occurrence count of every code row in the window
+        for domain, key, name, ana in family:
+            if domain not in tallies:
+                _, codes = _code_rows(colouring, domain, window)
+                first, counts = _tally_rows(codes, len(alphabet))
+                tallies[domain] = dict(zip(map(tuple, codes[first].tolist()), counts.tolist()))
+            count = tallies[domain].get(key, 0)
             emp = Fraction(count, len(window))
-            ana = analytic.frequency(cls)
-            lines.append(
-                f"{seed},{cls.digest()},{len(P)},{count},"
-                f"{_fmt(emp)},{_fmt(ana)},{_fmt(abs(emp - ana))}"
-            )
+            lines.append(f"{seed},{name},{count},{_fmt(emp)},{_fmt(ana)},{_fmt(abs(emp - ana))}")
         rule = cfg.rule(model, colouring)
         for j in cfg.folner_indices():
             U = folner_set(model, j).tile

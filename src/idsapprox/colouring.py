@@ -377,6 +377,33 @@ def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
     return Fraction(count_occurrences(P, restrict(C, U)), len(U))
 
 
+def _code_rows(C: Colouring, domain: FiniteSet, U: FiniteSet) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the positions x with domain * x inside U, and the matrix
+    whose row p holds the colour codes of domain * x_p, in domain order."""
+    model = domain.model
+    X = admissible_positions(domain, U).coords
+    points = model.mul_array(domain.coords[:, None], X).reshape(-1, model.dim)
+    return X, C.colour_codes(points).reshape(len(domain), len(X)).T
+
+
+def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """First index and count of every distinct row of a code matrix with entries
+    below ``base``, in order of first occurrence.  Rows fold into int64 ids in
+    radix ``base``, renumbered 0..distinct-1 whenever an id could pass 2^62."""
+    ids, span = np.zeros(len(codes), dtype=np.int64), 1  # every id is below span
+    for column in codes.T:
+        if span * base > 1 << 62:
+            distinct = _unique_keys(ids)
+            ids, span = np.searchsorted(distinct, ids), len(distinct)
+        ids, span = ids * base + column, span * base
+    order = np.argsort(ids, kind="stable")
+    starts = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are non-negative
+    first = order[starts]  # the stable sort puts each row's first occurrence first
+    counts = np.diff(np.append(starts, len(ids)))
+    by_first = np.argsort(first)
+    return first[by_first], counts[by_first]
+
+
 @dataclass(frozen=True)
 class SpectrumEntry:
     count: int
@@ -396,19 +423,14 @@ def occurring_pattern_spectrum(
     canonical domain, so distinct forms are distinct classes; the counts
     sum to the number of admissible positions.
     """
-    model = tile.model
-    X = admissible_positions(tile, U).coords
-    # row p: the colour codes of tile * x_p, in tile order
-    points = model.mul_array(tile.coords[:, None], X).reshape(-1, model.dim)
-    codes = C.colour_codes(points).reshape(len(tile), len(X)).T
-    rows, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+    X, codes = _code_rows(C, tile, U)
+    first, counts = _tally_rows(codes, len(C.alphabet))
     symbols = np.array(C.alphabet.symbols)
     out: dict[PatternClass, SpectrumEntry] = {}
-    for r in np.argsort(first).tolist():
-        cls, d_shift = canonicalize_with_shift(_pattern(tile, symbols[rows[r]]))
+    for f, count in zip(first.tolist(), counts.tolist()):
+        cls, d_shift = canonicalize_with_shift(_pattern(tile, symbols[codes[f]]))
         # canonical * (d_shift * position) is the restriction of C at position
-        witness = model.multiply(d_shift, X[first[r]].tolist())
-        out[cls] = SpectrumEntry(int(counts[r]), witness)
+        out[cls] = SpectrumEntry(count, tile.model.multiply(d_shift, X[f].tolist()))
     return out
 
 
@@ -503,8 +525,8 @@ class EmpiricalFrequencies(FrequencyProvider):
         return value
 
     def total_mass(self, tile: FiniteSet) -> Fraction:
-        positions = admissible_positions(tile, self.reference)
-        return Fraction(len(positions), len(self.reference))
+        self.prepare(tile)  # the counts of a spectrum sum to its admissible positions
+        return Fraction(sum(e.count for e in self._spectra[tile].values()), len(self.reference))
 
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
         self.prepare(tile)
@@ -532,7 +554,12 @@ def frequency_deviation(
         raise ColouringError("deviation needs a non-empty volume")
     freqs.prepare(tile)
     if spectrum is None:
-        spectrum = occurring_pattern_spectrum(C, tile, U)
+        # an empirical provider prepared above holds the spectrum over its reference
+        held = isinstance(freqs, EmpiricalFrequencies) and freqs.colouring is C
+        if held and U == freqs.reference:
+            spectrum = freqs._spectra[tile]
+        else:
+            spectrum = occurring_pattern_spectrum(C, tile, U)
     seen_mass = Fraction(0)
     deviation = Fraction(0)
     for cls, entry in spectrum.items():

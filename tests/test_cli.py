@@ -572,3 +572,103 @@ def test_explicit_colouring_from_config(tmp_path):
     out = tmp_path / "expl"
     assert run(["ids", "--config", p, "--out", out]) == 0
     assert (out / "approximant_tiles_j8.csv").exists()
+
+
+def test_percolation_counts_match_single_pattern_oracle(tmp_path):
+    from idsapprox.cayley import FreeAbelian, folner_set
+    from idsapprox.colouring import count_occurrences, restrict
+    from idsapprox.config import RunConfig
+
+    cases = [(2, None), (1, None), (2, ["1", "0"]), (1, ["1", "0"])]
+    for d, weights in cases:
+        raw = json.loads(read(small_percolation_config(tmp_path, seeds=(1, 2), window=12)))
+        raw["d"] = d
+        if weights is not None:
+            raw["colouring"]["params"]["weights"] = weights
+        path = tmp_path / f"oracle_{d}_{weights is None}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"oracle_{d}_{weights is None}"
+        assert run(["percolation", "--config", path, "--out", out]) == 0
+        rows = [line.split(",") for line in read(out / "frequencies.csv").splitlines()[1:]]
+        cfg = RunConfig.from_dict(raw)
+        model = FreeAbelian(d)
+        window = folner_set(model, 12).tile
+        expected = []
+        for seed in (1, 2):
+            colouring = cfg.colouring(model, seed_override=seed)
+            big = restrict(colouring, window)
+            for P in cli._pattern_family(model, colouring.alphabet, 3):
+                expected.append((str(seed), str(len(P)), count_occurrences(P, big), P))
+        assert len(rows) == len(expected)
+        for row, (seed, size, count, P) in zip(rows, expected):
+            assert row[0] == seed and row[2] == size
+            assert int(row[3]) == count
+            if weights is not None:
+                # every site is open, so a pattern with a closed site never occurs
+                assert (count == 0) == ("closed" in P.symbols.tolist())
+
+
+def test_percolation_reproduces_reference_outputs(tmp_path):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "z2_perc_frequencies"
+    out = tmp_path / "ref"
+    assert run(["percolation", "--config", reference / "config.json", "--out", out]) == 0
+    # approximant breakpoints may move within tau, so only the exact files are pinned
+    names = ["frequencies.csv", "certificates.json"]
+    names += sorted(f.name for f in (reference / "outputs").glob("spectrum_*.csv"))
+    assert len(names) == 10
+    for name in names:
+        assert (out / name).read_bytes() == (reference / "outputs" / name).read_bytes(), name
+
+
+def test_empirical_frequencies_reuse_the_reference_spectrum(tmp_path, monkeypatch):
+    from fractions import Fraction
+
+    from idsapprox import colouring, ids
+
+    provider = colouring.EmpiricalFrequencies
+
+    def counted_run(out):
+        calls = {"spectrum": 0, "admissible": 0, "admissible_in_total_mass": 0}
+        spectrum, admissible = colouring.occurring_pattern_spectrum, colouring.admissible_positions
+        total_mass = provider.total_mass
+
+        def count_spectrum(*args, **kwargs):
+            calls["spectrum"] += 1
+            return spectrum(*args, **kwargs)
+
+        def count_admissible(*args, **kwargs):
+            calls["admissible"] += 1
+            return admissible(*args, **kwargs)
+
+        def count_total_mass(self, tile):
+            before = calls["admissible"]
+            mass = total_mass(self, tile)
+            calls["admissible_in_total_mass"] += calls["admissible"] - before
+            return mass
+
+        with monkeypatch.context() as m:
+            for module in (cli, colouring, ids):
+                if hasattr(module, "occurring_pattern_spectrum"):
+                    m.setattr(module, "occurring_pattern_spectrum", count_spectrum)
+            m.setattr(colouring, "admissible_positions", count_admissible)
+            m.setattr(provider, "total_mass", count_total_mass)
+            assert run(["ids", "--preset", "example4_1", "--out", out]) == 0
+        return calls, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    calls, outputs = counted_run(tmp_path / "reuse")
+    # the same run with the spectrum recomputed over the reference (frequency_deviation
+    # no longer recognises the provider) and the mass read from the admissible positions
+    with monkeypatch.context() as m:
+        m.setattr(colouring, "EmpiricalFrequencies", type("Unrecognised", (), {}))
+        m.setattr(
+            provider,
+            "total_mass",
+            lambda self, tile: Fraction(
+                len(colouring.admissible_positions(tile, self.reference)), len(self.reference)
+            ),
+        )
+        old_calls, old_outputs = counted_run(tmp_path / "recompute")
+    assert outputs == old_outputs
+    sides_times_tiles = 2 * 1
+    assert calls["spectrum"] == old_calls["spectrum"] - sides_times_tiles
+    assert calls["admissible_in_total_mass"] == 0 < old_calls["admissible_in_total_mass"]

@@ -37,6 +37,7 @@ from idsapprox.colouring import (
     TrivialFrequencies,
     WHITE,
     _cut,
+    _tally_rows,
     canonicalize,
     canonicalize_with_shift,
     count_occurrences,
@@ -525,3 +526,35 @@ def test_spectrum_matches_per_position_loop(z1, h3):
         assert got == ref
         assert list(got) == list(ref)
         assert len(ref) > 2
+
+
+def _tally_reference(codes):
+    """First index and count of every distinct row, in first-occurrence order."""
+    _, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
+def test_tally_rows_matches_unique_rows():
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.zeros((0, 3), dtype=np.int64), 2),
+        (np.zeros((0, 243), dtype=np.int64), 2),
+        (rng.integers(0, 3, (50, 1)), 3),
+        (np.zeros((40, 5), dtype=np.int64), 1),  # a one-colour alphabet
+        (rng.integers(0, 2, (300, 4)), 2),
+        # 2^243 and 3^100 pass 2^62, so the ids are renumbered on the way
+        (rng.integers(0, 2, (400, 243)), 2),
+        (rng.integers(0, 3, (400, 100)), 3),
+        # rows that differ only in columns that a wrapping int64 would shift out
+        (np.hstack([rng.integers(0, 2, (300, 8)), np.zeros((300, 235), dtype=np.int64)]), 2),
+        # few distinct rows, repeated, wide enough to renumber
+        (rng.integers(0, 2, (6, 243))[rng.integers(0, 6, 500)], 2),
+        (np.tile(rng.integers(0, 3, 100), (70, 1)), 3),  # every row equal
+    ]
+    for codes, base in cases:
+        first, counts = _tally_rows(codes, base)
+        ref_first, ref_counts = _tally_reference(codes)
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(counts, ref_counts)
+        assert counts.sum() == len(codes)
