@@ -7,28 +7,26 @@ right translations g -> g*t are isometries (distance(g, h) is the word
 length of g*h^-1), which is the orientation under which tile translates,
 boundary cardinalities and pattern translations are all compatible.
 
-Each model has one array product, ``mul_array``, broadcast over leading axes.
-Every translate and every product of two sets (generators times a shell, a
-tile times its positions) is one call of it, in blocks of ``_CHUNK`` rows.
-
 A finite set is held as the sorted array of its packed int64 keys: each
-coordinate gets 63 // dim bits, so every supported group packs and key order
-is lexicographic element order.  In both groups that order is invariant
-under ``mul_array`` by a fixed factor on either side, so the keys of a
-translated set are sorted already and no translation re-sorts them.
-Distinct keys are found by sorting (``_unique_keys``).  Word lengths are
-memoised per model in an expanding breadth-first table; diameters, tile
-covers and positions are array operations on the keys.
+coordinate gets 63 // dim bits, so key order is lexicographic element order.
+In both groups that order is invariant under ``mul_array`` (the one array
+product, broadcast over leading axes) by a fixed factor on either side, so
+translates of sorted keys are sorted.  Distinct keys are found by sorting.
 
-Boundaries are read from distance shells that each set grows once.  Exterior
-shell r holds the points outside Q at distance r from Q, interior shell r the
-points of Q at distance r from the complement.  Both sweeps take one step
-rule: the next shell is the neighbours of the current shell minus the last
-two shells (and, inside, minus the points outside Q).  The rule needs a
-symmetric generator set: then being neighbours is a symmetric relation and
-the neighbours of a point at distance r lie at distance r-1, r or r+1.  A
-sweep resumes where the last call stopped, so every R-boundary, shrink and
-grow of a set reads a prefix of the same shells.
+Breadth-first sweeps step packed keys: ``_step_keys`` gives the keys of s*g
+for every generator s as one sorted row each (on Z^d it adds the key of s,
+on H3 that key plus s_b*a, a read from its bit field).  It reads the bit
+fields of the shell first and raises GroupModelError exactly when a
+neighbour leaves the packable range, so no field carries into the next.
+Exterior shell r of a set Q holds the points outside Q at distance r from
+Q, interior shell r the points of Q at distance r from the complement.
+Both sweeps take one step rule: the next shell is the neighbours of the
+current one (rows merged by a stable sort) minus the last two shells (and,
+inside, minus the points outside Q); an empty shell ends it.  The rule needs
+the symmetric generator set every model checks at construction.  Each set
+grows its shells once, so every R-boundary, shrink and grow reads a prefix.
+The word-length table is the exterior sweep of the identity: sphere r is
+its shell r, and ball(R) is the union of spheres 0..R.
 """
 
 from __future__ import annotations
@@ -60,15 +58,17 @@ class GroupModel:
 
     def __init__(self) -> None:
         self.identity: Element = (0,) * self.dim
+        if {self.inverse(s) for s in self.generators} != set(self.generators):
+            raise GroupModelError(f"generators of {self.describe()} are not closed under inverse")
+        self._gens = np.array(self.generators, dtype=np.int64).reshape(-1, self.dim)
         self.pack_bits = 63 // self.dim
         self.pack_bound = 1 << (self.pack_bits - 1)  # coordinates satisfy |c| < bound
         self._pack_shifts = self.pack_bits * np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         self._pack_scale = np.left_shift(1, self._pack_shifts)
-        # word-length table: packed keys (sorted), distances, per-level coords
-        e = np.array([self.identity], dtype=np.int64)
-        self._wl_keys = self._pack(e)
-        self._wl_dist = np.zeros(1, dtype=np.int32)
-        self._levels: list[np.ndarray] = [e]
+        # word-length table: sorted keys and lengths of the spheres 0..radius
+        self._origin = self._pack(np.array([self.identity], dtype=np.int64))
+        self._spheres: list[np.ndarray] = []
+        self._wl_keys, self._wl_dist, self._wl_radius = self._origin, np.zeros(1, dtype=np.int64), 0
         self._ball_cache: dict[int, "FiniteSet"] = {}
 
     # -- group structure ----------------------------------------------------
@@ -89,12 +89,22 @@ class GroupModel:
             np.add(g[..., c], h[..., c], out=out[..., c])
         return out
 
+    def _step_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Keys of s*g for sorted keys g, one sorted row per generator s: here
+        Z^d, where a row adds the key of s.  Raises exactly when some s*g leaves
+        the packable range."""
+        if keys.size:
+            reach = np.abs(self._gens).max(axis=0)
+            for i in range(self.dim):
+                # field 0 leads the key order, so its extremes sit at the ends
+                c = self._field(keys[[0, -1]] if i == 0 else keys, i)
+                self._check_range(max(-c.min(), c.max()) + reach[i])
+        return keys + (self._gens @ self._pack_scale)[:, None]
+
     def check_element(self, g: Sequence[int]) -> Element:
         g = tuple(int(c) for c in g)
         if len(g) != self.dim:
-            raise GroupModelError(
-                f"element of length {len(g)} does not belong to {self.describe()}"
-            )
+            raise GroupModelError(f"element of length {len(g)} does not belong to {self.describe()}")
         return g
 
     def describe(self) -> str:
@@ -102,53 +112,47 @@ class GroupModel:
 
     # -- packing ------------------------------------------------------------
 
-    def _pack(self, coords: np.ndarray) -> np.ndarray:
-        """Pack coordinate rows into sortable int64 keys (lexicographic order)."""
-        if coords.size and (coords.min() <= -self.pack_bound or coords.max() >= self.pack_bound):
+    def _check_range(self, extent: int) -> None:
+        """Raise unless coordinates with |c| <= extent are packable."""
+        if extent >= self.pack_bound:
             raise GroupModelError(
                 f"coordinate out of packable range |c| < {self.pack_bound} for {self.describe()}"
             )
+
+    def _pack(self, coords: np.ndarray) -> np.ndarray:
+        """Pack coordinate rows into sortable int64 keys (lexicographic order)."""
+        if coords.size:
+            self._check_range(max(-coords.min(), coords.max()))
         # the offset fields are positive and do not overlap, so the weighted
         # sum places each coordinate in its own bit field
         return (coords + self.pack_bound) @ self._pack_scale
 
+    def _field(self, keys: np.ndarray, i: int | slice) -> np.ndarray:
+        """Coordinate i of every key, read from its bit field."""
+        return ((keys >> self._pack_shifts[i]) & ((1 << self.pack_bits) - 1)) - self.pack_bound
+
     def _unpack(self, keys: np.ndarray) -> np.ndarray:
-        fields = (keys[:, None] >> self._pack_shifts) & ((1 << self.pack_bits) - 1)
-        return fields - self.pack_bound
+        return self._field(keys[:, None], slice(None))
 
     # -- word metric --------------------------------------------------------
 
-    def _expand_level(self) -> bool:
-        """Grow the BFS table by one radius; returns False once exhausted."""
-        frontier = self._levels[-1]
-        if frontier.size == 0:
-            return False
-        cands = self.mul_array(frontier, np.array(self.generators)[:, None]).reshape(-1, self.dim)
-        keys = self._pack(cands)
-        keys, first = np.unique(keys, return_index=True)
-        known = _in_sorted(self._wl_keys, keys)
-        new_keys = keys[~known]
-        new_coords = cands[first[~known]]
-        radius = len(self._levels)
-        merged = np.concatenate([self._wl_keys, new_keys])
-        dists = np.concatenate(
-            [self._wl_dist, np.full(len(new_keys), radius, dtype=np.int32)]
-        )
-        order = np.argsort(merged, kind="stable")
-        self._wl_keys = merged[order]
-        self._wl_dist = dists[order]
-        self._levels.append(new_coords)
-        return new_keys.size > 0
-
     def _lengths_packed(self, keys: np.ndarray) -> np.ndarray:
-        """Word lengths for packed keys, expanding the table as needed."""
-        while True:
-            idx = np.searchsorted(self._wl_keys, keys)
-            idx_c = np.minimum(idx, len(self._wl_keys) - 1)
-            if bool((self._wl_keys[idx_c] == keys).all()):
-                return self._wl_dist[idx_c].astype(np.int64)
-            if not self._expand_level():
+        """Word lengths for packed keys, growing the spheres as needed."""
+        missing = keys[~_in_sorted(self._wl_keys, keys)]
+        radius = self._wl_radius
+        while missing.size:
+            radius += 1
+            sphere = _sweep(self, self._spheres, radius, [_EMPTY, self._origin])[-1]
+            if sphere.size == 0:
                 raise GroupModelError("generators do not reach requested element")
+            missing = missing[~_in_sorted(sphere, missing)]
+        if radius > self._wl_radius:
+            levels = [self._origin] + self._spheres[:radius]
+            dist = np.repeat(np.arange(radius + 1), [len(k) for k in levels])
+            order = np.argsort(np.concatenate(levels), kind="stable")
+            self._wl_keys, self._wl_dist = np.concatenate(levels)[order], dist[order]
+            self._wl_radius = radius
+        return self._wl_dist[np.searchsorted(self._wl_keys, keys)]
 
     def word_length(self, g: Element) -> int:
         """Minimal number of generators whose product equals g."""
@@ -163,15 +167,10 @@ class GroupModel:
         """Closed ball of the given radius around the identity."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
-        while len(self._levels) <= radius:
-            if not self._expand_level():
-                break
-        out = _from_coords(self, np.concatenate(self._levels[: radius + 1]))
-        self._ball_cache[radius] = out
-        return out
+        if radius not in self._ball_cache:
+            spheres = _sweep(self, self._spheres, radius, [_EMPTY, self._origin])
+            self._ball_cache[radius] = _from_packed(self, _union([self._origin] + spheres))
+        return self._ball_cache[radius]
 
     # -- bulk helpers over finite sets ---------------------------------------
 
@@ -250,6 +249,17 @@ class Heisenberg3(GroupModel):
         out[..., 2] += np.multiply(np.asarray(g)[..., 1], np.asarray(h)[..., 0], dtype=np.int64)
         return out
 
+    def _step_keys(self, keys: np.ndarray) -> np.ndarray:
+        # s*g = (a + s_a, b + s_b, c + s_c + s_b a): a row adds the key of s and
+        # s_b a; under the generators (+-1,0,0), (0,+-1,0) the largest new |c|
+        # is |c| + |a|, so with the checks on a and b the range check is exact
+        a = self._field(keys, 0)
+        if keys.size:
+            self._check_range((np.abs(self._field(keys, 2)) + np.abs(a)).max())
+        rows = super()._step_keys(keys)
+        rows += self._gens[:, 1:2] * a
+        return rows
+
 
 class FiniteSet:
     """Immutable finite subset of a group, with cached geometry.
@@ -258,16 +268,7 @@ class FiniteSet:
     coordinates and element tuples are views built from it on first use.
     """
 
-    __slots__ = (
-        "model",
-        "packed",
-        "_coords",
-        "_sorted",
-        "_elems",
-        "_diameter",
-        "_shells",
-        "_hash",
-    )
+    __slots__ = ("model", "packed", "_coords", "_sorted", "_elems", "_diameter", "_shells", "_hash")
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
@@ -371,10 +372,6 @@ def _from_packed(model: GroupModel, keys: np.ndarray) -> FiniteSet:
     return out
 
 
-def _from_coords(model: GroupModel, coords: np.ndarray) -> FiniteSet:
-    return _from_packed(model, _unique_keys(model._pack(coords)))
-
-
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
@@ -394,8 +391,7 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Membership mask of needles in a sorted unique array."""
     if haystack.size == 0:
         return np.zeros(len(needles), dtype=bool)
-    idx = np.searchsorted(haystack, needles)
-    idx = np.minimum(idx, len(haystack) - 1)
+    idx = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
     return haystack[idx] == needles
 
 
@@ -413,12 +409,20 @@ def _sweep(
     """
     while len(shells) < R:
         prev, cur = (before + shells)[-2:]
-        steps = model.mul_array(np.array(model.generators)[:, None], model._unpack(cur))
-        keys = _unique_keys(model._pack(steps).ravel())
-        keep = ~_in_sorted(prev, keys) & ~_in_sorted(cur, keys)
-        if inside is not None:
-            keep &= _in_sorted(inside, keys)
-        shells.append(keys[keep])
+        if cur.size == 0:  # no neighbours: every later shell is empty too
+            shells += [_EMPTY] * (R - len(shells))
+            break
+        # the generator rows are sorted runs, which a stable sort merges
+        cand = np.sort(model._step_keys(cur).ravel(), kind="stable")
+        keep = np.append(True, cand[1:] != cand[:-1])
+        for shell in (prev, cur):  # search the smaller array into the larger
+            if len(shell) > len(cand):
+                keep &= ~_in_sorted(shell, cand)
+            else:
+                idx = np.minimum(np.searchsorted(cand, shell), len(cand) - 1)
+                keep[idx[cand[idx] == shell]] = False
+        new = cand[keep]
+        shells.append(new if inside is None else new[_in_sorted(inside, new)])
     return shells[:R]
 
 
@@ -437,8 +441,8 @@ def _shells(Q: FiniteSet, R: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def _union(shells: list[np.ndarray]) -> np.ndarray:
-    """Sorted keys of disjoint packed shells."""
-    return np.sort(np.concatenate([_EMPTY] + shells))
+    """Sorted keys of disjoint packed shells, merged by a stable sort."""
+    return np.sort(np.concatenate([_EMPTY] + shells), kind="stable")
 
 
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
@@ -468,8 +472,9 @@ def boundary(Q: FiniteSet, R: int) -> FiniteSet:
 
 def shrink(Q: FiniteSet, R: int) -> FiniteSet:
     """Q_R = Q minus its two-sided R-boundary; may be empty."""
-    keys = np.setdiff1d(Q.packed, _union(_shells(Q, R)[0]), assume_unique=True)
-    return _from_packed(Q.model, keys)
+    keep = np.ones(len(Q), dtype=bool)
+    keep[np.searchsorted(Q.packed, np.concatenate([_EMPTY] + _shells(Q, R)[0]))] = False
+    return _from_packed(Q.model, Q.packed[keep])
 
 
 def grow(Q: FiniteSet, R: int) -> FiniteSet:
@@ -504,7 +509,8 @@ class TilingSpec:
         else:
             raise GroupModelError("tilings are provided for Z^d and H3 only")
         axes = np.meshgrid(*[np.arange(k, dtype=np.int64) for k in sides], indexing="ij")
-        self.tile = _from_coords(model, np.stack(axes, axis=-1).reshape(-1, model.dim))
+        # the rows of an "ij" grid come in lexicographic order: sorted keys
+        self.tile = _from_packed(model, model._pack(np.stack(axes, axis=-1).reshape(-1, model.dim)))
 
     @property
     def bounding_diameter(self) -> int:
@@ -528,24 +534,18 @@ class TilingSpec:
     def decompose(self, g: Sequence[int]) -> tuple[Element, Element]:
         """Unique (q, gamma) with q in the tile, gamma in the grid, q*gamma = g."""
         g = self.model.check_element(g)
-        arr = np.array([g], dtype=np.int64)
-        q, gamma = self.decompose_array(arr)
+        q, gamma = self.decompose_array(np.array([g], dtype=np.int64))
         return tuple(int(c) for c in q[0]), tuple(int(c) for c in gamma[0])
 
     def decompose_array(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
         if isinstance(self.model, Heisenberg3):
-            a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-            alpha = a % n
-            ga = a - alpha
-            beta = b % n
-            gb = b - beta
-            t = c - beta * ga
+            a, b, c = coords.T
+            alpha, beta = a % n, b % n
+            t = c - beta * (a - alpha)
             zeta = t % (n * n)
-            gc = t - zeta
             q = np.stack([alpha, beta, zeta], axis=1)
-            gamma = np.stack([ga, gb, gc], axis=1)
-            return q, gamma
+            return q, np.stack([a - alpha, b - beta, t - zeta], axis=1)
         q = coords % n
         return q, coords - q
 

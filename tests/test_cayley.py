@@ -24,18 +24,29 @@ from idsapprox.cayley import (
 from conftest import interval, random_subset
 
 
+def bfs_depths(model, sources, depth, stop=None):
+    # independent multi-source breadth-first search by left multiplication
+    # (d(s*g, g) = |s| = 1): the distance of every point within ``depth`` of
+    # the sources, ending early once a point satisfying ``stop`` is reached
+    dist = {g: 0 for g in sources}
+    frontier = list(dist)
+    for r in range(1, depth + 1):
+        nxt = []
+        for g in frontier:
+            for s in model.generators:
+                h = model.multiply(s, g)
+                if h not in dist:
+                    dist[h] = r
+                    nxt.append(h)
+                    if stop is not None and stop(h):
+                        return dist
+        frontier = nxt
+    return dist
+
+
 def bfs_length_oracle(model, target, cap=12):
     # independent breadth-first oracle, no shared code with the memo table
-    frontier = {model.identity}
-    seen = set(frontier)
-    for r in range(cap + 1):
-        if target in frontier:
-            return r
-        frontier = {
-            model.multiply(g, s) for g in frontier for s in model.generators
-        } - seen
-        seen |= frontier
-    raise AssertionError("oracle cap exceeded")
+    return bfs_depths(model, [model.identity], cap, stop=lambda h: h == target)[target]
 
 
 def test_group_algebra_randomized(z2, h3):
@@ -160,27 +171,47 @@ def test_boundary_definitional_properties(z2, h3):
                 assert boundary_int_size(Q, R) == len(bi)
 
 
-def test_boundary_identity_vs_distance_oracle(z2, h3):
-    # distance-based oracle inside a large bounding ball
+def test_boundary_identity_vs_distance_oracle(z1, z2, h3):
+    # shells against breadth-first distances built with multiply alone, on
+    # random sets, sets with holes and sets far from the origin (on H3 the
+    # packed step's s_b*a term is then large), radii asked out of order
     rng = random.Random(4)
-    for model in (z2, h3):
-        for _ in range(6):
-            Q = random_subset(model, rng, radius=2, size=7)
-            for R in (1, 2, 3):
-                big = grow(Q, R + 1)
-                complement = [g for g in big.sorted_elements if g not in Q]
-                expect_int = {
-                    x
-                    for x in Q.sorted_elements
-                    if any(model.word_distance(x, w) <= R for w in complement)
-                }
-                expect_ext = {
-                    w
-                    for w in complement
-                    if any(model.word_distance(w, x) <= R for x in Q.sorted_elements)
-                }
-                assert boundary_int(Q, R).elements == expect_int
-                assert boundary_ext(Q, R).elements == expect_ext
+    z3 = FreeAbelian(3)
+    for model in (z1, z2, z3, h3):
+        holey = FiniteSet(model, model.ball(3).sorted_elements[::2])  # every other point
+        ring = model.ball(3).difference(model.ball(1))
+        sets = [random_subset(model, rng, radius=2, size=7) for _ in range(3)] + [holey, ring]
+        if model is h3:
+            sets += [Q.right_translate((500, 0, 0)) for Q in sets[:3]]
+            sets += [ring.left_translate((-500, 3, 7)), holey.right_translate((-500, -2, 0))]
+        else:
+            sets += [Q.right_translate([500 * (-1) ** i for i in range(model.dim)]) for Q in sets]
+        for Q in sets:
+            points = Q.elements
+            ext = bfs_depths(model, Q.sorted_elements, 5)
+            inner = {
+                x: max(bfs_depths(model, [x], 6, stop=lambda h: h not in points).values())
+                for x in Q.sorted_elements
+            }
+            for R in (5, 0, 3, 1, 4, 2):
+                assert boundary_ext(Q, R).elements == {h for h, r in ext.items() if 1 <= r <= R}
+                assert boundary_int(Q, R).elements == {x for x, r in inner.items() if r <= R}
+                assert boundary_size(Q, R) == len(boundary_ext(Q, R)) + len(boundary_int(Q, R))
+
+
+def test_balls_and_word_lengths_vs_bfs():
+    # every ball level and word length against a breadth-first search built
+    # with multiply, in fresh models; a ball asked first grows spheres that
+    # the word-length table has not read yet
+    for fresh in (FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), Heisenberg3()):
+        depth = bfs_depths(fresh, [fresh.identity], 6)
+        assert fresh.ball(3).elements == {g for g, r in depth.items() if r <= 3}
+        for g, r in sorted(depth.items()):
+            assert fresh.word_length(g) == r
+        for R in range(7):
+            ball = fresh.ball(R)
+            assert ball.elements == {g for g, r in depth.items() if r <= R}
+            assert np.all(np.diff(ball.packed) > 0)
 
 
 def test_folner_ratio_trend(z2, h3):
@@ -485,6 +516,51 @@ def test_packing_round_trip_at_bound(model):
             FiniteSet(model, [[c] + [0] * (model.dim - 1)])
         with pytest.raises(GroupModelError):
             FiniteSet(model, [[0] * (model.dim - 1) + [c]])
+
+
+@pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())
+def test_pack_bound_at_sweep_edge(model):
+    # boundary_size(Q, 1) steps from Q and from exterior shell 1, so it reads
+    # every point within distance 2 of Q; it raises exactly when one of them
+    # leaves the packable range, and otherwise counts right: a packed step
+    # never carries silently from one bit field into the next
+    bound = model.pack_bound
+    sets = []
+    for i in range(model.dim):
+        for c in (bound - 1, bound - 2, bound - 3, -bound + 1, -bound + 3):
+            g = [0] * model.dim
+            g[i] = c
+            sets.append([g, [1] * model.dim])
+    if isinstance(model, Heisenberg3):
+        # the c field moves by +-a under the generators (0, +-1, 0)
+        for a in (1000, -1000):
+            for c in (bound - 1000, bound - 1001, bound - 2000, bound - 2001):
+                sets.append([(a, 0, c if a > 0 else -c)])
+    raised = []
+    for rows in sets:
+        Q = FiniteSet(model, rows)
+        near = bfs_depths(model, Q.sorted_elements, 2)
+        out_of_range = max(abs(c) for g in near for c in g) >= bound
+        raised.append(out_of_range)
+        if out_of_range:
+            with pytest.raises(GroupModelError):
+                boundary_size(Q, 1)
+        else:
+            inner = [x for x in Q if any(model.multiply(s, x) not in Q for s in model.generators)]
+            assert boundary_size(Q, 1) == sum(r == 1 for r in near.values()) + len(inner)
+    assert any(raised) and not all(raised)
+
+
+def test_generators_must_be_symmetric():
+    class OneWay(FreeAbelian):
+        # Z^2 with a generator whose inverse is missing
+        def __init__(self):
+            self.dim = 2
+            self.generators = ((1, 0), (-1, 0), (0, 1))
+            cayley.GroupModel.__init__(self)
+
+    with pytest.raises(GroupModelError, match="closed under inverse"):
+        OneWay()
 
 
 @pytest.mark.parametrize(
