@@ -27,6 +27,12 @@ the symmetric generator set every model checks at construction.  Each set
 grows its shells once, so every R-boundary, shrink and grow reads a prefix.
 The word-length table is the exterior sweep of the identity: sphere r is
 its shell r, and ball(R) is the union of spheres 0..R.
+
+A run is a maximal range of consecutive keys of a set.  The last coordinate
+has the lowest bit field and |c| < pack_bound forbids a carry, so a run is a
+column of consecutive last coordinates with the others fixed.  In both groups
+z = (0,...,0,1) is central and key(g z^t) = key(g) + t, so left multiplication
+maps a run to a run of the same length; ``admissible_positions`` works on runs.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 import numpy.ma  # noqa: F401 - np.unique imports it on first use; load it with the package
 
 Element = tuple[int, ...]
-_CHUNK = 65_536  # rows of a set product held at once (admissible positions, diameters)
+_CHUNK = 65_536  # rows of a set product held at once (diameters)
 
 
 class GroupModelError(ValueError):
@@ -88,6 +94,10 @@ class GroupModel:
         for c in range(self.dim):
             np.add(g[..., c], h[..., c], out=out[..., c])
         return out
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        """Inverses of coordinate rows: here the negation of Z^d; H3 overrides it."""
+        return -np.asarray(g, dtype=np.int64)
 
     def _step_keys(self, keys: np.ndarray) -> np.ndarray:
         """Keys of s*g for sorted keys g, one sorted row per generator s: here
@@ -178,7 +188,7 @@ class GroupModel:
         if len(Q) == 0:
             raise ValueError("diameter of the empty set is undefined")
         coords = Q.coords
-        inverses = np.array([self.inverse(h) for h in Q.sorted_elements], dtype=np.int64)
+        inverses = self.inverse_array(coords)
         rows = max(1, _CHUNK // len(Q))
         chunks: list[np.ndarray] = []
         diffs = _EMPTY
@@ -247,6 +257,11 @@ class Heisenberg3(GroupModel):
     def mul_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         out = super().mul_array(g, h)
         out[..., 2] += np.multiply(np.asarray(g)[..., 1], np.asarray(h)[..., 0], dtype=np.int64)
+        return out
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        out = super().inverse_array(g)
+        out[..., 2] += out[..., 0] * out[..., 1]  # (a,b,c)^-1 = (-a, -b, ab - c)
         return out
 
     def _step_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -596,21 +611,44 @@ def grid_cover(A: FiniteSet, x: Sequence[int], spec: TilingSpec) -> GridCover:
     return GridCover(_from_packed(model, keys[inside]), _from_packed(model, keys[~inside]))
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first key and length of every run of sorted keys."""
+    edge = np.ones(len(keys) + 1, dtype=bool)  # where a run starts, and the end
+    np.not_equal(keys[1:], keys[:-1] + 1, out=edge[1:-1])
+    at = edge.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
+
+
 def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
-    """All x with tile*x contained in U (not restricted to the grid)."""
+    """All x with tile*x contained in U (not restricted to the grid), on runs.
+
+    z = (0,...,0,1) is central and key(g z^t) = key(g) + t, so left
+    multiplication maps a run to a run of the same length (on H3 the c shift
+    is h_c + h_b g_a, and g_a is constant on a run).  A tile run q, ..., qz^(L-1)
+    lies in U*x^-1 exactly when qx lies in erode_L(U), the starts [s, e-L+1) of
+    the runs [s, e) of U with e - s >= L.  So it allows the runs q^-1 erode_L(U),
+    of which only the starts are translated, and a coverage count over the
+    sorted endpoints keeps what every tile run allows.
+    """
     model = tile.model
     if len(tile) == 0:
         raise ValueError("tile must be non-empty")
-    # the candidates q_0^-1 U already put q_0 x in U (the tile need not
-    # contain the identity); they shrink with each block of tile rows, and
-    # stay sorted because left translation keeps key order
-    q = tile.coords
-    X = model.mul_array(model.inverse(q[0].tolist()), U.coords)
-    keys = model._pack(X)
-    start = 1
-    while start < len(q) and len(X):
-        stop = start + max(1, _CHUNK // len(X))
-        points = model._pack(model.mul_array(q[start:stop, None], X))
-        ok = _in_sorted(U.packed, points).all(axis=0)
-        X, keys, start = X.compress(ok, axis=0), keys[ok], stop  # compress: fast row pick
+    t_at, t_len = _runs(tile.packed)
+    u_at, u_len = _runs(U.packed)
+    # row i, column j: the run q_i^-1 * erode(run j of U) for tile run i
+    length = u_len - t_len[:, None] + 1
+    keep = length > 0
+    inverses = model.inverse_array(model._unpack(tile.packed[t_at]))
+    starts = model.mul_array(inverses[:, None], model._unpack(U.packed[u_at]))[keep]
+    length = length[keep]
+    model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run
+    first = model._pack(starts) - 1  # keys are positive, so every stop minus 1 fits int64
+    # the runs that one tile run allows are disjoint, so the keys that every
+    # tile run allows are those covered len(t_at) times
+    ends = np.concatenate([first, first + length])
+    order = np.argsort(ends)
+    ends = ends[order]
+    at = (np.where(order < len(first), 1, -1).cumsum() == len(t_at)).nonzero()[0]
+    first, length = ends[at] + 1, ends[at + 1] - ends[at]  # ties give empty runs
+    keys = np.repeat(first - length.cumsum() + length, length) + np.arange(length.sum())
     return _from_packed(model, keys)

@@ -59,10 +59,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_step_csv(path: Path, step: StepFunction) -> None:
-    lines = ["breakpoint,value"]
-    for b, v in zip(step.breakpoints, step.values):
-        lines.append(f"{_fmt(b)},{_fmt(v)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    pairs = step.breakpoints.repeat(2)  # one %-format over the interleaved pairs
+    pairs[1::2] = step.values  # "%.17g" formats as _fmt does
+    rows = "%.17g,%.17g\n" * len(step.values) % tuple(pairs.tolist())
+    _write_text(path, "breakpoint,value\n" + rows)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -141,6 +141,17 @@ class PeriodicFoldColouring(Colouring):
         return self._codes[np.searchsorted(self.spec.tile.packed, self.model._pack(q))]
 
 
+def _keyed_digests(key: bytes, raw: bytes, step: int) -> np.ndarray:
+    """Keyed 8-byte blake2b digests of the ``step``-byte records of ``raw``, as
+    uint64; copies of one keyed template compress the key block only once."""
+    template, digests = hashlib.blake2b(digest_size=8, key=key), []
+    for i in range(0, len(raw), step):
+        h = template.copy()
+        h.update(raw[i : i + step])
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
 def _cut(thresholds: Sequence[int], u: np.ndarray) -> np.ndarray:
     """Index of the first threshold above each digest u (uint64): the number
     of thresholds at most u.  The last threshold is 2^64 and above every u."""
@@ -190,16 +201,10 @@ class PercolationColouring(Colouring):
         if new.size:
             # each point hashes as its little-endian int64 coordinates
             raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
-            step = 8 * self.model.dim
-            digests = b"".join(
-                hashlib.blake2b(raw[i : i + step], digest_size=8, key=self._key).digest()
-                for i in range(0, len(raw), step)
-            )
+            digests = _keyed_digests(self._key, raw, 8 * self.model.dim)
             at = np.searchsorted(self._keys, new)
             self._keys = np.insert(self._keys, at, new)
-            self._codes = np.insert(
-                self._codes, at, _cut(self.thresholds, np.frombuffer(digests, dtype="<u8"))
-            )
+            self._codes = np.insert(self._codes, at, _cut(self.thresholds, digests))
         # fancy indexing copies, so callers never hold a view of the store
         return self._codes[np.searchsorted(self._keys, keys)]
 
@@ -389,13 +394,18 @@ def _code_rows(C: Colouring, domain: FiniteSet, U: FiniteSet) -> tuple[np.ndarra
 def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """First index and count of every distinct row of a code matrix with entries
     below ``base``, in order of first occurrence.  Rows fold into int64 ids in
-    radix ``base``, renumbered 0..distinct-1 whenever an id could pass 2^62."""
-    ids, span = np.zeros(len(codes), dtype=np.int64), 1  # every id is below span
-    for column in codes.T:
-        if span * base > 1 << 62:
+    radix ``base`` by one integer matmul per block of columns, as wide as keeps
+    the ids below 2^62; between blocks the ids are renumbered 0..distinct-1."""
+    ids, span, col = np.zeros(len(codes), dtype=np.int64), 1, 0  # every id is below span
+    while col < codes.shape[1] and len(codes):  # no rows, nothing to fold
+        width, scale = 1, base
+        while col + width < codes.shape[1] and span * scale * base <= 1 << 62:
+            width, scale = width + 1, scale * base
+        powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        ids, col = ids * scale + codes[:, col : col + width] @ powers, col + width
+        if col < codes.shape[1]:
             distinct = _unique_keys(ids)
             ids, span = np.searchsorted(distinct, ids), len(distinct)
-        ids, span = ids * base + column, span * base
     order = np.argsort(ids, kind="stable")
     starts = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are non-negative
     first = order[starts]  # the stable sort puts each row's first occurrence first

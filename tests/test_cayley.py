@@ -411,8 +411,8 @@ def test_admissible_positions(z1, z2, h3, monkeypatch):
         cases.append((model.ball(3), model.ball(1)))  # tile larger than U: no position
         far = tuple([0] * (model.dim - 1) + [60])
         cases.append((FiniteSet(model, [e, far]), ball))  # every position fails
-    # the small budgets test the tile in blocks of several rows, the last
-    # block shorter, and the candidates shrink between blocks
+    cases += _run_cases(rng)
+    # the result does not depend on the row budget of set products
     for chunk in (cayley._CHUNK, 30, 7):
         monkeypatch.setattr(cayley, "_CHUNK", chunk)
         for tile, U in cases:
@@ -420,6 +420,78 @@ def test_admissible_positions(z1, z2, h3, monkeypatch):
             assert pos.elements == admissible_positions_reference(tile, U)
             assert np.all(np.diff(pos.packed) > 0)
     assert not admissible_positions(h3.ball(3), h3.ball(1)).elements
+    # |U| = 90 000 and |Q| = 243 on Z^1: the positions form one interval
+    U, tile = interval(z1, 0, 89_999), interval(z1, 0, 242)
+    assert np.array_equal(admissible_positions(tile, U).coords[:, 0], np.arange(89_758))
+
+
+def _holed(model, rng, centre, side):
+    """A box of the given side around ``centre`` with about a fifth of its points removed."""
+    box = [tuple(c + o for c, o in zip(centre, x)) for x in np.ndindex(*[side] * model.dim)]
+    return FiniteSet(model, rng.sample(box, len(box) * 4 // 5))
+
+
+def _run_cases(rng):
+    """(tile, U) pairs whose runs, holes and ends exercise the run arithmetic."""
+    h3 = Heisenberg3()
+    cases = []
+    for model in [FreeAbelian(d) for d in (1, 2, 3, 4)] + [h3]:
+        e, b = model.identity, model.pack_bound
+        up = lambda t, base=e: base[:-1] + (base[-1] + t,)  # noqa: E731 - base times z^t
+        centres = [tuple(rng.randint(-40, 40) for _ in range(model.dim)) for _ in range(2)]
+        if model is h3:  # far along a, so that the shift b*a of the c coordinate matters
+            centres += [(500, 3, -7), (-500, -2, 11)]
+        sides = {1: 60, 2: 9, 3: 5, 4: 4}.get(model.dim, 5)
+        tiles = [
+            FiniteSet(model, [e, up(2)]),  # two runs in one column
+            FiniteSet(model, [e, up(1), up(3), up(4)]),
+            FiniteSet(model, [up(t, g) for g in model.ball(1) for t in (0, 2)]),
+        ]
+        for centre in centres:
+            U = _holed(model, rng, centre, sides)
+            cases += [(tile, U) for tile in tiles]
+            cases.append((FiniteSet(model, rng.sample(model.ball(2).sorted_elements, 4)), U))
+        # a column of U that ends at the last packable coordinate
+        top = FiniteSet(model, [up(t, up(b - 9)) for t in range(9)] + [up(b - 12)])
+        cases += [(tile, top) for tile in tiles[:2]] + [(FiniteSet(model, [up(t) for t in range(3)]), top)]
+    return cases
+
+
+@pytest.mark.parametrize("model", [FreeAbelian(d) for d in (1, 2, 3, 4)] + [Heisenberg3()], ids=lambda m: m.describe())
+def test_last_coordinate_step_is_central(model):
+    # z = (0,...,0,1) commutes with every g, and g z^t has the key of g plus t
+    rng = random.Random(3)
+    for _ in range(40):
+        g = tuple(rng.randint(-600, 600) for _ in range(model.dim))
+        t = rng.randint(-50, 50)
+        z_t = model.identity[:-1] + (t,)
+        assert model.multiply(g, z_t) == model.multiply(z_t, g)
+        keys = model._pack(np.array([g, model.multiply(g, z_t)], dtype=np.int64))
+        assert keys[1] == keys[0] + t
+
+
+@pytest.mark.parametrize("model", [FreeAbelian(d) for d in (1, 2, 3, 4)] + [Heisenberg3()], ids=lambda m: m.describe())
+def test_left_translation_maps_runs_to_runs(model):
+    rng = random.Random(8)
+    for _ in range(10):
+        A = _holed(model, rng, tuple(rng.randint(-500, 500) for _ in range(model.dim)), 4)
+        first, length = cayley._runs(A.packed)
+        assert length.sum() == len(A) and np.all(np.diff(A.packed)[first[1:] - 1] > 1)
+        h = tuple(rng.randint(-500, 500) for _ in range(model.dim))
+        keys = A.left_translate(h).packed  # sorted, and in the order of A
+        assert np.array_equal(keys, model._pack(model.mul_array(h, A.coords)))
+        # each run of A lands on consecutive keys, starting at h times its start
+        for i, n in zip(first, length):
+            assert np.array_equal(keys[i : i + n], keys[i] + np.arange(n))
+
+
+def test_admissible_positions_out_of_range(z1):
+    # tile (-5) * x in U puts x up to 4 past the last packable coordinate
+    b = z1.pack_bound
+    U = interval(z1, b - 10, b - 1)
+    with pytest.raises(GroupModelError):
+        admissible_positions(FiniteSet(z1, [(-5,)]), U)
+    assert admissible_positions(FiniteSet(z1, [(-1,), (0,)]), U) == interval(z1, b - 9, b - 1)
 
 
 def test_finite_set_semantics(z1):

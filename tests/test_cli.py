@@ -12,6 +12,7 @@ import idsapprox
 from idsapprox import cli
 from idsapprox.cli import main
 from idsapprox.config import SCHEMA, ConfigError, schema_errors, validate_config
+from idsapprox.ergodic import StepFunction
 
 
 def run(args):
@@ -151,6 +152,18 @@ def test_cli_import_leaves_out_test_dependencies():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_step_csv_matches_per_value_format(tmp_path):
+    breakpoints = [-1e300, -2.0, -1e-300, -0.0, 1e-300, 0.1, 3.0, 1e300]
+    values = [-0.0, 1.0, 1e-300, 2.0, 1e300, -5.0, 2.0 / 3.0, 7.0]
+    step = StepFunction(breakpoints, values)
+    cli._write_step_csv(tmp_path / "step.csv", step)
+    rows = [f"{cli._fmt(b)},{cli._fmt(v)}" for b, v in zip(step.breakpoints, step.values)]
+    assert (tmp_path / "step.csv").read_text() == "\n".join(["breakpoint,value"] + rows) + "\n"
+    assert (tmp_path / "step.csv").read_text().splitlines()[4] == "-0,2"
+    cli._write_step_csv(tmp_path / "empty.csv", StepFunction([], []))
+    assert (tmp_path / "empty.csv").read_text() == "breakpoint,value\n"
 
 
 BAD_PARAMS = {

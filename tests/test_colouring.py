@@ -37,6 +37,7 @@ from idsapprox.colouring import (
     TrivialFrequencies,
     WHITE,
     _cut,
+    _keyed_digests,
     _tally_rows,
     canonicalize,
     canonicalize_with_shift,
@@ -441,9 +442,27 @@ def test_percolation_store_matches_definition(monkeypatch):
     hashed = []
     blake2b = hashlib.blake2b
 
-    def counted(data, **kw):
-        hashed.append(data)
-        return blake2b(data, **kw)
+    class Counted:
+        """A blake2b hash that records every message it takes, copies included."""
+
+        def __init__(self, h):
+            self.h = h
+
+        def copy(self):
+            return Counted(self.h.copy())
+
+        def update(self, data):
+            hashed.append(bytes(data))
+            self.h.update(data)
+
+        def digest(self):
+            return self.h.digest()
+
+    def counted(data=b"", **kw):
+        h = Counted(blake2b(**kw))
+        if data:
+            h.update(data)
+        return h
 
     monkeypatch.setattr("idsapprox.colouring.hashlib", SimpleNamespace(blake2b=counted))
     n, rng = len(pts), np.random.default_rng(4)
@@ -468,6 +487,22 @@ def test_percolation_store_matches_definition(monkeypatch):
     for c in (C.model.pack_bound, -C.model.pack_bound):
         with pytest.raises(GroupModelError):
             C.colour_codes(np.array([[0, c, 0]], dtype=np.int64))
+
+
+def test_keyed_digests_match_per_record_construction():
+    rng = np.random.default_rng(9)
+    for dim, seed in ((1, 0), (2, -5), (3, 1 << 40)):
+        key = struct.pack("<q", seed)
+        raw = rng.integers(-(1 << 40), 1 << 40, (257, dim)).astype("<i8").tobytes()
+        step = 8 * dim
+        expected = [
+            hashlib.blake2b(raw[i : i + step], digest_size=8, key=key).digest()
+            for i in range(0, len(raw), step)
+        ]
+        got = _keyed_digests(key, raw, step)
+        assert got.dtype == np.dtype("<u8")
+        assert got.tobytes() == b"".join(expected)
+    assert len(_keyed_digests(key, b"", 8)) == 0
 
 
 def test_percolation_thresholds_are_exact(z1):
@@ -548,6 +583,12 @@ def test_tally_rows_matches_unique_rows():
         (rng.integers(0, 3, (400, 100)), 3),
         # rows that differ only in columns that a wrapping int64 would shift out
         (np.hstack([rng.integers(0, 2, (300, 8)), np.zeros((300, 235), dtype=np.int64)]), 2),
+        # 256-column rows (an H3 tile at n = 4): one block at base 1, several at 2 and 3
+        (np.zeros((30, 256), dtype=np.int64), 1),
+        (rng.integers(0, 2, (300, 256)), 2),
+        (rng.integers(0, 3, (300, 256)), 3),
+        (rng.integers(0, 2, (5, 256))[rng.integers(0, 5, 400)], 2),
+        (rng.integers(0, 3, (4, 256))[rng.integers(0, 4, 400)], 3),
         # few distinct rows, repeated, wide enough to renumber
         (rng.integers(0, 2, (6, 243))[rng.integers(0, 6, 500)], 2),
         (np.tile(rng.integers(0, 3, 100), (70, 1)), 3),  # every row equal
