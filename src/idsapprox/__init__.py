@@ -19,7 +19,6 @@ from .cayley import (
     boundary_size,
     folner_set,
     grid_cover,
-    grid_decompose,
     grow,
     interval_folner,
     shrink,

@@ -1,11 +1,13 @@
 """Group arithmetic, word metric, balls, boundaries and tilings.
 
 Two concrete groups are provided: the free abelian lattice Z^d and the
-discrete Heisenberg group H3.  Elements are plain integer tuples; all group
-structure lives on the model object.  The word metric is oriented so that
-right translations g -> g*t are isometries (distance(g, h) is the word
-length of g*h^-1), which is the orientation under which tile translates,
-boundary cardinalities and pattern translations are all compatible.
+discrete Heisenberg group H3.  All group structure lives on the model object.
+Integer tuples appear only at the API edge: as constructor input, as what
+iterating a set yields, and in the scalar group law (``multiply``,
+``inverse``).  The word metric is oriented so that right translations
+g -> g*t are isometries (distance(g, h) is the word length of g*h^-1), which
+is the orientation under which tile translates, boundary cardinalities and
+pattern translations are all compatible.
 
 A finite set is held as the sorted array of its packed int64 keys: each
 coordinate gets 63 // dim bits, so key order is lexicographic element order.
@@ -37,6 +39,7 @@ maps a run to a run of the same length; ``admissible_positions`` works on runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -280,10 +283,12 @@ class FiniteSet:
     """Immutable finite subset of a group, with cached geometry.
 
     The content is ``packed``, the sorted unique int64 keys of the elements;
-    coordinates and element tuples are views built from it on first use.
+    ``coords`` is a view built from it on first use.  Iteration yields element
+    tuples in key order, and membership packs the one element and searches the
+    keys.
     """
 
-    __slots__ = ("model", "packed", "_coords", "_sorted", "_elems", "_diameter", "_shells", "_hash")
+    __slots__ = ("model", "packed", "_coords", "_diameter", "_shells", "_hash")
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
@@ -295,8 +300,6 @@ class FiniteSet:
         self.model = model
         self.packed = keys
         self._coords: Optional[np.ndarray] = None
-        self._sorted: Optional[tuple[Element, ...]] = None
-        self._elems: Optional[frozenset[Element]] = None
         self._diameter: Optional[int] = None
         # interior and exterior distance shells 1, 2, ... (see ``_shells``)
         self._shells: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
@@ -306,10 +309,18 @@ class FiniteSet:
         return len(self.packed)
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self.sorted_elements)
+        # tolist() yields Python ints, so reprs (pattern digests) are stable
+        return map(tuple, self.coords.tolist())
 
     def __contains__(self, g: object) -> bool:
-        return g in self.elements
+        model = self.model
+        try:
+            coords = [operator.index(c) for c in g]  # a float or str is no coordinate
+        except TypeError:
+            return False
+        if len(coords) != model.dim or max(map(abs, coords)) >= model.pack_bound:
+            return False
+        return bool(_in_sorted(self.packed, model._pack(np.array([coords], dtype=np.int64)))[0])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -332,19 +343,6 @@ class FiniteSet:
             self._coords = self.model._unpack(self.packed)
             self._coords.flags.writeable = False
         return self._coords
-
-    @property
-    def sorted_elements(self) -> tuple[Element, ...]:
-        # tolist() yields Python ints, so reprs (pattern digests) are stable
-        if self._sorted is None:
-            self._sorted = tuple(map(tuple, self.coords.tolist()))
-        return self._sorted
-
-    @property
-    def elements(self) -> frozenset[Element]:
-        if self._elems is None:
-            self._elems = frozenset(self.sorted_elements)
-        return self._elems
 
     @property
     def diameter(self) -> int:
@@ -576,15 +574,11 @@ def interval_folner(model: FreeAbelian, j: int, scale: int = 3, side: str = "pos
         raise GroupModelError("interval Folner sequences are one-dimensional")
     if j < 1:
         raise ValueError("index must be >= 1")
-    if side == "positive":
-        return FiniteSet(model, [(i,) for i in range(1, scale * j + 1)])
-    if side == "negative":
-        return FiniteSet(model, [(i,) for i in range(-scale * j, 0)])
-    raise ValueError(f"unknown side {side!r}")
-
-
-def grid_decompose(g: Sequence[int], spec: TilingSpec) -> tuple[Element, Element]:
-    return spec.decompose(g)
+    if side not in ("positive", "negative"):
+        raise ValueError(f"unknown side {side!r}")
+    first = 1 if side == "positive" else -scale * j
+    points = np.arange(first, first + scale * j, dtype=np.int64)[:, None]
+    return _from_packed(model, model._pack(points))
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def _pattern_family(model, alphabet, max_domain: int) -> list[Pattern]:
     for dom in domains:
         fs = FiniteSet(model, dom)
         for symbols in itertools.product(alphabet.symbols, repeat=len(dom)):
-            out.append(Pattern(fs, dict(zip(fs.sorted_elements, symbols))))
+            out.append(Pattern(fs, dict(zip(fs, symbols))))
     return out
 
 
@@ -336,10 +336,9 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
 def _seeded_symmetric_tables(model, seed: int) -> tuple[dict, dict]:
     """Base hop table on B_1 plus a unit perturbation direction, both symmetric."""
     rng = random.Random(seed)
-    offsets = model.ball(1).sorted_elements
     base: dict = {}
     unit: dict = {}
-    for w in offsets:
+    for w in model.ball(1):
         w_inv = model.inverse(w)
         if w_inv in base and w not in base:
             base[w] = base[w_inv]

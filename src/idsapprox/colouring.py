@@ -112,14 +112,14 @@ class ExplicitColouring(Colouring):
             if s not in alphabet:
                 raise ColouringError(f"symbol {s!r} not in alphabet")
         dom = FiniteSet(model, self.table)
-        symbols = [self.table[g] for g in dom.sorted_elements] + [default]
+        symbols = [self.table[g] for g in dom] + [default]
         self._keys = dom.packed
         self._codes = np.array([alphabet.symbols.index(s) for s in symbols], dtype=np.int64)
 
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
         keys = self.model._pack(coords)
         idx = np.searchsorted(self._keys, keys)
-        idx[~np.isin(keys, self._keys)] = len(self._keys)  # the default's code
+        idx[~_in_sorted(self._keys, keys)] = len(self._keys)  # the default's code
         return self._codes[idx]
 
 
@@ -130,10 +130,10 @@ class PeriodicFoldColouring(Colouring):
         self.model = spec.model
         self.spec = spec
         self.table = {spec.model.check_element(q): s for q, s in table.items()}
-        if set(self.table) != set(spec.tile.elements):
+        if set(self.table) != set(spec.tile):
             raise ColouringError("table must colour the tile exactly")
         self.alphabet = Alphabet(tuple(sorted(set(self.table.values()))))
-        symbols = [self.table[q] for q in spec.tile.sorted_elements]
+        symbols = [self.table[q] for q in spec.tile]
         self._codes = np.array([self.alphabet.symbols.index(s) for s in symbols], dtype=np.int64)
 
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
@@ -243,9 +243,10 @@ class Pattern:
     __slots__ = ("domain", "symbols", "_values", "_key", "_codes")
 
     def __init__(self, domain: FiniteSet, values: Mapping[Element, str]) -> None:
-        if set(values) != set(domain.elements):
+        elements = tuple(domain)
+        if set(values) != set(elements):
             raise ColouringError("pattern values must cover the domain exactly")
-        symbols = np.array([values[g] for g in domain.sorted_elements], dtype=str)
+        symbols = np.array([values[g] for g in elements], dtype=str)
         self._set(domain, symbols)
 
     def _set(self, domain: FiniteSet, symbols: np.ndarray) -> None:
@@ -259,14 +260,14 @@ class Pattern:
     @property
     def values(self) -> dict[Element, str]:
         if self._values is None:
-            self._values = dict(zip(self.domain.sorted_elements, self.symbols.tolist()))
+            self._values = dict(zip(self.domain, self.symbols.tolist()))
         return self._values
 
     @property
     def key(self) -> tuple:
         # Python ints and strs, so the repr hashed by PatternClass.digest is stable
         if self._key is None:
-            self._key = tuple(zip(self.domain.sorted_elements, self.symbols.tolist()))
+            self._key = tuple(zip(self.domain, self.symbols.tolist()))
         return self._key
 
     @property

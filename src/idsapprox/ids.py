@@ -268,7 +268,7 @@ def jump_lower_bound(
     R = rule.overall_range
     window = model.ball(r + R).right_translate(base)
     matrix = restrict_operator(rule, C, window)
-    order_index = {g: i for i, g in enumerate(matrix.order)}
+    order_index = {g: i for i, g in enumerate(window)}
     dense = matrix.to_dense()
     stacked = []
     for vec in vectors:

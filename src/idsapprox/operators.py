@@ -96,9 +96,8 @@ class LocalRule:
         self.overall_range = max(range_m, invariance_n)
         self.kernel = kernel
         self.name = name or type(self).__name__
-        self._window = model.ball(2 * self.overall_range).sorted_elements
-        self._column = {q: i for i, q in enumerate(self._window)}
-        self._offsets = model.ball(range_m).sorted_elements
+        self._column = {q: i for i, q in enumerate(model.ball(2 * self.overall_range))}
+        self._offsets = tuple(model.ball(range_m))
 
     # -- pattern and block access -------------------------------------------
 
@@ -133,20 +132,20 @@ class LocalRule:
 
 @dataclass
 class RestrictedMatrix:
-    """Finite restriction H[Q] with a fixed, reproducible row order, held as
-    its nonzero entries: vals[i] at (rows[i], cols[i]), each position once."""
+    """Finite restriction H[Q] held as its nonzero entries: vals[i] at
+    (rows[i], cols[i]), each position once.  Rows follow the key order of Q:
+    rows i*k..i*k+k-1 belong to the i-th element that iterating Q yields."""
 
     Q: FiniteSet
-    order: tuple[Element, ...]
     k: int
-    rows: np.ndarray  # rows i*k..i*k+k-1 belong to order[i]
+    rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     norm_hint: float = 0.0
 
     @property
     def dim(self) -> int:
-        return self.k * len(self.order)
+        return self.k * len(self.Q)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim))
@@ -179,7 +178,8 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     X = Q.coords
     n = len(X)
     # the point q x for every window point q (row) and every x in Q (column)
-    keys = model._pack(model.mul_array(np.array(rule._window)[:, None], X))
+    window = model.ball(2 * rule.overall_range).coords
+    keys = model._pack(model.mul_array(window[:, None], X))
     points, point_id = np.unique(keys, return_inverse=True)
     point_id = point_id.reshape(keys.shape)
     codes = C.colour_codes(model._unpack(points))
@@ -202,7 +202,7 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     if bad.any():
         i = np.argmax(bad)
         raise SymmetryError(
-            f"kernel blocks at ({Q.sorted_elements[x[i]]}, {Q.sorted_elements[y[i]]}) "
+            f"kernel blocks at ({tuple(X[x[i]].tolist())}, {tuple(X[y[i]].tolist())}) "
             "are not transpose-consistent"
         )
     a = np.arange(k)
@@ -214,7 +214,7 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     norms = np.abs(B[:, 0, 0]) if k == 1 else np.linalg.norm(B, 2, axis=(1, 2))
     c = float(norms.max(initial=0.0))
     return RestrictedMatrix(
-        Q, Q.sorted_elements, k, rows[nz], cols[nz], vals[nz],
+        Q, k, rows[nz], cols[nz], vals[nz],
         norm_hint=c * len(model.ball(rule.overall_range)),
     )
 
@@ -278,7 +278,7 @@ def laplacian_rule(base: LocalRule) -> LocalRule:
         raise OperatorError("laplacian_rule needs a k=1 adjacency-type base rule")
     model = base.model
     e = model.identity
-    gens = tuple(s for s in model.ball(1).sorted_elements if s != e)
+    gens = tuple(s for s in model.ball(1) if s != e)
 
     def kernel(patterns: LocalPatterns, w: Element) -> np.ndarray:
         if w == e:
@@ -314,8 +314,8 @@ def periodic_fold(cover: PeriodicCover) -> LocalRule:
         raise OperatorError("fibre must be non-empty")
     e = model.identity
     # validate G-invariance and the finite range on deterministic samples
-    probe = model.ball(min(cover.hop_range + 1, 3)).sorted_elements
-    shifts = model.ball(2).sorted_elements
+    probe = tuple(model.ball(min(cover.hop_range + 1, 3)))
+    shifts = tuple(model.ball(2))
     for g in probe[:6]:
         for h in probe[:6]:
             v0 = cover.kernel((g, 0), (h, d - 1))
@@ -326,7 +326,7 @@ def periodic_fold(cover: PeriodicCover) -> LocalRule:
                     raise OperatorError("cover kernel is not G-invariant")
     shell = [
         w
-        for w in model.ball(cover.hop_range + 1).sorted_elements
+        for w in model.ball(cover.hop_range + 1)
         if model.word_length(w) == cover.hop_range + 1
     ]
     for w in shell[:25]:

@@ -21,7 +21,7 @@ def h3():
 
 
 def random_subset(model, rng: random.Random, radius=3, size=8) -> FiniteSet:
-    pool = list(model.ball(radius).sorted_elements)
+    pool = list(model.ball(radius))
     return FiniteSet(model, rng.sample(pool, min(size, len(pool))))
 
 

@@ -107,8 +107,8 @@ def test_criterion_2_heisenberg_combinatorics():
             assert len(tile) == n**4
             sphere = set()
             for s in h3.generators:
-                sphere |= tile.right_translate(s).elements
-            assert len(sphere - tile.elements) == 5 * n**3 - 2 * n**2 + n
+                sphere |= frozenset(tile.right_translate(s))
+            assert len(sphere - frozenset(tile)) == 5 * n**3 - 2 * n**2 + n
         # diameter bracket; n=1 is excluded (diam(Q_1)=0, see decisions ledger)
         assert folner_set(h3, 1).tile.diameter == 0
         for n in range(2, 9):
@@ -121,20 +121,21 @@ def test_criterion_3_tiling_exactness():
     with criterion(3, "Tiling exactness over B_10 (both groups, n <= 4)"):
         for model in (FreeAbelian(1), FreeAbelian(2), Heisenberg3()):
             region = model.ball(10)
+            region_set = frozenset(region)
             for n in range(1, 5):
                 spec = folner_set(model, n)
                 cov = grid_cover(region, model.identity, spec)
-                shifts = sorted(cov.interior.elements | cov.crossing.elements)
+                shifts = sorted(frozenset(cov.interior) | frozenset(cov.crossing))
                 covered: set = set()
                 overlap = 0
                 for gamma in shifts:
                     tile = spec.tile.right_translate(gamma)
-                    overlap += len(covered & tile.elements)
-                    covered |= tile.elements
+                    overlap += len(covered & frozenset(tile))
+                    covered |= frozenset(tile)
                 assert overlap == 0
-                assert region.elements <= covered
+                assert region_set <= covered
                 per_tile = sum(
-                    len(spec.tile.right_translate(g).elements & region.elements)
+                    len(frozenset(spec.tile.right_translate(g)) & region_set)
                     for g in shifts
                 )
                 assert per_tile == len(region)
@@ -239,7 +240,7 @@ def test_criterion_7_percolation_frequencies():
             fs = FiniteSet(z2, dom)
             for symbols in itertools.product(alphabet.symbols, repeat=len(dom)):
                 patterns.append(
-                    Pattern(fs, dict(zip(fs.sorted_elements, symbols)))
+                    Pattern(fs, dict(zip(fs, symbols)))
                 )
         seeds = list(range(1, 11))
         freq_by_seed = {}
@@ -264,7 +265,7 @@ def test_criterion_8_continuity_bound():
         C = TrivialColouring(z2)
         rng = random.Random(99)
         base, unit = {}, {}
-        for w in z2.ball(1).sorted_elements:
+        for w in z2.ball(1):
             wn = z2.inverse(w)
             if wn in base:
                 base[w], unit[w] = base[wn], unit[wn]

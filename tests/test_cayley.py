@@ -16,7 +16,6 @@ from idsapprox.cayley import (
     boundary_size,
     folner_set,
     grid_cover,
-    grid_decompose,
     grow,
     interval_folner,
     shrink,
@@ -52,7 +51,7 @@ def bfs_length_oracle(model, target, cap=12):
 def test_group_algebra_randomized(z2, h3):
     rng = random.Random(1)
     for model in (z2, h3):
-        pool = list(model.ball(3).sorted_elements)
+        pool = list(model.ball(3))
         e = model.identity
         for _ in range(60):
             g, h, k = (rng.choice(pool) for _ in range(3))
@@ -65,7 +64,7 @@ def test_group_algebra_randomized(z2, h3):
             assert model.multiply(model.inverse(g), g) == e
     # the broadcasting array product against the tuple product, row by row
     for model in [FreeAbelian(d) for d in range(1, 9)] + [h3]:
-        pool = list(model.ball(3).sorted_elements)
+        pool = list(model.ball(3))
         gs, hs = np.array(rng.choices(pool, k=5)), np.array(rng.choices(pool, k=7))
         table = model.mul_array(gs[:, None], hs[None])  # (m,1,d) x (1,n,d)
         assert table.shape == (5, 7, model.dim)
@@ -118,7 +117,7 @@ def test_h3_central_element_distance(h3):
 def test_metric_axioms_and_invariance(z2, h3):
     rng = random.Random(2)
     for model in (z2, h3):
-        pool = list(model.ball(2).sorted_elements)
+        pool = list(model.ball(2))
         for _ in range(40):
             g, h, k, t = (rng.choice(pool) for _ in range(4))
             d = model.word_distance
@@ -136,7 +135,7 @@ def test_metric_axioms_and_invariance(z2, h3):
 
 
 def test_ball_sizes(z1, z2, h3):
-    assert set(z1.ball(0).elements) == {(0,)}
+    assert set(z1.ball(0)) == {(0,)}
     assert len(h3.ball(1)) == 5
     # brute-force l1 enumeration oracle for Z^2
     brute = {
@@ -145,16 +144,16 @@ def test_ball_sizes(z1, z2, h3):
         for b in range(-2, 3)
         if abs(a) + abs(b) <= 2
     }
-    assert z2.ball(2).elements == frozenset(brute)
+    assert frozenset(z2.ball(2)) == frozenset(brute)
     assert len(z2.ball(2)) == 13
 
 
 def test_boundary_interval_example(z1):
     Q = interval(z1, 0, 9)
-    assert boundary_int(Q, 1).elements == {(0,), (9,)}
-    assert boundary_ext(Q, 1).elements == {(-1,), (10,)}
-    assert shrink(Q, 1).elements == frozenset((i,) for i in range(1, 9))
-    assert grow(Q, 1).elements == frozenset((i,) for i in range(-1, 11))
+    assert frozenset(boundary_int(Q, 1)) == {(0,), (9,)}
+    assert frozenset(boundary_ext(Q, 1)) == {(-1,), (10,)}
+    assert frozenset(shrink(Q, 1)) == frozenset((i,) for i in range(1, 9))
+    assert frozenset(grow(Q, 1)) == frozenset((i,) for i in range(-1, 11))
 
 
 def test_boundary_definitional_properties(z2, h3):
@@ -162,11 +161,12 @@ def test_boundary_definitional_properties(z2, h3):
     for model in (z2, h3):
         for _ in range(10):
             Q = random_subset(model, rng, radius=3, size=10)
+            points = frozenset(Q)
             for R in (1, 2):
                 bi = boundary_int(Q, R)
                 be = boundary_ext(Q, R)
-                assert bi.elements <= Q.elements
-                assert not (be.elements & Q.elements)
+                assert frozenset(bi) <= points
+                assert not (frozenset(be) & points)
                 assert boundary_size(Q, R) == len(bi) + len(be)
                 assert boundary_int_size(Q, R) == len(bi)
 
@@ -178,7 +178,7 @@ def test_boundary_identity_vs_distance_oracle(z1, z2, h3):
     rng = random.Random(4)
     z3 = FreeAbelian(3)
     for model in (z1, z2, z3, h3):
-        holey = FiniteSet(model, model.ball(3).sorted_elements[::2])  # every other point
+        holey = FiniteSet(model, tuple(model.ball(3))[::2])  # every other point
         ring = model.ball(3).difference(model.ball(1))
         sets = [random_subset(model, rng, radius=2, size=7) for _ in range(3)] + [holey, ring]
         if model is h3:
@@ -187,15 +187,15 @@ def test_boundary_identity_vs_distance_oracle(z1, z2, h3):
         else:
             sets += [Q.right_translate([500 * (-1) ** i for i in range(model.dim)]) for Q in sets]
         for Q in sets:
-            points = Q.elements
-            ext = bfs_depths(model, Q.sorted_elements, 5)
+            points = frozenset(Q)
+            ext = bfs_depths(model, tuple(Q), 5)
             inner = {
                 x: max(bfs_depths(model, [x], 6, stop=lambda h: h not in points).values())
-                for x in Q.sorted_elements
+                for x in Q
             }
             for R in (5, 0, 3, 1, 4, 2):
-                assert boundary_ext(Q, R).elements == {h for h, r in ext.items() if 1 <= r <= R}
-                assert boundary_int(Q, R).elements == {x for x, r in inner.items() if r <= R}
+                assert frozenset(boundary_ext(Q, R)) == {h for h, r in ext.items() if 1 <= r <= R}
+                assert frozenset(boundary_int(Q, R)) == {x for x, r in inner.items() if r <= R}
                 assert boundary_size(Q, R) == len(boundary_ext(Q, R)) + len(boundary_int(Q, R))
 
 
@@ -205,12 +205,12 @@ def test_balls_and_word_lengths_vs_bfs():
     # the word-length table has not read yet
     for fresh in (FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), Heisenberg3()):
         depth = bfs_depths(fresh, [fresh.identity], 6)
-        assert fresh.ball(3).elements == {g for g, r in depth.items() if r <= 3}
+        assert frozenset(fresh.ball(3)) == {g for g, r in depth.items() if r <= 3}
         for g, r in sorted(depth.items()):
             assert fresh.word_length(g) == r
         for R in range(7):
             ball = fresh.ball(R)
-            assert ball.elements == {g for g, r in depth.items() if r <= R}
+            assert frozenset(ball) == {g for g, r in depth.items() if r <= R}
             assert np.all(np.diff(ball.packed) > 0)
 
 
@@ -225,8 +225,8 @@ def test_folner_ratio_trend(z2, h3):
             UR = shrink(U, 1)
             sphere = set()
             for s in model.generators:
-                sphere |= UR.right_translate(s).elements
-            sphere_ratios[j] = len(sphere - UR.elements) / len(UR)
+                sphere |= frozenset(UR.right_translate(s))
+            sphere_ratios[j] = len(sphere - frozenset(UR)) / len(UR)
         assert ratios[16] < ratios[4]
         assert sphere_ratios[16] < sphere_ratios[4]
 
@@ -237,7 +237,7 @@ def test_tiling_partition_small(z1, z2, h3):
             spec = folner_set(model, n)
             region = model.ball(6)
             seen = {}
-            for g in region.sorted_elements:
+            for g in region:
                 q, gamma = spec.decompose(g)
                 assert q in spec.tile
                 assert spec.grid_contains(gamma)
@@ -247,9 +247,9 @@ def test_tiling_partition_small(z1, z2, h3):
             tiles = [spec.tile.right_translate(g) for g in seen]
             covered = set()
             for t in tiles:
-                assert not (covered & t.elements)
-                covered |= t.elements
-            assert region.elements <= covered
+                assert not (covered & frozenset(t))
+                covered |= frozenset(t)
+            assert frozenset(region) <= covered
 
 
 def test_grid_symmetry(z2, h3):
@@ -257,17 +257,17 @@ def test_grid_symmetry(z2, h3):
         for n in (2, 3):
             spec = folner_set(model, n)
             probe = model.ball(5)
-            for g in probe.sorted_elements:
+            for g in probe:
                 if spec.grid_contains(g):
                     assert spec.grid_contains(model.inverse(g))
 
 
 def test_grid_decompose_examples(z1, h3):
     s3 = folner_set(z1, 3)
-    assert grid_decompose((7,), s3) == ((1,), (6,))
-    assert grid_decompose((1,), s3) == ((1,), (0,))
+    assert s3.decompose((7,)) == ((1,), (6,))
+    assert s3.decompose((1,)) == ((1,), (0,))
     s2 = folner_set(h3, 2)
-    q, gamma = grid_decompose((3, 1, 5), s2)
+    q, gamma = s2.decompose((3, 1, 5))
     assert q in s2.tile and s2.grid_contains(gamma)
     assert h3.multiply(q, gamma) == (3, 1, 5)
 
@@ -275,7 +275,7 @@ def test_grid_decompose_examples(z1, h3):
 def test_grid_decompose_roundtrip_random(h3):
     rng = random.Random(5)
     spec = folner_set(h3, 3)
-    pool = list(h3.ball(5).sorted_elements)
+    pool = list(h3.ball(5))
     for _ in range(50):
         g = rng.choice(pool)
         q, gamma = spec.decompose(g)
@@ -299,7 +299,8 @@ def test_grid_cover_inequalities(z2, h3):
             spec = folner_set(model, n)
             for _ in range(8):
                 A = random_subset(model, rng, radius=3, size=14)
-                x = rng.choice(list(model.ball(2).sorted_elements))
+                points = frozenset(A)
+                x = rng.choice(list(model.ball(2)))
                 cov = grid_cover(A, x, spec)
                 tile_size = len(spec.tile)
                 assert len(cov.interior) * tile_size <= len(A)
@@ -307,12 +308,12 @@ def test_grid_cover_inequalities(z2, h3):
                     A, spec.bounding_diameter
                 ) or spec.bounding_diameter == 0
                 # interior tiles are genuinely inside, crossing ones are not
-                for gamma in cov.interior.sorted_elements:
-                    assert spec.tile.right_translate(gamma).elements <= A.elements
-                for gamma in cov.crossing.sorted_elements:
-                    t = spec.tile.right_translate(gamma)
-                    assert t.elements & A.elements
-                    assert not t.elements <= A.elements
+                for gamma in cov.interior:
+                    assert frozenset(spec.tile.right_translate(gamma)) <= points
+                for gamma in cov.crossing:
+                    t = frozenset(spec.tile.right_translate(gamma))
+                    assert t & points
+                    assert not t <= points
 
 
 def test_folner_set_cardinalities(z2, h3):
@@ -330,8 +331,8 @@ def test_h3_sphere_formula(h3):
         tile = folner_set(h3, n).tile
         sphere = set()
         for s in h3.generators:
-            sphere |= tile.right_translate(s).elements
-        assert len(sphere - tile.elements) == 5 * n**3 - 2 * n**2 + n
+            sphere |= frozenset(tile.right_translate(s))
+        assert len(sphere - frozenset(tile)) == 5 * n**3 - 2 * n**2 + n
 
 
 def test_zd_cube_sphere_face_count():
@@ -342,8 +343,8 @@ def test_zd_cube_sphere_face_count():
             tile = folner_set(model, n).tile
             sphere = set()
             for s in model.generators:
-                sphere |= tile.right_translate(s).elements
-            assert len(sphere - tile.elements) == 2 * d * n ** (d - 1)
+                sphere |= frozenset(tile.right_translate(s))
+            assert len(sphere - frozenset(tile)) == 2 * d * n ** (d - 1)
 
 
 def test_zd_cube_boundary_bound(z2):
@@ -373,23 +374,37 @@ def test_diameter_edge_cases(z1, z2, h3, monkeypatch):
         for model in (z2, h3, FreeAbelian(4)):
             for size in (2, 7, 11):
                 Q = random_subset(model, rng, radius=3, size=size)
-                pairs = [(g, h) for g in Q.sorted_elements for h in Q.sorted_elements]
+                elems = tuple(Q)
+                pairs = [(g, h) for g in elems for h in elems]
                 assert model.set_diameter(Q) == max(model.word_distance(g, h) for g, h in pairs)
 
 
 def test_interval_folner(z1):
-    assert interval_folner(z1, 2, side="positive").elements == frozenset(
+    assert frozenset(interval_folner(z1, 2, side="positive")) == frozenset(
         (i,) for i in range(1, 7)
     )
-    assert interval_folner(z1, 2, side="negative").elements == frozenset(
+    assert frozenset(interval_folner(z1, 2, side="negative")) == frozenset(
         (i,) for i in range(-6, 0)
     )
+    # the tuple construction is the reference, at the scale of the largest volumes
+    for j in (1, 30_000):
+        for side, points in (("positive", range(1, 3 * j + 1)), ("negative", range(-3 * j, 0))):
+            U = interval_folner(z1, j, side=side)
+            assert tuple(U) == tuple((i,) for i in points)
+            assert np.all(np.diff(U.packed) > 0)
+    with pytest.raises(ValueError, match="unknown side"):
+        interval_folner(z1, 2, side="left")
+    for j in (0, -1):
+        with pytest.raises(ValueError, match="index"):
+            interval_folner(z1, j)
+    with pytest.raises(GroupModelError):
+        interval_folner(FreeAbelian(2), 2)
 
 
 def admissible_positions_reference(tile, U):
     # the intersection of the translates q^-1 U over q in the tile
     model = tile.model
-    translates = [U.left_translate(model.inverse(q)).elements for q in tile.sorted_elements]
+    translates = [frozenset(U.left_translate(model.inverse(q))) for q in tile]
     return frozenset.intersection(*translates)
 
 
@@ -397,14 +412,14 @@ def test_admissible_positions(z1, z2, h3, monkeypatch):
     tile = interval(z1, 0, 2)
     U = interval(z1, 0, 9)
     pos = admissible_positions(tile, U)
-    assert pos.elements == frozenset((i,) for i in range(0, 8))
+    assert frozenset(pos) == frozenset((i,) for i in range(0, 8))
     rng = random.Random(17)
     cases = [(interval(z1, 0, 7), U), (interval(z1, 3, 5), U)]  # no identity in the second tile
     for model in (z2, h3):
         ball = model.ball(4)
         e = model.identity
         for _ in range(4):
-            dense = FiniteSet(model, rng.sample(ball.sorted_elements, len(ball) * 4 // 5))
+            dense = FiniteSet(model, rng.sample(tuple(ball), len(ball) * 4 // 5))
             tile = random_subset(model, rng, radius=2, size=rng.randint(2, 6))
             cases.append((tile, dense))
             cases.append((tile.difference(FiniteSet(model, [e])), dense))
@@ -417,9 +432,9 @@ def test_admissible_positions(z1, z2, h3, monkeypatch):
         monkeypatch.setattr(cayley, "_CHUNK", chunk)
         for tile, U in cases:
             pos = admissible_positions(tile, U)
-            assert pos.elements == admissible_positions_reference(tile, U)
+            assert frozenset(pos) == admissible_positions_reference(tile, U)
             assert np.all(np.diff(pos.packed) > 0)
-    assert not admissible_positions(h3.ball(3), h3.ball(1)).elements
+    assert not frozenset(admissible_positions(h3.ball(3), h3.ball(1)))
     # |U| = 90 000 and |Q| = 243 on Z^1: the positions form one interval
     U, tile = interval(z1, 0, 89_999), interval(z1, 0, 242)
     assert np.array_equal(admissible_positions(tile, U).coords[:, 0], np.arange(89_758))
@@ -450,7 +465,7 @@ def _run_cases(rng):
         for centre in centres:
             U = _holed(model, rng, centre, sides)
             cases += [(tile, U) for tile in tiles]
-            cases.append((FiniteSet(model, rng.sample(model.ball(2).sorted_elements, 4)), U))
+            cases.append((FiniteSet(model, rng.sample(tuple(model.ball(2)), 4)), U))
         # a column of U that ends at the last packable coordinate
         top = FiniteSet(model, [up(t, up(b - 9)) for t in range(9)] + [up(b - 12)])
         cases += [(tile, top) for tile in tiles[:2]] + [(FiniteSet(model, [up(t) for t in range(3)]), top)]
@@ -499,7 +514,7 @@ def test_finite_set_semantics(z1):
     assert len(A) == 2
     B = FiniteSet(z1, [(2,), (1,)])
     assert A == B and hash(A) == hash(B)
-    assert A.right_translate((3,)).elements == {(4,), (5,)}
+    assert frozenset(A.right_translate((3,))) == {(4,), (5,)}
 
 
 def test_decompose_of_product_is_identity(z2, h3):
@@ -507,9 +522,9 @@ def test_decompose_of_product_is_identity(z2, h3):
     for model in (z2, h3):
         for n in (2, 3):
             spec = folner_set(model, n)
-            tile_elems = list(spec.tile.sorted_elements)
+            tile_elems = list(spec.tile)
             grid_pool = [
-                g for g in model.ball(6).sorted_elements if spec.grid_contains(g)
+                g for g in model.ball(6) if spec.grid_contains(g)
             ]
             for _ in range(30):
                 q = rng.choice(tile_elems)
@@ -522,12 +537,13 @@ def test_dim_four_packs():
     assert z4.word_distance((0, 0, 0, 0), (1, -1, 0, 2)) == 4
     Q = folner_set(z4, 2).tile
     assert len(Q) == 16
-    assert boundary_int(Q, 1).elements == Q.elements  # no interior at n=2
+    assert frozenset(boundary_int(Q, 1)) == frozenset(Q)  # no interior at n=2
     assert len(boundary_ext(Q, 1)) == 2 * 4 * 2 ** 3
     cov = grid_cover(z4.ball(2), (0, 0, 0, 0), folner_set(z4, 2))
     assert len(cov.interior) * 16 <= len(z4.ball(2))
-    for gamma in cov.interior.sorted_elements:
-        assert folner_set(z4, 2).tile.right_translate(gamma).elements <= z4.ball(2).elements
+    ball = frozenset(z4.ball(2))
+    for gamma in cov.interior:
+        assert frozenset(folner_set(z4, 2).tile.right_translate(gamma)) <= ball
 
 
 def test_h3_per_generator_sphere_split(h3):
@@ -535,9 +551,10 @@ def test_h3_per_generator_sphere_split(h3):
     # 1.5 n^3 - n^2 + 0.5 n and |Q_n s2^{+-1} \ Q_n| = n^3
     for n in range(1, 7):
         tile = folner_set(h3, n).tile
+        points = frozenset(tile)
         sizes = {}
         for s in h3.generators:
-            sizes[s] = len(tile.right_translate(s).elements - tile.elements)
+            sizes[s] = len(frozenset(tile.right_translate(s)) - points)
         expect_s1 = (3 * n**3 - 2 * n**2 + n) // 2
         assert sizes[(1, 0, 0)] == expect_s1
         assert sizes[(-1, 0, 0)] == expect_s1
@@ -560,16 +577,17 @@ def test_boundary_union_formula_identity(z2, h3):
     sets += [FiniteSet(z2, box), FiniteSet(z2, strip)]
     for Q in sets:
         model = Q.model
+        points = frozenset(Q)
         for R in (3, 0, 1, 2):
             ball = model.ball(R)
             int_union = set()
             ext_union = set()
-            for s in ball.sorted_elements:
-                s_q = {model.multiply(s, q) for q in Q.sorted_elements}
-                int_union |= Q.elements - s_q
-                ext_union |= s_q - Q.elements
-            assert boundary_int(Q, R).elements == int_union
-            assert boundary_ext(Q, R).elements == ext_union
+            for s in ball:
+                s_q = {model.multiply(s, q) for q in points}
+                int_union |= points - s_q
+                ext_union |= s_q - points
+            assert frozenset(boundary_int(Q, R)) == int_union
+            assert frozenset(boundary_ext(Q, R)) == ext_union
             assert shrink(Q, R) == Q.difference(boundary_int(Q, R))
             assert grow(Q, R) == Q.union(boundary_ext(Q, R))
         # interior and exterior record: three shells each, none grown again
@@ -581,8 +599,8 @@ def test_packing_round_trip_at_bound(model):
     edge = model.pack_bound - 1
     rows = [[edge] * model.dim, [-edge] * model.dim, [edge, -edge] * (model.dim // 2) + [0] * (model.dim % 2)]
     A = FiniteSet(model, rows)
-    assert A.elements == {tuple(r) for r in rows}
-    assert FiniteSet(model, A.sorted_elements) == A
+    assert frozenset(A) == {tuple(r) for r in rows}
+    assert FiniteSet(model, tuple(A)) == A
     for c in (model.pack_bound, -model.pack_bound):
         with pytest.raises(GroupModelError):
             FiniteSet(model, [[c] + [0] * (model.dim - 1)])
@@ -611,7 +629,7 @@ def test_pack_bound_at_sweep_edge(model):
     raised = []
     for rows in sets:
         Q = FiniteSet(model, rows)
-        near = bfs_depths(model, Q.sorted_elements, 2)
+        near = bfs_depths(model, tuple(Q), 2)
         out_of_range = max(abs(c) for g in near for c in g) >= bound
         raised.append(out_of_range)
         if out_of_range:
@@ -642,15 +660,26 @@ def test_generators_must_be_symmetric():
 )
 def test_finite_set_matches_frozenset_oracle(model):
     rng = random.Random(7)
-    pool = list(model.ball(3).sorted_elements)
+    pool = list(model.ball(3))
     samples = [[]] + [rng.choices(pool, k=rng.randint(1, 12)) for _ in range(6)]
     samples.append(list(samples[-1]))  # an equal set built separately
     cases = [(FiniteSet(model, s), frozenset(s)) for s in samples]
     for A, a in cases:
-        assert len(A) == len(a) and A.sorted_elements == tuple(sorted(a))
+        assert len(A) == len(a) and tuple(A) == tuple(sorted(a))
         assert A.coords.shape == (len(a), model.dim)
         for g in pool:
             assert (g in A) == (g in a)
+            # a list or an ndarray row is an element by value
+            assert (list(g) in A) == (np.array(g) in A) == (g in a)
+        for row in A.coords:
+            assert row in A
+        # no element, and never an error: wrong length, unpackable or
+        # overflowing coordinates, non-integers and non-sequences
+        b, e = model.pack_bound, model.identity
+        for g in [e + (0,), e[1:], (b,) + e[1:], e[1:] + (-b,), (10**30,) + e[1:],
+                  (0.5,) + e[1:], "ab", "0" * model.dim, 0, None]:
+            assert g not in a
+            assert (g in A) is False
         # the far shift carries across bit fields; on H3 the c term grows as b*a'
         if isinstance(model, Heisenberg3):
             far = (500, -500, 500)
@@ -664,7 +693,7 @@ def test_finite_set_matches_frozenset_oracle(model):
             assert (A == B) == (a == b)
             if a == b:
                 assert hash(A) == hash(B)
-            assert A.union(B).elements == a | b
-            assert A.intersection(B).elements == a & b
-            assert A.difference(B).elements == a - b
+            assert frozenset(A.union(B)) == a | b
+            assert frozenset(A.intersection(B)) == a & b
+            assert frozenset(A.difference(B)) == a - b
             assert A.union(B) == FiniteSet(model, a | b)

@@ -71,7 +71,7 @@ def test_restrict_examples(z1):
 
     C = HalfLineMod3(z1)
     P = restrict(C, FiniteSet(z1, [(-2,), (-1,), (0,)]))
-    assert [P.value_at(g) for g in P.domain.sorted_elements] == [BLACK, BLACK, WHITE]
+    assert [P.value_at(g) for g in P.domain] == [BLACK, BLACK, WHITE]
 
     perc = PercolationColouring(z1, Alphabet(("a", "b")), seed=11)
     Q = interval(z1, 0, 20)
@@ -90,7 +90,7 @@ def test_translate_pattern(z1):
     P = make_pattern(z1, {(0,): "a", (1,): "b"})
     assert translate_pattern(P, (0,)) == P
     moved = translate_pattern(P, (5,))
-    assert moved.domain.elements == {(5,), (6,)}
+    assert frozenset(moved.domain) == {(5,), (6,)}
     assert moved.value_at((5,)) == "a" and moved.value_at((6,)) == "b"
     back = translate_pattern(moved, (-5,))
     assert back == P
@@ -99,14 +99,14 @@ def test_translate_pattern(z1):
 def test_canonicalize_singleton(z2):
     P = make_pattern(z2, {(3, -1): "a"})
     cls = canonicalize(P)
-    assert cls.canonical.domain.elements == {(0, 0)}
+    assert frozenset(cls.canonical.domain) == {(0, 0)}
     assert cls.canonical.value_at((0, 0)) == "a"
 
 
 def test_canonicalize_orbit_invariance(z1, h3):
     rng = random.Random(7)
     for model in (z1, h3):
-        pool = list(model.ball(2).sorted_elements)
+        pool = list(model.ball(2))
         dom = rng.sample(pool, 4)
         P = make_pattern(model, {g: rng.choice("ab") for g in dom})
         for _ in range(10):
@@ -229,7 +229,7 @@ def test_percolation_frequency_monte_carlo(z2):
 def test_percolation_four_site_pattern_across_seeds(z2):
     # |D(P)| = 4 on a 10^4 window: within 0.05 of 1/16 for at least 9/10 seeds
     dom = FiniteSet(z2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    P = Pattern(dom, {g: "a" for g in dom.sorted_elements})
+    P = Pattern(dom, {g: "a" for g in dom})
     U = folner_set(z2, 100).tile
     good = 0
     for seed in range(1, 11):
@@ -375,7 +375,7 @@ def _canonical_reference(P):
     P d^-1, the first d in element order winning ties; with its digest."""
     model = P.domain.model
     best = best_d = None
-    for d in P.domain.sorted_elements:
+    for d in P.domain:
         d_inv = model.inverse(d)
         key = tuple(sorted((model.multiply(y, d_inv), s) for y, s in P.values.items()))
         if best is None or key < best:
@@ -386,14 +386,15 @@ def _canonical_reference(P):
 def _spectrum_reference(C, tile, U):
     """Per-position loop: class key -> (count, witness), first occurrence order."""
     model = tile.model
+    tile_elems = tuple(tile)
     by_symbols = {}
-    for x in admissible_positions(tile, U).sorted_elements:
-        key = tuple(_colour_reference(C, model.multiply(q, x)) for q in tile.sorted_elements)
+    for x in admissible_positions(tile, U):
+        key = tuple(_colour_reference(C, model.multiply(q, x)) for q in tile_elems)
         count, position = by_symbols.get(key, (0, x))
         by_symbols[key] = (count + 1, position)
     out = {}
     for key, (count, position) in by_symbols.items():
-        best, d, _ = _canonical_reference(Pattern(tile, dict(zip(tile.sorted_elements, key))))
+        best, d, _ = _canonical_reference(Pattern(tile, dict(zip(tile_elems, key))))
         witness = model.multiply(d, position)
         prev = out.get(best)
         out[best] = (count, witness) if prev is None else (prev[0] + count, min(prev[1], witness))
@@ -403,7 +404,7 @@ def _spectrum_reference(C, tile, U):
 def _colouring_case(name):
     z1, z2, h3 = FreeAbelian(1), FreeAbelian(2), Heisenberg3()
     box = [(a, b) for a in range(-6, 6) for b in range(-6, 6)]
-    h3_pts = list(h3.ball(3).sorted_elements) + [(-7, 5, -40), (9, -8, 33)]
+    h3_pts = list(h3.ball(3)) + [(-7, 5, -40), (9, -8, 33)]
     if name == "trivial":
         return TrivialColouring(z2, "o"), box
     if name == "explicit":
@@ -411,7 +412,7 @@ def _colouring_case(name):
         return ExplicitColouring(z2, Alphabet(("q", "p", "r")), table, "q"), box
     if name == "periodic":
         spec = folner_set(h3, 2)
-        table = {q: ("u", "t", "s")[i % 3] for i, q in enumerate(spec.tile.sorted_elements)}
+        table = {q: ("u", "t", "s")[i % 3] for i, q in enumerate(spec.tile)}
         return PeriodicFoldColouring(spec, table), h3_pts
     if name == "percolation":
         weights = (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
@@ -532,7 +533,7 @@ def _check_canonical(P):
 def test_canonicalize_matches_tuple_reference(symbols):
     rng = random.Random(21)
     for model in (FreeAbelian(1), FreeAbelian(2), Heisenberg3()):
-        pool = list(model.ball(3).sorted_elements)
+        pool = list(model.ball(3))
         for _ in range(40):
             dom = rng.sample(pool, rng.randint(1, min(9, len(pool))))
             _check_canonical(make_pattern(model, {g: rng.choice(symbols) for g in dom}))
@@ -540,7 +541,7 @@ def test_canonicalize_matches_tuple_reference(symbols):
         for n in (2, 3):
             tile = folner_set(model, n).tile
             for period in (1, 2, 3):
-                values = {g: symbols[i // period % 2] for i, g in enumerate(tile.sorted_elements)}
+                values = {g: symbols[i // period % 2] for i, g in enumerate(tile)}
                 _check_canonical(make_pattern(model, values))
 
 

@@ -99,9 +99,9 @@ def test_cardinality_exactly_additive(z2):
         used = set()
         for _ in range(rng.randint(2, 5)):
             Q = random_subset(z2, rng, radius=3, size=6)
-            Q = FiniteSet(z2, Q.elements - used)
+            Q = FiniteSet(z2, frozenset(Q) - used)
             if len(Q):
-                used |= Q.elements
+                used |= frozenset(Q)
                 parts.append(Q)
         lhs, rhs = check_almost_additive(F, parts)
         assert lhs == 0.0 and rhs == 0.0
@@ -207,7 +207,7 @@ def test_triangle_of_averages(z1):
     freqs = EmpiricalFrequencies(C, ref)
     F = AlmostAdditive(
         evaluate=lambda Q: StepFunction.constant(
-            sum(1.0 for g in Q.sorted_elements if C.colour(g) == "black")
+            sum(1.0 for g in Q if C.colour(g) == "black")
         ),
         boundary_term=lambda Q: 0.0,
         bounded_const=1.0,

@@ -119,7 +119,7 @@ def test_ids_set_function_almost_additive(z2, h3):
         C = TrivialColouring(model)
         rule = adjacency_rule(model)
         F = eigenvalue_count_function(rule, C)
-        pool = list(model.ball(3).sorted_elements)
+        pool = list(model.ball(3))
         for _ in range(6):
             pts = rng.sample(pool, 24)
             k = rng.randint(2, 5)
@@ -135,7 +135,7 @@ def test_boundary_term_translation_invariant(z2, h3):
     rng = random.Random(31)
     for model in (z2, h3):
         F = eigenvalue_count_function(adjacency_rule(model), TrivialColouring(model))
-        pool = list(model.ball(3).sorted_elements)
+        pool = list(model.ball(3))
         for _ in range(12):
             Q = random_subset(model, rng, radius=3, size=9)
             x = rng.choice(pool)
@@ -250,7 +250,7 @@ def test_continuity_gap_examples(z2):
     C = TrivialColouring(z2)
     rng = random.Random(32)
     base, unit = {}, {}
-    for w in z2.ball(1).sorted_elements:
+    for w in z2.ball(1):
         wn = z2.inverse(w)
         if wn in base:
             base[w], unit[w] = base[wn], unit[wn]
@@ -395,12 +395,12 @@ def test_certificates_on_coloured_heisenberg(h3):
 
     rng = _random.Random(61)
     base = folner_set(h3, 2)
-    table = {q: rng.choice(("a", "b")) for q in base.tile.sorted_elements}
-    table[next(iter(base.tile.sorted_elements))] = "a"  # both colours present
+    table = {q: rng.choice(("a", "b")) for q in base.tile}
+    table[next(iter(base.tile))] = "a"  # both colours present
     C = PeriodicFoldColouring(base, table)
     rule = percolation_rule(h3, C.alphabet, ["a"])
 
-    pool = list(h3.ball(3).sorted_elements)
+    pool = list(h3.ball(3))
     samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
     assert check_invariance(rule, C, samples).ok
 

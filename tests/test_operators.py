@@ -51,8 +51,8 @@ def test_adjacency_properties(z2, h3):
         assert np.all(np.diag(M) == 0.0)
         # interior rows have full degree |S|
         inner = shrink(Q, 1)
-        order = restrict_operator(rule, C, Q).order
-        for g in inner.sorted_elements:
+        order = tuple(restrict_operator(rule, C, Q).Q)
+        for g in inner:
             assert M[order.index(g)].sum() == len(model.generators)
 
 
@@ -85,7 +85,7 @@ def test_laplacian_full_lattice(z2):
     C = TrivialColouring(z2)
     Q = folner_set(z2, 3).tile
     M = restrict_operator(rule, C, Q).to_dense()
-    order = restrict_operator(rule, C, Q).order
+    order = tuple(restrict_operator(rule, C, Q).Q)
     assert all(M[i, i] == 4.0 for i in range(len(order)))
     i, j = order.index((0, 0)), order.index((0, 1))
     assert M[i, j] == -1.0
@@ -164,7 +164,7 @@ def test_periodic_fold_rejects_noninvariant(z1):
 def test_check_invariance_clean_rules(z2):
     rng = random.Random(26)
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=17)
-    pool = list(z2.ball(4).sorted_elements)
+    pool = list(z2.ball(4))
     samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
     for rule in (adjacency_rule(z2), percolation_rule(z2, C.alphabet, ["a"])):
         report = check_invariance(rule, C, samples)
@@ -180,7 +180,7 @@ def test_check_invariance_catches_broken_rule(z2):
 
     rule = Broken(z2, 1, 1, 1, lambda pat, w: 0.0 if w == (0, 0) else 1.0)
     C = TrivialColouring(z2)
-    pool = list(z2.ball(3).sorted_elements)
+    pool = list(z2.ball(3))
     samples = [(g, t) for g in pool[:10] for t in pool[:10]]
     report = check_invariance(rule, C, samples)
     assert not report.ok
@@ -221,11 +221,12 @@ def test_decoupling_block_diagonal(z2):
         p1, p2 = shrink(q1, R), shrink(q2, R)
         if not len(p1) or not len(p2):
             continue
-        union = FiniteSet(z2, p1.elements | p2.elements)
+        union = FiniteSet(z2, frozenset(p1) | frozenset(p2))
         M = restrict_operator(rule, C, union)
         dense = M.to_dense()
-        idx1 = [M.order.index(g) for g in p1.sorted_elements]
-        idx2 = [M.order.index(g) for g in p2.sorted_elements]
+        order = tuple(M.Q)
+        idx1 = [order.index(g) for g in p1]
+        idx2 = [order.index(g) for g in p2]
         assert np.all(dense[np.ix_(idx1, idx2)] == 0.0)
         sub1 = restrict_operator(rule, C, p1).to_dense()
         assert np.array_equal(dense[np.ix_(idx1, idx1)], sub1)
@@ -238,7 +239,8 @@ def test_restriction_consistency(z2):
     Qsub = folner_set(z2, 2).tile
     M = restrict_operator(rule, C, Q)
     sub = restrict_operator(rule, C, Qsub)
-    idx = [M.order.index(g) for g in sub.order]
+    order = tuple(M.Q)
+    idx = [order.index(g) for g in sub.Q]
     assert np.array_equal(M.to_dense()[np.ix_(idx, idx)], sub.to_dense())
 
 
@@ -293,7 +295,7 @@ def test_coordinate_text_export(z1):
 def pairwise_matrix(rule, C, Q):
     """H[Q] built block by block from rule.block_at over every ordered pair."""
     k = rule.k
-    order = Q.sorted_elements
+    order = tuple(Q)
     M = np.zeros((k * len(order), k * len(order)))
     for i, x in enumerate(order):
         for j, y in enumerate(order):
@@ -339,7 +341,7 @@ def test_assembly_matches_pairwise_oracle(case):
     rule, C, Q = list(oracle_cases())[case]
     M = restrict_operator(rule, C, Q)
     assert np.array_equal(M.to_dense(), pairwise_matrix(rule, C, Q))
-    assert M.order == Q.sorted_elements
+    assert M.Q == Q
 
 
 def test_assembly_empty_set(z2):
