@@ -115,7 +115,10 @@ class GroupModel:
         return keys + (self._gens @ self._pack_scale)[:, None]
 
     def check_element(self, g: Sequence[int]) -> Element:
-        g = tuple(int(c) for c in g)
+        try:
+            g = tuple(operator.index(c) for c in g)  # as membership: no float or str
+        except TypeError as exc:
+            raise GroupModelError(f"{g!r} is not a sequence of integer coordinates") from exc
         if len(g) != self.dim:
             raise GroupModelError(f"element of length {len(g)} does not belong to {self.describe()}")
         return g

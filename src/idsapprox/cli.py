@@ -22,8 +22,6 @@ from .cayley import FiniteSet, boundary_ext, folner_set
 from .colouring import (
     Pattern,
     PercolationFrequencies,
-    _code_rows,
-    _tally_rows,
     canonicalize,
     occurring_pattern_spectrum,
 )
@@ -116,7 +114,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.workers is not None:
         obj["workers"] = args.workers
     if args.seed is not None:
-        obj.setdefault("colouring", {})["seed"] = args.seed
+        colouring = obj.setdefault("colouring", {})
+        if isinstance(colouring, dict):  # anything else fails validation at $.colouring
+            colouring["seed"] = args.seed
     return RunConfig.from_dict(obj)
 
 
@@ -276,24 +276,21 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
     window = folner_set(model, window_side).tile
     # the alphabet and weights, hence the family and its frequencies, are seed-free
     analytic = PercolationFrequencies(cfg.colouring(model))
-    alphabet = analytic.colouring.alphabet.symbols
     family = []
     for P in _pattern_family(model, analytic.colouring.alphabet, max_domain):
         cls = canonicalize(P)
-        key = tuple(alphabet.index(s) for s in P.symbols.tolist())
-        family.append((P.domain, key, f"{cls.digest()},{len(P)}", analytic.frequency(cls)))
+        family.append((P.domain, cls, f"{cls.digest()},{len(P)}", analytic.frequency(cls)))
     lines = ["seed,pattern,domain_size,count,empirical,analytic,abs_diff"]
     cert_rows = []
     errors = []
     for seed in seeds:
         colouring = cfg.colouring(model, seed_override=seed)
-        tallies = {}  # per domain: occurrence count of every code row in the window
-        for domain, key, name, ana in family:
-            if domain not in tallies:
-                _, codes = _code_rows(colouring, domain, window)
-                first, counts = _tally_rows(codes, len(alphabet))
-                tallies[domain] = dict(zip(map(tuple, codes[first].tolist()), counts.tolist()))
-            count = tallies[domain].get(key, 0)
+        spectra = {}  # per domain: the occurring spectrum over the window
+        for domain, cls, name, ana in family:
+            if domain not in spectra:
+                spectra[domain] = occurring_pattern_spectrum(colouring, domain, window)
+            entry = spectra[domain].get(cls)
+            count = 0 if entry is None else entry.count
             emp = Fraction(count, len(window))
             lines.append(f"{seed},{name},{count},{_fmt(emp)},{_fmt(ana)},{_fmt(abs(emp - ana))}")
         rule = cfg.rule(model, colouring)

@@ -336,6 +336,13 @@ def translate_pattern(P: Pattern, x: Sequence[int]) -> Pattern:
     return _pattern(P.domain.right_translate(x), P.symbols)
 
 
+def _canonical_domain(domain: FiniteSet) -> tuple[FiniteSet, Element]:
+    """The translate D d^-1 with d = max(D), and d: the domain of the canonical
+    representative of every pattern on D."""
+    d = tuple(domain.coords[-1].tolist())
+    return domain.right_translate(domain.model.inverse(d)), d
+
+
 def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """Canonical class of P together with the shift d such that the canonical
     representative right-translated by d equals P.
@@ -345,8 +352,8 @@ def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """
     if len(P) == 0:
         raise ColouringError("cannot canonicalize a pattern with empty domain")
-    d = tuple(P.domain.coords[-1].tolist())
-    return PatternClass(translate_pattern(P, P.domain.model.inverse(d))), d
+    domain, d = _canonical_domain(P.domain)
+    return PatternClass(_pattern(domain, P.symbols)), d
 
 
 def canonicalize(P: Pattern) -> PatternClass:
@@ -383,15 +390,6 @@ def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
     return Fraction(count_occurrences(P, restrict(C, U)), len(U))
 
 
-def _code_rows(C: Colouring, domain: FiniteSet, U: FiniteSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the positions x with domain * x inside U, and the matrix
-    whose row p holds the colour codes of domain * x_p, in domain order."""
-    model = domain.model
-    X = admissible_positions(domain, U).coords
-    points = model.mul_array(domain.coords[:, None], X).reshape(-1, model.dim)
-    return X, C.colour_codes(points).reshape(len(domain), len(X)).T
-
-
 def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """First index and count of every distinct row of a code matrix with entries
     below ``base``, in order of first occurrence.  Rows fold into int64 ids in
@@ -426,30 +424,37 @@ class SpectrumEntry:
 def occurring_pattern_spectrum(
     C: Colouring, tile: FiniteSet, U: FiniteSet
 ) -> dict[PatternClass, SpectrumEntry]:
-    """Tally of pattern classes over all tile positions inside U.
+    """Tally of pattern classes over all tile positions inside U, in order of
+    first occurrence.  The frequency term, the empirical provider and the
+    percolation frequency table read their pattern counts from it.
 
-    Positions are grouped by the based pattern pulled back to the tile,
-    which is then canonicalized once per distinct based form, in order of
-    first occurrence.  Every form has the same domain, hence the same
-    canonical domain, so distinct forms are distinct classes; the counts
-    sum to the number of admissible positions.
+    Row p of the code matrix holds the colour codes of tile * x_p in tile
+    order.  Every row lies on the same tile, so distinct rows are distinct
+    classes, and one canonical domain tile * d^-1 (d = max(tile)) and one
+    shift d serve them all: the class of row p is its symbols on that domain,
+    witnessed at d * x_p.  The counts sum to the number of admissible positions.
     """
-    X, codes = _code_rows(C, tile, U)
+    model = tile.model
+    X = admissible_positions(tile, U).coords
+    points = model.mul_array(tile.coords[:, None], X).reshape(-1, model.dim)
+    codes = C.colour_codes(points).reshape(len(tile), len(X)).T
     first, counts = _tally_rows(codes, len(C.alphabet))
+    domain, d = _canonical_domain(tile)
+    witnesses = map(tuple, model.mul_array(d, X[first]).tolist())
     symbols = np.array(C.alphabet.symbols)
-    out: dict[PatternClass, SpectrumEntry] = {}
-    for f, count in zip(first.tolist(), counts.tolist()):
-        cls, d_shift = canonicalize_with_shift(_pattern(tile, symbols[codes[f]]))
-        # canonical * (d_shift * position) is the restriction of C at position
-        out[cls] = SpectrumEntry(count, tile.model.multiply(d_shift, X[f].tolist()))
-    return out
+    return {
+        PatternClass(_pattern(domain, symbols[codes[f]])): SpectrumEntry(count, witness)
+        for f, count, witness in zip(first.tolist(), counts.tolist(), witnesses)
+    }
 
 
 # -- frequency providers --------------------------------------------------------
 
 
 class FrequencyProvider:
-    """Supplies limiting frequencies per pattern class and their total mass."""
+    """Supplies limiting frequencies per pattern class, their total mass per
+    tile and the classes that occur on a tile; a provider has no other entry
+    point, so it computes what it needs on first use."""
 
     def frequency(self, cls: PatternClass) -> Fraction:
         raise NotImplementedError
@@ -461,9 +466,6 @@ class FrequencyProvider:
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
         """Classes with positive frequency on the tile, with a witness position."""
         raise NotImplementedError
-
-    def prepare(self, tile: FiniteSet) -> None:
-        """Optional hook to precompute per-tile state."""
 
 
 class TrivialFrequencies(FrequencyProvider):
@@ -509,7 +511,9 @@ class PercolationFrequencies(FrequencyProvider):
 
 
 class EmpiricalFrequencies(FrequencyProvider):
-    """Frequencies read off a fixed reference volume of the same colouring."""
+    """Frequencies read off a fixed reference volume of the same colouring: the
+    count of a class in the occurring spectrum of its domain over the reference
+    (0 if it does not occur there), divided by the size of the reference."""
 
     def __init__(self, colouring: Colouring, reference: FiniteSet) -> None:
         if len(reference) == 0:
@@ -517,32 +521,27 @@ class EmpiricalFrequencies(FrequencyProvider):
         self.colouring = colouring
         self.reference = reference
         self._spectra: dict[FiniteSet, dict[PatternClass, SpectrumEntry]] = {}
-        self._freq_cache: dict[PatternClass, Fraction] = {}
 
-    def prepare(self, tile: FiniteSet) -> None:
-        if tile in self._spectra:
-            return
-        spectrum = occurring_pattern_spectrum(self.colouring, tile, self.reference)
-        self._spectra[tile] = spectrum
-        for cls, entry in spectrum.items():
-            self._freq_cache[cls] = Fraction(entry.count, len(self.reference))
+    def spectrum(self, tile: FiniteSet) -> dict[PatternClass, SpectrumEntry]:
+        """Occurring spectrum of the tile over the reference, computed on first
+        use.  It is kept per canonical domain: every translate of a tile has
+        the same classes, counts and witnesses."""
+        # a canonical domain asked for before needs no translate
+        domain = tile if tile in self._spectra else _canonical_domain(tile)[0]
+        if domain not in self._spectra:
+            self._spectra[domain] = occurring_pattern_spectrum(self.colouring, domain, self.reference)
+        return self._spectra[domain]
 
     def frequency(self, cls: PatternClass) -> Fraction:
-        cached = self._freq_cache.get(cls)
-        if cached is not None:
-            return cached
-        value = empirical_frequency(cls.canonical, self.colouring, self.reference)
-        self._freq_cache[cls] = value
-        return value
+        entry = self.spectrum(cls.canonical.domain).get(cls)
+        return Fraction(0) if entry is None else Fraction(entry.count, len(self.reference))
 
     def total_mass(self, tile: FiniteSet) -> Fraction:
-        self.prepare(tile)  # the counts of a spectrum sum to its admissible positions
-        return Fraction(sum(e.count for e in self._spectra[tile].values()), len(self.reference))
+        # the counts of a spectrum sum to its admissible positions
+        return Fraction(sum(e.count for e in self.spectrum(tile).values()), len(self.reference))
 
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
-        self.prepare(tile)
-        spectrum = self._spectra[tile]
-        items = sorted(spectrum.items(), key=lambda kv: kv[0].key)
+        items = sorted(self.spectrum(tile).items(), key=lambda kv: kv[0].key)
         return [(cls, entry.witness) for cls, entry in items]
 
 
@@ -551,7 +550,6 @@ def frequency_deviation(
     tile: FiniteSet,
     U: FiniteSet,
     freqs: FrequencyProvider,
-    residual_tol: Fraction = Fraction(0),
     spectrum: Optional[Mapping[PatternClass, SpectrumEntry]] = None,
 ) -> Fraction:
     """Sum over patterns with tile domain of |empirical - nu|.
@@ -563,12 +561,11 @@ def frequency_deviation(
     """
     if len(U) == 0:
         raise ColouringError("deviation needs a non-empty volume")
-    freqs.prepare(tile)
     if spectrum is None:
-        # an empirical provider prepared above holds the spectrum over its reference
+        # an empirical provider holds the spectrum over its reference
         held = isinstance(freqs, EmpiricalFrequencies) and freqs.colouring is C
         if held and U == freqs.reference:
-            spectrum = freqs._spectra[tile]
+            spectrum = freqs.spectrum(tile)
         else:
             spectrum = occurring_pattern_spectrum(C, tile, U)
     seen_mass = Fraction(0)
@@ -578,8 +575,8 @@ def frequency_deviation(
         seen_mass += nu
         deviation += abs(Fraction(entry.count, len(U)) - nu)
     residual = Fraction(freqs.total_mass(tile)) - seen_mass
-    if residual < -residual_tol:
+    if residual < 0:
         raise FrequencyProviderError(
             f"negative residual frequency mass {residual} for tile of size {len(tile)}"
         )
-    return deviation + max(residual, Fraction(0))
+    return deviation + residual

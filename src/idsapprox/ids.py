@@ -142,12 +142,10 @@ def ids_approximant(
     rule: LocalRule,
     C: Colouring,
     U: FiniteSet,
-    R: Optional[int] = None,
     tau: Optional[float] = None,
 ) -> IdsApproximant:
-    """The IDS approximant n(H[U_R]) / (dim(H) |U_R|)."""
-    if R is None:
-        R = rule.overall_range
+    """The IDS approximant n(H[U_R]) / (dim(H) |U_R|), R the rule's range."""
+    R = rule.overall_range
     inner = shrink(U, R)
     if len(inner) == 0:
         raise IdsError(f"volume of size {len(U)} is empty after shrinking by R={R}")

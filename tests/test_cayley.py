@@ -90,6 +90,25 @@ def test_zd_arithmetic(z2):
     assert z2.inverse((2, -3)) == (-2, 3)
 
 
+def test_check_element_takes_only_integer_coordinates(z1, h3):
+    bad = [(1.5,), ("2",), (np.float64(3.0),), (None,), 7]
+    for g in bad:
+        with pytest.raises(GroupModelError):
+            z1.check_element(g)
+        with pytest.raises(GroupModelError):
+            FiniteSet(z1, [(0,), g])
+        assert g not in FiniteSet(z1, [(0,), (1,), (2,), (3,)])  # membership agrees
+    with pytest.raises(GroupModelError):
+        z1.multiply((1.5,), (0,))
+    with pytest.raises(GroupModelError):
+        FiniteSet(h3, [(0, 0, 0)]).right_translate((1, "2", 0))
+    # numpy integers are integers: they pass and come back as Python ints
+    for g in ((np.int64(3),), np.array([3]), (np.int32(3),)):
+        assert z1.check_element(g) == (int(g[0]),)
+        assert all(type(c) is int for c in z1.check_element(g))
+    assert h3.check_element(np.array([1, -2, 5])) == (1, -2, 5)
+
+
 def test_mismatched_model_raises(z2):
     with pytest.raises(GroupModelError):
         z2.multiply((1, 0, 0), (0, 1))

@@ -222,6 +222,21 @@ def test_percolation_command_needs_percolation_colouring(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seed_flag_with_non_object_colouring_exits_2(tmp_path, capsys):
+    cfg = {"group": "zd", "d": 1, "operator": {"kind": "adjacency"}, "folner_j": [3]}
+    for colouring in ("trivial", 5, ["trivial"], None):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**cfg, "colouring": colouring}))
+        out = tmp_path / "out"
+        assert run(["ids", "--config", p, "--seed", 3, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err)["path"] == "$.colouring"
+        assert not out.exists()
+    # an absent colouring still takes the seed (and is then missing its kind)
+    p.write_text(json.dumps(cfg))
+    assert run(["ids", "--config", p, "--seed", 3, "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err)["path"].startswith("$.colouring")
+
+
 def test_cells_do_not_depend_on_earlier_cells(tmp_path):
     blobs = []
     for js in ("5", "2,5"):
@@ -486,8 +501,10 @@ def test_percolation_spectrum_export(tmp_path):
 
 
 def test_percolation_computes_each_spectrum_once(tmp_path, monkeypatch):
-    # the certificate's frequency term and the spectrum CSV share one spectrum per cell
+    # the certificate's frequency term and the spectrum CSV share one spectrum per
+    # cell, and the frequency table reads one spectrum per seed and pattern domain
     from idsapprox import colouring
+    from idsapprox.cayley import FreeAbelian, folner_set
 
     original = colouring.occurring_pattern_spectrum
     calls = []
@@ -504,7 +521,16 @@ def test_percolation_computes_each_spectrum_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "once"
     assert run(["percolation", "--config", path, "--out", out]) == 0
-    assert len(list(out.glob("spectrum_*.csv"))) == len(calls) == 4
+    z2 = FreeAbelian(2)
+    # sets over different model objects never compare equal, so compare their points
+    window = tuple(folner_set(z2, 10).tile)
+    volume_calls = [U for _, _, U in calls if tuple(U) != window]
+    window_calls = sorted((C.seed, tuple(dom)) for C, dom, U in calls if tuple(U) == window)
+    family = cli._pattern_family(z2, colouring.Alphabet(("open", "closed")), 3)
+    domains = sorted({tuple(P.domain) for P in family})
+    assert len(domains) == 6
+    assert len(list(out.glob("spectrum_*.csv"))) == len(volume_calls) == 4
+    assert window_calls == [(seed, domain) for seed in (1, 2) for domain in domains]
 
 
 def test_zd_certificates_carry_weakened_columns(tmp_path):
@@ -630,6 +656,16 @@ def test_percolation_reproduces_reference_outputs(tmp_path):
     names += sorted(f.name for f in (reference / "outputs").glob("spectrum_*.csv"))
     assert len(names) == 10
     for name in names:
+        assert (out / name).read_bytes() == (reference / "outputs" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workload", ["h3_certificates", "z2_perc_ids"])
+def test_ids_reproduces_reference_outputs(tmp_path, workload):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / workload
+    out = tmp_path / workload
+    assert run(["ids", "--config", reference / "config.json", "--out", out]) == 0
+    # approximant breakpoints may move within tau, so only the exact files are pinned
+    for name in ("certificates.json", "summary.json"):
         assert (out / name).read_bytes() == (reference / "outputs" / name).read_bytes(), name
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import struct
 from fractions import Fraction
@@ -288,6 +289,32 @@ def test_deviation_empirical_self_is_zero(z1):
     tile = folner_set(z1, 3).tile
     freqs = EmpiricalFrequencies(C, V)
     assert frequency_deviation(C, tile, V, freqs) == 0
+
+
+def test_empirical_frequencies_match_single_pattern_counts(z2, h3):
+    cases = [
+        (z2, folner_set(z2, 9).tile, folner_set(z2, 2).tile, folner_set(z2, 14).tile),
+        (h3, folner_set(h3, 3).tile, folner_set(h3, 1).tile, folner_set(h3, 4).tile),
+    ]
+    for model, reference, tile, U in cases:
+        C = PercolationColouring(model, Alphabet(("a", "b")), seed=8)
+        freqs = EmpiricalFrequencies(C, reference)
+        freqs.occurring(tile)
+        freqs.total_mass(tile)
+        # classes on the tile and on a ball, which the provider was never asked
+        # about, seen over a larger volume than the reference
+        ball = model.ball(1)
+        classes = [*occurring_pattern_spectrum(C, tile, U), *occurring_pattern_spectrum(C, ball, U)]
+        # every pattern on a translate of the ball, most of which occur nowhere
+        moved = ball.right_translate(model.generators[0])
+        for symbols in itertools.product("ab", repeat=len(moved)):
+            classes.append(canonicalize(Pattern(moved, dict(zip(moved, symbols)))))
+        values = [freqs.frequency(cls) for cls in classes]
+        assert values == [empirical_frequency(c.canonical, C, reference) for c in classes]
+        assert 0 in values and any(v > 0 for v in values)
+        # one spectrum per canonical domain, whichever translate asks for it
+        assert freqs.spectrum(moved) is freqs.spectrum(ball)
+        assert len(freqs._spectra) == 2
 
 
 def test_deviation_percolation_small(z2):

@@ -75,7 +75,7 @@ def test_zero_operator_step_at_zero(z1):
 def test_empty_shrink_raises(z1):
     C, rule = half_line_setup(z1)
     with pytest.raises(IdsError):
-        ids_approximant(rule, C, FiniteSet(z1, [(0,), (1,)]), R=1)
+        ids_approximant(rule, C, FiniteSet(z1, [(0,), (1,)]))
 
 
 def test_example_tables(z1):
