@@ -15,26 +15,31 @@ In both groups that order is invariant under ``mul_array`` (the one array
 product, broadcast over leading axes) by a fixed factor on either side, so
 translates of sorted keys are sorted.  Distinct keys are found by sorting.
 
-Breadth-first sweeps step packed keys: ``_step_keys`` gives the keys of s*g
-for every generator s as one sorted row each (on Z^d it adds the key of s,
-on H3 that key plus s_b*a, a read from its bit field).  It reads the bit
-fields of the shell first and raises GroupModelError exactly when a
-neighbour leaves the packable range, so no field carries into the next.
-Exterior shell r of a set Q holds the points outside Q at distance r from
-Q, interior shell r the points of Q at distance r from the complement.
-Both sweeps take one step rule: the next shell is the neighbours of the
-current one (rows merged by a stable sort) minus the last two shells (and,
-inside, minus the points outside Q); an empty shell ends it.  The rule needs
-the symmetric generator set every model checks at construction.  Each set
-grows its shells once, so every R-boundary, shrink and grow reads a prefix.
-The word-length table is the exterior sweep of the identity: sphere r is
-its shell r, and ball(R) is the union of spheres 0..R.
+The word-length table and the balls come from one breadth-first sweep of
+the identity that steps packed keys: ``_step_keys`` gives the keys of s*g for
+every generator s as one sorted row each (on Z^d it adds the key of s, on H3
+that key plus s_b*a, a read from its bit field).  It reads the bit fields of
+the sphere first and raises GroupModelError exactly when a neighbour leaves
+the packable range, so no field carries into the next.  The next sphere is
+the neighbours of the current one (rows merged by a stable sort) minus the
+last two spheres, a rule that needs the symmetric generator set every model
+checks at construction; ball(R) is the union of spheres 0..R.
 
 A run is a maximal range of consecutive keys of a set.  The last coordinate
 has the lowest bit field and |c| < pack_bound forbids a carry, so a run is a
 column of consecutive last coordinates with the others fixed.  In both groups
 z = (0,...,0,1) is central and key(g z^t) = key(g) + t, so left multiplication
-maps a run to a run of the same length; ``admissible_positions`` works on runs.
+maps a run to a run of the same length; ``admissible_positions`` works on runs,
+read from each set's ``run_heads`` (first point and length of every run).
+Every boundary comes from runs of the symmetric ball B_R = {x : |x| <= R}:
+
+- shrink(Q, R) = {x : B_R x inside Q} = admissible_positions(B_R, Q), kept
+  per set and radius, since certificates ask for one shrink several times;
+- grow(Q, R) = B_R Q, the points within distance R of Q: a run of B_R from b
+  of length L times a run of Q from q of length M is the run from b*q of
+  length L + M - 1, so only run starts are multiplied and the runs merged;
+- boundary_int = Q minus shrink, boundary_ext = grow minus Q and boundary =
+  grow minus shrink, so the sizes are sums of run lengths.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ class GroupModel:
         radius = self._wl_radius
         while missing.size:
             radius += 1
-            sphere = _sweep(self, self._spheres, radius, [_EMPTY, self._origin])[-1]
+            sphere = _sweep(self, radius)[-1]
             if sphere.size == 0:
                 raise GroupModelError("generators do not reach requested element")
             missing = missing[~_in_sorted(sphere, missing)]
@@ -184,8 +189,9 @@ class GroupModel:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius not in self._ball_cache:
-            spheres = _sweep(self, self._spheres, radius, [_EMPTY, self._origin])
-            self._ball_cache[radius] = _from_packed(self, _union([self._origin] + spheres))
+            # the spheres are disjoint sorted rows, which a stable sort merges
+            keys = np.sort(np.concatenate([self._origin] + _sweep(self, radius)), kind="stable")
+            self._ball_cache[radius] = _from_packed(self, keys)
         return self._ball_cache[radius]
 
     # -- bulk helpers over finite sets ---------------------------------------
@@ -291,7 +297,7 @@ class FiniteSet:
     keys.
     """
 
-    __slots__ = ("model", "packed", "_coords", "_diameter", "_shells", "_hash")
+    __slots__ = ("model", "packed", "_coords", "_heads", "_diameter", "_shrunk", "_hash")
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
@@ -303,9 +309,9 @@ class FiniteSet:
         self.model = model
         self.packed = keys
         self._coords: Optional[np.ndarray] = None
+        self._heads: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._diameter: Optional[int] = None
-        # interior and exterior distance shells 1, 2, ... (see ``_shells``)
-        self._shells: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+        self._shrunk: dict[int, FiniteSet] = {}  # shrink(self, R) by R
         self._hash: Optional[int] = None
 
     def __len__(self) -> int:
@@ -346,6 +352,16 @@ class FiniteSet:
             self._coords = self.model._unpack(self.packed)
             self._coords.flags.writeable = False
         return self._coords
+
+    @property
+    def run_heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of the first element and length of every run."""
+        if self._heads is None:
+            at, length = _runs(self.packed)
+            first = self.model._unpack(self.packed[at])
+            first.flags.writeable = length.flags.writeable = False
+            self._heads = (first, length)
+        return self._heads
 
     @property
     def diameter(self) -> int:
@@ -411,91 +427,76 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[idx] == needles
 
 
-def _sweep(
-    model: GroupModel,
-    shells: list[np.ndarray],
-    R: int,
-    before: list[np.ndarray],
-    inside: Optional[np.ndarray] = None,
-) -> list[np.ndarray]:
-    """Packed shells 1..R of a sweep, growing ``shells`` from where it stopped.
-
-    ``before`` holds shells -1 and 0.  The next shell is the neighbours of the
-    current one outside the last two shells, kept to ``inside`` when given.
-    """
-    while len(shells) < R:
-        prev, cur = (before + shells)[-2:]
-        if cur.size == 0:  # no neighbours: every later shell is empty too
-            shells += [_EMPTY] * (R - len(shells))
-            break
+def _sweep(model: GroupModel, R: int) -> list[np.ndarray]:
+    """Packed spheres 1..R of the word metric, growing ``model._spheres`` from
+    where it stopped: the next sphere is the neighbours of the current one
+    outside the last two."""
+    spheres = model._spheres
+    while len(spheres) < R:
+        prev, cur = ([_EMPTY, model._origin] + spheres)[-2:]
         # the generator rows are sorted runs, which a stable sort merges
         cand = np.sort(model._step_keys(cur).ravel(), kind="stable")
         keep = np.append(True, cand[1:] != cand[:-1])
-        for shell in (prev, cur):  # search the smaller array into the larger
-            if len(shell) > len(cand):
-                keep &= ~_in_sorted(shell, cand)
+        for sphere in (prev, cur):  # search the smaller array into the larger
+            if len(sphere) > len(cand):
+                keep &= ~_in_sorted(sphere, cand)
             else:
-                idx = np.minimum(np.searchsorted(cand, shell), len(cand) - 1)
-                keep[idx[cand[idx] == shell]] = False
-        new = cand[keep]
-        shells.append(new if inside is None else new[_in_sorted(inside, new)])
-    return shells[:R]
+                idx = np.minimum(np.searchsorted(cand, sphere), len(cand) - 1)
+                keep[idx[cand[idx] == sphere]] = False
+        spheres.append(cand[keep])
+    return spheres[:R]
 
 
-def _shells(Q: FiniteSet, R: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Packed (interior, exterior) shells 1..R of Q, read from its record.
-
-    The exterior sweep starts from Q.  The points of Q next to the complement
-    are the in-Q neighbours of exterior shell 1, so the interior sweep starts
-    from there (``ext[:1]`` holds that shell whenever R >= 1).
-    """
+def _grow_runs(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """First keys and lengths of disjoint sorted runs covering B_R Q: the run
+    products b*q of length L + M - 1 (see the module), merged."""
     if R < 0:
         raise ValueError("boundary radius must be >= 0")
-    inner, ext = Q._shells
-    ext_r = _sweep(Q.model, ext, R, [_EMPTY, Q.packed])
-    return _sweep(Q.model, inner, R, [_EMPTY] + ext[:1], Q.packed), ext_r
-
-
-def _union(shells: list[np.ndarray]) -> np.ndarray:
-    """Sorted keys of disjoint packed shells, merged by a stable sort."""
-    return np.sort(np.concatenate([_EMPTY] + shells), kind="stable")
+    model = Q.model
+    b_first, b_len = model.ball(R).run_heads
+    q_first, q_len = Q.run_heads
+    starts = model.mul_array(b_first[:, None], q_first).reshape(-1, model.dim)
+    length = (b_len[:, None] + q_len - 1).ravel()
+    model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run
+    return _covered(model._pack(starts), length, 1)
 
 
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
     """Interior R-boundary: points of Q within distance R of the complement."""
-    return _from_packed(Q.model, _union(_shells(Q, R)[0]))
+    return Q.difference(shrink(Q, R))
 
 
 def boundary_int_size(Q: FiniteSet, R: int) -> int:
-    return sum(map(len, _shells(Q, R)[0]))
+    return len(Q) - len(shrink(Q, R))
 
 
 def boundary_size(Q: FiniteSet, R: int) -> int:
-    inner, ext = _shells(Q, R)
-    return sum(map(len, inner + ext))
+    return int(_grow_runs(Q, R)[1].sum()) - len(shrink(Q, R))
 
 
 def boundary_ext(Q: FiniteSet, R: int) -> FiniteSet:
     """Exterior R-boundary: points outside Q within distance R of Q."""
-    return _from_packed(Q.model, _union(_shells(Q, R)[1]))
+    return grow(Q, R).difference(Q)
 
 
 def boundary(Q: FiniteSet, R: int) -> FiniteSet:
     """Two-sided R-boundary of Q."""
-    inner, ext = _shells(Q, R)
-    return _from_packed(Q.model, _union(inner + ext))
+    return grow(Q, R).difference(shrink(Q, R))
 
 
 def shrink(Q: FiniteSet, R: int) -> FiniteSet:
-    """Q_R = Q minus its two-sided R-boundary; may be empty."""
-    keep = np.ones(len(Q), dtype=bool)
-    keep[np.searchsorted(Q.packed, np.concatenate([_EMPTY] + _shells(Q, R)[0]))] = False
-    return _from_packed(Q.model, Q.packed[keep])
+    """Q_R = Q minus its two-sided R-boundary, the x with B_R x inside Q; may
+    be empty.  Each set keeps its shrinks by radius."""
+    if R < 0:
+        raise ValueError("boundary radius must be >= 0")
+    if R not in Q._shrunk:
+        Q._shrunk[R] = admissible_positions(Q.model.ball(R), Q)
+    return Q._shrunk[R]
 
 
 def grow(Q: FiniteSet, R: int) -> FiniteSet:
-    """Q^R = Q together with its two-sided R-boundary."""
-    return _from_packed(Q.model, _union([Q.packed] + _shells(Q, R)[1]))
+    """Q^R = Q together with its two-sided R-boundary, the product B_R Q."""
+    return _from_packed(Q.model, _run_keys(*_grow_runs(Q, R)))
 
 
 # -- Folner tiles and grids ------------------------------------------------------
@@ -616,6 +617,22 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at[:-1], at[1:] - at[:-1]
 
 
+def _covered(first: np.ndarray, length: np.ndarray, times: int) -> tuple[np.ndarray, np.ndarray]:
+    """First keys and lengths of disjoint sorted runs holding the keys that
+    at least ``times`` of the runs [first, first + length) hold."""
+    first = first - 1  # keys are non-negative, so every stop minus 1 fits int64
+    ends = np.concatenate([first, first + length])
+    order = np.argsort(ends)
+    ends = ends[order]
+    at = (np.where(order < len(first), 1, -1).cumsum() >= times).nonzero()[0]
+    return ends[at] + 1, ends[at + 1] - ends[at]  # ties give empty runs
+
+
+def _run_keys(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Keys of disjoint sorted runs, in order."""
+    return np.repeat(first - length.cumsum() + length, length) + np.arange(length.sum())
+
+
 def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     """All x with tile*x contained in U (not restricted to the grid), on runs.
 
@@ -630,22 +647,14 @@ def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     model = tile.model
     if len(tile) == 0:
         raise ValueError("tile must be non-empty")
-    t_at, t_len = _runs(tile.packed)
-    u_at, u_len = _runs(U.packed)
+    t_first, t_len = tile.run_heads
+    u_first, u_len = U.run_heads
     # row i, column j: the run q_i^-1 * erode(run j of U) for tile run i
     length = u_len - t_len[:, None] + 1
     keep = length > 0
-    inverses = model.inverse_array(model._unpack(tile.packed[t_at]))
-    starts = model.mul_array(inverses[:, None], model._unpack(U.packed[u_at]))[keep]
+    starts = model.mul_array(model.inverse_array(t_first)[:, None], u_first)[keep]
     length = length[keep]
     model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run
-    first = model._pack(starts) - 1  # keys are positive, so every stop minus 1 fits int64
     # the runs that one tile run allows are disjoint, so the keys that every
-    # tile run allows are those covered len(t_at) times
-    ends = np.concatenate([first, first + length])
-    order = np.argsort(ends)
-    ends = ends[order]
-    at = (np.where(order < len(first), 1, -1).cumsum() == len(t_at)).nonzero()[0]
-    first, length = ends[at] + 1, ends[at + 1] - ends[at]  # ties give empty runs
-    keys = np.repeat(first - length.cumsum() + length, length) + np.arange(length.sum())
-    return _from_packed(model, keys)
+    # tile run allows are those covered len(t_len) times
+    return _from_packed(model, _run_keys(*_covered(model._pack(starts), length, len(t_len))))

@@ -274,6 +274,9 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
     window_side = int(cfg.raw.get("freq_window", 100))
     max_domain = int(cfg.raw.get("freq_max_domain", 3))
     window = folner_set(model, window_side).tile
+    # one set per volume and tile, so each keeps its shrinks across seeds
+    volumes = {j: folner_set(model, j).tile for j in cfg.folner_indices()}
+    specs = cfg.tiling_specs(model)
     # the alphabet and weights, hence the family and its frequencies, are seed-free
     analytic = PercolationFrequencies(cfg.colouring(model))
     family = []
@@ -294,15 +297,14 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
             emp = Fraction(count, len(window))
             lines.append(f"{seed},{name},{count},{_fmt(emp)},{_fmt(ana)},{_fmt(abs(emp - ana))}")
         rule = cfg.rule(model, colouring)
-        for j in cfg.folner_indices():
-            U = folner_set(model, j).tile
+        for j, U in volumes.items():
             try:
                 ap = ids_approximant(rule, colouring, U, tau=cfg.tolerance)
             except IdsError as exc:
                 errors.append({"seed": seed, "j": j, "error": str(exc)})
                 continue
             _write_step_csv(outdir / f"approximant_seed{seed}_j{j}.csv", ap.step)
-            for spec in cfg.tiling_specs(model):
+            for spec in specs:
                 # occurring-class spectrum of the tile over this volume
                 spectrum = occurring_pattern_spectrum(colouring, spec.tile, U)
                 cert = ids_certificate(rule, colouring, U, spec, analytic, j=j, spectrum=spectrum)

@@ -10,6 +10,7 @@ from idsapprox.cayley import (
     GroupModelError,
     Heisenberg3,
     admissible_positions,
+    boundary,
     boundary_ext,
     boundary_int,
     boundary_int_size,
@@ -191,9 +192,9 @@ def test_boundary_definitional_properties(z2, h3):
 
 
 def test_boundary_identity_vs_distance_oracle(z1, z2, h3):
-    # shells against breadth-first distances built with multiply alone, on
-    # random sets, sets with holes and sets far from the origin (on H3 the
-    # packed step's s_b*a term is then large), radii asked out of order
+    # boundaries against breadth-first distances built with multiply alone, on
+    # random sets, sets with holes and sets far from the origin (on H3 the c
+    # shift b_b*q_a of a run product is then large), radii asked out of order
     rng = random.Random(4)
     z3 = FreeAbelian(3)
     for model in (z1, z2, z3, h3):
@@ -216,6 +217,41 @@ def test_boundary_identity_vs_distance_oracle(z1, z2, h3):
                 assert frozenset(boundary_ext(Q, R)) == {h for h, r in ext.items() if 1 <= r <= R}
                 assert frozenset(boundary_int(Q, R)) == {x for x, r in inner.items() if r <= R}
                 assert boundary_size(Q, R) == len(boundary_ext(Q, R)) + len(boundary_int(Q, R))
+
+
+def test_boundaries_on_runs_match_bfs_oracle(z1, z2, h3):
+    # run-heavy sets (boxes, boxes with holes, intervals with gaps, the empty
+    # set): every boundary, shrink and grow against breadth-first distances
+    # built with multiply, and shrink against the admissible positions of
+    # the ball, which it is by definition
+    box = [(a, b) for a in range(12) for b in range(9)]
+    holey_box = FiniteSet(z2, [g for g in box if not (4 <= g[0] < 7 and 3 <= g[1] < 5) and g != (9, 2)])
+    gaps = FiniteSet(z1, [(i,) for i in [*range(10), *range(12, 21), 22]])
+    cases = [(Q, (0, 1, 2, 5)) for Q in (holey_box, holey_box.right_translate((-40, 17)))]
+    cases.append((gaps, (0, 1, 2, 4)))
+    for j in (2, 3):
+        tile = folner_set(h3, j).tile
+        cases += [(tile, (0, 1, 8)), (tile.left_translate((-300, 5, 7)), (0, 1, 8))]
+    cases += [(FiniteSet(model, []), (0, 1, 3)) for model in (z1, z2, h3)]
+    for Q, radii in cases:
+        model = Q.model
+        points = frozenset(Q)
+        ext = bfs_depths(model, tuple(Q), max(radii))
+        for R in radii:
+            # x is in the shrink when no point within distance R of x leaves Q
+            near = {x: bfs_depths(model, [x], R, stop=lambda h: h not in points) for x in Q}
+            kept = {x for x, d in near.items() if all(h in points for h in d)}
+            grown = {h for h, r in ext.items() if r <= R}
+            assert frozenset(shrink(Q, R)) == kept
+            assert frozenset(grow(Q, R)) == grown
+            assert frozenset(boundary_int(Q, R)) == points - kept
+            assert frozenset(boundary_ext(Q, R)) == grown - points
+            assert frozenset(boundary(Q, R)) == grown - kept
+            assert boundary_int_size(Q, R) == len(points - kept)
+            assert boundary_size(Q, R) == len(grown - kept)
+            assert shrink(Q, R) == admissible_positions(model.ball(R), Q)
+            for A in (shrink(Q, R), grow(Q, R), boundary(Q, R)):
+                assert np.all(np.diff(A.packed) > 0)
 
 
 def test_balls_and_word_lengths_vs_bfs():
@@ -583,8 +619,8 @@ def test_h3_per_generator_sphere_split(h3):
 
 def test_boundary_union_formula_identity(z2, h3):
     # the finite union reformulation, evaluated literally as a second oracle;
-    # the radii are asked out of order on one shared set, so every answer
-    # after the first reads a prefix of the shells that R = 3 grew
+    # the radii are asked out of order on one shared set, which keeps the
+    # shrink of every radius it was asked for
     rng = random.Random(55)
     sets = [
         random_subset(model, rng, radius=2, size=9)
@@ -609,8 +645,10 @@ def test_boundary_union_formula_identity(z2, h3):
             assert frozenset(boundary_ext(Q, R)) == ext_union
             assert shrink(Q, R) == Q.difference(boundary_int(Q, R))
             assert grow(Q, R) == Q.union(boundary_ext(Q, R))
-        # interior and exterior record: three shells each, none grown again
-        assert [len(shells) for shells in Q._shells] == [3, 3]
+        # the shrink memo holds exactly the radii asked, each computed once
+        assert sorted(Q._shrunk) == [0, 1, 2, 3]
+        for R in (3, 0, 1, 2):
+            assert shrink(Q, R) is Q._shrunk[R]
 
 
 @pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())
@@ -629,10 +667,10 @@ def test_packing_round_trip_at_bound(model):
 
 @pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())
 def test_pack_bound_at_sweep_edge(model):
-    # boundary_size(Q, 1) steps from Q and from exterior shell 1, so it reads
-    # every point within distance 2 of Q; it raises exactly when one of them
-    # leaves the packable range, and otherwise counts right: a packed step
-    # never carries silently from one bit field into the next
+    # boundary_size(Q, R) reads the points of B_R Q, those within distance R
+    # of Q; it raises exactly when one of them leaves the packable range, and
+    # otherwise counts right: a run product never carries silently from one
+    # bit field into the next
     bound = model.pack_bound
     sets = []
     for i in range(model.dim):
@@ -647,16 +685,17 @@ def test_pack_bound_at_sweep_edge(model):
                 sets.append([(a, 0, c if a > 0 else -c)])
     raised = []
     for rows in sets:
-        Q = FiniteSet(model, rows)
-        near = bfs_depths(model, tuple(Q), 2)
-        out_of_range = max(abs(c) for g in near for c in g) >= bound
-        raised.append(out_of_range)
-        if out_of_range:
-            with pytest.raises(GroupModelError):
-                boundary_size(Q, 1)
-        else:
-            inner = [x for x in Q if any(model.multiply(s, x) not in Q for s in model.generators)]
-            assert boundary_size(Q, 1) == sum(r == 1 for r in near.values()) + len(inner)
+        for R in (1, 2):
+            Q = FiniteSet(model, rows)
+            near = bfs_depths(model, tuple(Q), R)
+            out_of_range = max(abs(c) for g in near for c in g) >= bound
+            raised.append(out_of_range)
+            if out_of_range:
+                with pytest.raises(GroupModelError):
+                    boundary_size(Q, R)
+            else:
+                inner = [x for x in Q if any(h not in Q for h in bfs_depths(model, [x], R))]
+                assert boundary_size(Q, R) == sum(r >= 1 for r in near.values()) + len(inner)
     assert any(raised) and not all(raised)
 
 
