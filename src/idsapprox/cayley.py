@@ -52,7 +52,6 @@ import numpy as np
 import numpy.ma  # noqa: F401 - np.unique imports it on first use; load it with the package
 
 Element = tuple[int, ...]
-_CHUNK = 65_536  # rows of a set product held at once (diameters)
 
 
 class GroupModelError(ValueError):
@@ -197,21 +196,18 @@ class GroupModel:
     # -- bulk helpers over finite sets ---------------------------------------
 
     def set_diameter(self, Q: "FiniteSet") -> int:
+        """Largest |g h^-1| over g, h in Q, on runs: z is central, so the g h^-1
+        for g in the run f_i, ..., f_i z^(L_i - 1) and h in the run f_k, ...,
+        f_k z^(L_k - 1) are the run from f_i f_k^-1 z^-(L_k - 1) of length
+        L_i + L_k - 1."""
         if len(Q) == 0:
             raise ValueError("diameter of the empty set is undefined")
-        coords = Q.coords
-        inverses = self.inverse_array(coords)
-        rows = max(1, _CHUNK // len(Q))
-        chunks: list[np.ndarray] = []
-        diffs = _EMPTY
-        for start in range(0, len(Q), rows):
-            # row i of the block: every g * h_i^-1
-            block = self.mul_array(coords, inverses[start : start + rows, None])
-            chunks.append(self._pack(block).ravel())
-            if sum(map(len, chunks)) > 4_000_000:
-                diffs = _unique_keys(np.concatenate([diffs] + chunks))
-                chunks = []
-        diffs = _unique_keys(np.concatenate([diffs] + chunks))
+        first, length = Q.run_heads
+        starts = self.mul_array(first[:, None], self.inverse_array(first))
+        starts[..., -1] -= length - 1
+        length = length[:, None] + length - 1
+        self._check_range((starts[..., -1] + length - 1).max())  # the last point of each run
+        diffs = _run_keys(*_covered(self._pack(starts.reshape(-1, self.dim)), length.ravel(), 1))
         return int(self._lengths_packed(diffs).max())
 
 
@@ -652,6 +648,8 @@ def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     # row i, column j: the run q_i^-1 * erode(run j of U) for tile run i
     length = u_len - t_len[:, None] + 1
     keep = length > 0
+    if not keep.any(axis=1).all():  # a tile run that fits in no run of U
+        return _from_packed(model, _EMPTY)
     starts = model.mul_array(model.inverse_array(t_first)[:, None], u_first)[keep]
     length = length[keep]
     model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run

@@ -1,11 +1,17 @@
 """Symmetric eigensolves, eigenvalue counting functions and perturbation gaps.
 
 Every eigensolve takes one path: the matrix is read as its nonzero entries
-(COO arrays), checked for symmetry, split into the connected components of
-its nonzero pattern (the counting function of a direct sum is the sum of
-the counting functions), and the components of each size are solved together
-by LAPACK's symmetric solver on one stacked array.  Counting functions
-cluster eigenvalues closer than the tolerance tau into a single breakpoint.
+(COO arrays), checked for symmetry, and split into the connected components
+of its nonzero pattern (the counting function of a direct sum is the sum of
+the counting functions).  Components are labelled on the bipartite double
+cover, where an entry (u, v) joins (u, s) to (v, 1 - s).  A component is
+chiral (bipartite, zero diagonal) exactly when its cover splits; it is then
+[[0, B], [B^T, 0]] for a p x q block B, with spectrum +-sigma(B) and |p - q|
+zeros (Jordan-Wielandt; Golub and Van Loan, Matrix Computations, 8.6).
+Components of equal size and side size are solved together: chiral ones by
+one stacked singular-value call (none for isolated vertices), the others by
+LAPACK's symmetric solver on one stacked array.  Counting functions cluster
+eigenvalues closer than the tolerance tau into a single breakpoint.
 """
 
 from __future__ import annotations
@@ -120,24 +126,38 @@ def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
     if tau is None:
         tau = default_tau(M, coo)
     n, rows, cols, vals = coo
-    # components in order of their smallest row; rows ascending within each
-    label = _component_labels(n, rows, cols)
-    order = np.argsort(label, kind="stable")
-    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
-    comp = np.empty(n, dtype=np.int64)
-    comp[order] = np.repeat(np.arange(len(size)), size)
-    local = np.empty(n, dtype=np.int64)
-    local[order] = np.arange(n) - np.repeat(start, size)
-    slot = np.empty(len(size), dtype=np.int64)  # rank among equal-size components
+    # the double cover: (u, s) -- (v, 1 - s) for every entry (u, v)
+    cover = _component_labels(2 * n, np.r_[2 * rows, 2 * rows + 1], np.r_[2 * cols + 1, 2 * cols])
+    label = np.minimum(cover[0::2], cover[1::2]) // 2  # smallest vertex of the component
+    side = cover[0::2] != 2 * label
+    # group key size * (n + 1) + p, where p is the side-0 size of a chiral
+    # component (its cover splits; p >= 1) and 0 for any other
+    p = np.where(cover[0::2] != cover[1::2], np.bincount(label[~side], minlength=n), 0)
+    key = (np.bincount(label, minlength=n) * (n + 1) + p)[label]
+    order = np.lexsort((side, label, key))  # by group, component, side, vertex
+    comp = np.flatnonzero(np.diff(label[order], prepend=-1))  # where each component starts
+    group = np.flatnonzero(np.diff(key[order[comp]], prepend=-1))  # its first component
+    members, count = np.diff(np.r_[group, len(comp)]), np.diff(np.r_[comp, n])
+    slot, local = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    slot[order] = np.repeat(np.arange(len(comp)) - np.repeat(group, members), count)
+    local[order] = np.arange(n) - np.repeat(comp, count) - side[order] * p[label[order]]
+    # entries with the row on side 0, by group: a whole block, or B of [[0, B], [B^T, 0]]
+    mine = np.flatnonzero(~side[rows])
+    mine = mine[np.argsort(key[rows[mine]], kind="stable")]
+    groups = key[order[comp[group]]]
+    end = np.searchsorted(key[rows[mine]], groups, side="right")
     values = [np.empty(0)]
-    for m in np.unique(size).tolist():
-        members = np.nonzero(size == m)[0]
-        slot[members] = np.arange(len(members))
-        mine = size[comp[rows]] == m
-        blocks = np.zeros((len(members), m, m))
-        blocks[slot[comp[rows[mine]]], local[rows[mine]], local[cols[mine]]] = vals[mine]
+    for g, k, lo, hi in zip(groups.tolist(), members.tolist(), np.r_[0, end[:-1]], end):
+        m, pg = divmod(g, n + 1)
+        r, c = rows[mine[lo:hi]], cols[mine[lo:hi]]
+        blocks = np.zeros((k, m, m) if pg == 0 else (k, pg, m - pg))
+        blocks[slot[r], local[r], local[c]] = vals[mine[lo:hi]]
         try:
-            values.append(np.linalg.eigvalsh(blocks).ravel())
+            if pg == 0:
+                values.append(np.linalg.eigvalsh(blocks).ravel())
+            else:  # +-sigma(B) and |p - q| zeros; an isolated vertex (q = 0) is one zero
+                sigma = np.linalg.svd(blocks, compute_uv=False).ravel() if pg < m else np.empty(0)
+                values += [sigma, -sigma, np.zeros(k * abs(2 * pg - m))]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SpectraError(f"eigensolver did not converge: {exc}") from exc
     return EigenvalueList(np.sort(np.concatenate(values)), float(tau))

@@ -416,22 +416,69 @@ def test_h3_diameter_bracket_small(h3):
         assert n <= d <= 6 * n
 
 
-def test_diameter_edge_cases(z1, z2, h3, monkeypatch):
+def test_diameter_edge_cases(z1, z2, h3):
     with pytest.raises(ValueError):
         FiniteSet(z1, []).diameter
     assert FiniteSet(z1, [(4,)]).diameter == 0
     assert interval(z1, 0, 9).diameter == 9
-    # brute force over pairs; the small budgets cut the products into blocks
-    # of two and three rows with a shorter last block
+    # brute force over pairs
     rng = random.Random(21)
-    for chunk in (cayley._CHUNK, 20, 30):
-        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+    for _ in range(3):
         for model in (z2, h3, FreeAbelian(4)):
             for size in (2, 7, 11):
                 Q = random_subset(model, rng, radius=3, size=size)
                 elems = tuple(Q)
                 pairs = [(g, h) for g in elems for h in elems]
                 assert model.set_diameter(Q) == max(model.word_distance(g, h) for g, h in pairs)
+
+
+def _columns(model, rng, centre, count, spread=3, longest=5):
+    """A union of ``count`` columns g, g z, ..., g z^(L-1) near ``centre``,
+    L drawn from 1..longest, so the runs have unequal lengths."""
+    points = []
+    for _ in range(count):
+        g = [c + rng.randint(-spread, spread) for c in centre]
+        points += [tuple(g[:-1] + [g[-1] + t]) for t in range(rng.randint(1, longest))]
+    return FiniteSet(model, points)
+
+
+def test_set_diameter_from_run_pairs_matches_pairs():
+    # g h^-1 over a run pair is one run; the maximum over all point pairs is the oracle
+    rng = random.Random(29)
+    h3 = Heisenberg3()
+    for model in (h3, FreeAbelian(1), FreeAbelian(2), FreeAbelian(3)):
+        centres = [model.identity, tuple(rng.randint(-40, 40) for _ in range(model.dim))]
+        if model is h3:  # along a, so that the shift b*a of the c coordinate matters
+            centres.append((12, -2, 7))
+        for centre in centres:
+            for count in (1, 2, 4, 7):
+                Q = _columns(model, rng, centre, count, spread=20 if model.dim == 1 else 3)
+                elems = tuple(Q)
+                brute = max(model.word_distance(g, h) for g in elems for h in elems)
+                assert model.set_diameter(Q) == brute, (model.describe(), count)
+                if count == 7:
+                    assert len(set(cayley._runs(Q.packed)[1].tolist())) > 1
+    # g h^-1 for g = (0, 0, B - 19) and the run h = (1, 20, 0..3) is the run from
+    # (-1, -20, B - 2) to (-1, -20, B + 1): every run start is packable, one end is not
+    B = h3.pack_bound
+    with pytest.raises(GroupModelError):
+        h3.set_diameter(FiniteSet(h3, [(0, 0, B - 19)] + [(1, 20, t) for t in range(4)]))
+
+
+def test_admissible_positions_tile_run_longer_than_every_run(z2, h3):
+    # a tile run that fits in no run of U leaves no position
+    box = FiniteSet(z2, [(a, c) for a in range(5) for c in range(3)])  # columns of 3
+    column = FiniteSet(z2, [(0, t) for t in range(4)])
+    short = FiniteSet(z2, [(0, 0), (1, 0), (1, 1)])
+    cases = [(column, box), (column.union(short), box)]
+    U = folner_set(h3, 2).tile  # columns of 4
+    cases.append((FiniteSet(h3, [(0, 0, t) for t in range(5)]), U))
+    cases.append((FiniteSet(h3, [(0, 0, 0), (1, 0, 0)] + [(0, 1, t) for t in range(5)]), U))
+    for tile, U in cases:
+        assert cayley._runs(tile.packed)[1].max() > cayley._runs(U.packed)[1].max()
+        assert len(admissible_positions(tile, U)) == 0
+        assert admissible_positions_reference(tile, U) == frozenset()
+    assert len(admissible_positions(short, box)) > 0
 
 
 def test_interval_folner(z1):
@@ -463,7 +510,7 @@ def admissible_positions_reference(tile, U):
     return frozenset.intersection(*translates)
 
 
-def test_admissible_positions(z1, z2, h3, monkeypatch):
+def test_admissible_positions(z1, z2, h3):
     tile = interval(z1, 0, 2)
     U = interval(z1, 0, 9)
     pos = admissible_positions(tile, U)
@@ -482,13 +529,10 @@ def test_admissible_positions(z1, z2, h3, monkeypatch):
         far = tuple([0] * (model.dim - 1) + [60])
         cases.append((FiniteSet(model, [e, far]), ball))  # every position fails
     cases += _run_cases(rng)
-    # the result does not depend on the row budget of set products
-    for chunk in (cayley._CHUNK, 30, 7):
-        monkeypatch.setattr(cayley, "_CHUNK", chunk)
-        for tile, U in cases:
-            pos = admissible_positions(tile, U)
-            assert frozenset(pos) == admissible_positions_reference(tile, U)
-            assert np.all(np.diff(pos.packed) > 0)
+    for tile, U in cases:
+        pos = admissible_positions(tile, U)
+        assert frozenset(pos) == admissible_positions_reference(tile, U)
+        assert np.all(np.diff(pos.packed) > 0)
     assert not frozenset(admissible_positions(h3.ball(3), h3.ball(1)))
     # |U| = 90 000 and |Q| = 243 on Z^1: the positions form one interval
     U, tile = interval(z1, 0, 89_999), interval(z1, 0, 242)

@@ -5,9 +5,17 @@ import pytest
 import scipy.sparse
 
 from idsapprox.cayley import FiniteSet, folner_set, interval_folner
-from idsapprox.colouring import BLACK, HalfLineMod3, TrivialColouring
+from idsapprox.colouring import (
+    BLACK,
+    Alphabet,
+    HalfLineMod3,
+    PercolationColouring,
+    TrivialColouring,
+)
 from idsapprox.operators import (
     PeriodicCover,
+    adjacency_rule,
+    laplacian_rule,
     offset_table_rule,
     percolation_rule,
     periodic_fold,
@@ -336,7 +344,7 @@ def test_split_connected_single_block():
     assert_matches_dense(path + path.T, path + path.T)
 
 
-def test_split_periodic_fold_restriction(z1):
+def test_split_periodic_fold_restriction(monkeypatch, z1):
     # period-2 chain: weights 1 inside a cell and 2 or 0 between cells
     for between in (2.0, 0.0):
 
@@ -350,7 +358,8 @@ def test_split_periodic_fold_restriction(z1):
         rule = periodic_fold(PeriodicCover(z1, 2, kern, 1))
         Q = FiniteSet(z1, [(i,) for i in (0, 1, 2, 3, 5, 6, 9)])
         M = restrict_operator(rule, TrivialColouring(z1), Q)
-        assert_matches_dense(M, M.to_dense())
+        assert rule.k == 2
+        assert_chiral_matches_dense(monkeypatch, M, M.to_dense())  # paths are chiral
 
 
 def test_split_empty_matrix():
@@ -369,3 +378,99 @@ def test_split_rejects_nonsymmetric():
             eigenvalues(M)
     with pytest.raises(SpectraError):
         eigenvalues(np.zeros((2, 3)))
+
+
+# -- the chiral branch: bipartite, zero-diagonal components from sigma(B) ----------
+
+
+def solver_calls(monkeypatch, M):
+    """The LAPACK drivers (``svd``, ``eigvalsh``) that eigenvalues(M) calls, in order."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("svd", "eigvalsh"):
+
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            m.setattr(np.linalg, name, counted)
+        eigenvalues(M)
+    return calls
+
+
+def assert_chiral_matches_dense(monkeypatch, M, A):
+    """M takes the chiral branch only and agrees with one dense eigvalsh of A:
+    equal lengths, max |difference| <= tau, equal clustered multiplicities."""
+    assert set(solver_calls(monkeypatch, M)) == {"svd"}
+    assert_matches_dense(M, A)
+    ev = eigenvalues(M)
+    ref = np.linalg.eigvalsh(A) if A.size else np.empty(0)
+    assert np.array_equal(cluster_values(ev.values, ev.tau)[1], cluster_values(ref, ev.tau)[1])
+
+
+def random_bipartite(rng, p, q, density=0.3):
+    """[[0, B], [B^T, 0]] for a random signed p x q block B, rows permuted."""
+    B = rng.normal(size=(p, q)) * (rng.uniform(size=(p, q)) < density)
+    A = np.block([[np.zeros((p, p)), B], [B.T, np.zeros((q, q))]])
+    perm = rng.permutation(p + q)
+    return A[np.ix_(perm, perm)]
+
+
+def test_chiral_h3_adjacency_and_z2_percolation(monkeypatch, h3, z2):
+    rule = adjacency_rule(h3)
+    for j in (2, 3, 4):
+        M = restrict_operator(rule, TrivialColouring(h3), folner_set(h3, j).tile)
+        assert_chiral_matches_dense(monkeypatch, M, M.to_dense())
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=5)
+    rule = percolation_rule(z2, C.alphabet, ["open"])
+    for j in (8, 20):
+        M = restrict_operator(rule, C, folner_set(z2, j).tile)
+        assert_chiral_matches_dense(monkeypatch, M, M.to_dense())
+
+
+def test_chiral_random_signed_weights_and_unequal_sides(monkeypatch):
+    rng = np.random.default_rng(42)
+    for p, q in ((5, 5), (7, 3), (2, 11), (30, 24)):
+        A = random_bipartite(rng, p, q)
+        assert_chiral_matches_dense(monkeypatch, A, A)
+        assert_chiral_matches_dense(monkeypatch, scipy.sparse.csr_matrix(A), A)
+    # a star K_{1,5}: +-sqrt(5) and four zeros
+    star = np.zeros((6, 6))
+    star[0, 1:] = star[1:, 0] = 1.0
+    assert_chiral_matches_dense(monkeypatch, star, star)
+    reps, counts = cluster_values(eigenvalues(star).values, 1e-9)
+    assert np.allclose(reps, [-np.sqrt(5.0), 0.0, np.sqrt(5.0)], atol=1e-12)
+    assert counts.tolist() == [1, 4, 1]
+
+
+def test_chiral_isolated_vertices_call_no_solver(monkeypatch):
+    assert solver_calls(monkeypatch, np.zeros((7, 7))) == []
+    assert np.array_equal(eigenvalues(np.zeros((7, 7))).values, np.zeros(7))
+    # isolated vertices beside a path and a star
+    A = np.zeros((12, 12))
+    A[2, 3] = A[3, 2] = A[3, 4] = A[4, 3] = 1.5
+    A[7, 8:11] = A[8:11, 7] = -1.0
+    assert_chiral_matches_dense(monkeypatch, A, A)
+
+
+def test_non_chiral_components_take_eigvalsh(monkeypatch, z2):
+    triangle = np.ones((3, 3)) - np.eye(3)  # an odd cycle
+    diagonal = np.diag([0.0, 0.5])
+    diagonal[0, 1] = diagonal[1, 0] = 1.0  # a bipartite edge with a nonzero diagonal entry
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=5)
+    lap = laplacian_rule(percolation_rule(z2, C.alphabet, ["open"]))
+    L = restrict_operator(lap, C, folner_set(z2, 6).tile)
+    for M, A in ((triangle, triangle), (diagonal, diagonal), (L, L.to_dense())):
+        assert "svd" not in solver_calls(monkeypatch, M)
+        assert_matches_dense(M, A)
+    # one matrix with both kinds: a triangle, a star, a weighted edge with a
+    # diagonal entry and an isolated vertex
+    rng = np.random.default_rng(43)
+    star = np.zeros((4, 4))
+    star[0, 1:] = star[1:, 0] = 2.0
+    A = scipy.sparse.block_diag([triangle, star, diagonal, np.zeros((1, 1)), triangle]).toarray()
+    perm = rng.permutation(len(A))
+    A = A[np.ix_(perm, perm)]
+    calls = solver_calls(monkeypatch, A)
+    assert sorted(set(calls)) == ["eigvalsh", "svd"]
+    assert_matches_dense(A, A)
