@@ -15,29 +15,28 @@ In both groups that order is invariant under ``mul_array`` (the one array
 product, broadcast over leading axes) by a fixed factor on either side, so
 translates of sorted keys are sorted.  Distinct keys are found by sorting.
 
-The word-length table and the balls come from one breadth-first sweep of
-the identity that steps packed keys: ``_step_keys`` gives the keys of s*g for
-every generator s as one sorted row each (on Z^d it adds the key of s, on H3
-that key plus s_b*a, a read from its bit field).  It reads the bit fields of
-the sphere first and raises GroupModelError exactly when a neighbour leaves
-the packable range, so no field carries into the next.  The next sphere is
-the neighbours of the current one (rows merged by a stable sort) minus the
-last two spheres, a rule that needs the symmetric generator set every model
-checks at construction; ball(R) is the union of spheres 0..R.
-
 A run is a maximal range of consecutive keys of a set.  The last coordinate
 has the lowest bit field and |c| < pack_bound forbids a carry, so a run is a
 column of consecutive last coordinates with the others fixed.  In both groups
 z = (0,...,0,1) is central and key(g z^t) = key(g) + t, so left multiplication
-maps a run to a run of the same length; ``admissible_positions`` works on runs,
-read from each set's ``run_heads`` (first point and length of every run).
+maps a run to a run of the same length, and a run of length L from b times a
+run of length M from q is the run from b*q of length L + M - 1.  A product of
+two sets is therefore formed from run starts alone (``_run_product``), and
+``admissible_positions`` works on runs too, read from each set's
+``run_heads`` (first point and length of every run).
+
+The word metric lives on the runs of the balls: B_(r+1) = B_1 B_r (a word of
+length r + 1 is a generator times a word of length r), so each level is one
+run product, and the model keeps the maximal runs of every level it has
+grown.  The word length of a key is the least r whose level holds it, and the
+diameter of Q is the least r whose level holds every run of Q Q^-1.
+
 Every boundary comes from runs of the symmetric ball B_R = {x : |x| <= R}:
 
 - shrink(Q, R) = {x : B_R x inside Q} = admissible_positions(B_R, Q), kept
   per set and radius, since certificates ask for one shrink several times;
-- grow(Q, R) = B_R Q, the points within distance R of Q: a run of B_R from b
-  of length L times a run of Q from q of length M is the run from b*q of
-  length L + M - 1, so only run starts are multiplied and the runs merged;
+- grow(Q, R) = B_R Q, the points within distance R of Q, a run product whose
+  size is also kept per set and radius;
 - boundary_int = Q minus shrink, boundary_ext = grow minus Q and boundary =
   grow minus shrink, so the sizes are sums of run lengths.
 """
@@ -78,10 +77,14 @@ class GroupModel:
         self.pack_bound = 1 << (self.pack_bits - 1)  # coordinates satisfy |c| < bound
         self._pack_shifts = self.pack_bits * np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         self._pack_scale = np.left_shift(1, self._pack_shifts)
-        # word-length table: sorted keys and lengths of the spheres 0..radius
-        self._origin = self._pack(np.array([self.identity], dtype=np.int64))
-        self._spheres: list[np.ndarray] = []
-        self._wl_keys, self._wl_dist, self._wl_radius = self._origin, np.zeros(1, dtype=np.int64), 0
+        self._pack_offset = self.pack_bound * int(self._pack_scale.sum())  # the key of coordinates 0
+        # maximal runs of B_0, B_1, ...: first keys and lengths; B_1 (first as
+        # points, then as runs) times the last level, whose head coordinates
+        # are kept, grows the next one
+        self._front = np.array([self.identity], dtype=np.int64)
+        self._levels = [(self._pack(self._front), np.ones(1, dtype=np.int64))]
+        step = np.concatenate([self._front, self._gens])
+        self._step = (step, np.ones(len(step), dtype=np.int64))
         self._ball_cache: dict[int, "FiniteSet"] = {}
 
     # -- group structure ----------------------------------------------------
@@ -105,18 +108,6 @@ class GroupModel:
     def inverse_array(self, g: np.ndarray) -> np.ndarray:
         """Inverses of coordinate rows: here the negation of Z^d; H3 overrides it."""
         return -np.asarray(g, dtype=np.int64)
-
-    def _step_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Keys of s*g for sorted keys g, one sorted row per generator s: here
-        Z^d, where a row adds the key of s.  Raises exactly when some s*g leaves
-        the packable range."""
-        if keys.size:
-            reach = np.abs(self._gens).max(axis=0)
-            for i in range(self.dim):
-                # field 0 leads the key order, so its extremes sit at the ends
-                c = self._field(keys[[0, -1]] if i == 0 else keys, i)
-                self._check_range(max(-c.min(), c.max()) + reach[i])
-        return keys + (self._gens @ self._pack_scale)[:, None]
 
     def check_element(self, g: Sequence[int]) -> Element:
         try:
@@ -143,9 +134,9 @@ class GroupModel:
         """Pack coordinate rows into sortable int64 keys (lexicographic order)."""
         if coords.size:
             self._check_range(max(-coords.min(), coords.max()))
-        # the offset fields are positive and do not overlap, so the weighted
-        # sum places each coordinate in its own bit field
-        return (coords + self.pack_bound) @ self._pack_scale
+        # coords + pack_bound is positive and fits its field, and the fields do
+        # not overlap, so the weighted sum puts each coordinate in its own field
+        return coords @ self._pack_scale + self._pack_offset
 
     def _field(self, keys: np.ndarray, i: int | slice) -> np.ndarray:
         """Coordinate i of every key, read from its bit field."""
@@ -156,28 +147,37 @@ class GroupModel:
 
     # -- word metric --------------------------------------------------------
 
-    def _lengths_packed(self, keys: np.ndarray) -> np.ndarray:
-        """Word lengths for packed keys, growing the spheres as needed."""
-        missing = keys[~_in_sorted(self._wl_keys, keys)]
-        radius = self._wl_radius
-        while missing.size:
-            radius += 1
-            sphere = _sweep(self, radius)[-1]
-            if sphere.size == 0:
+    def _level(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """First keys and lengths of the maximal runs of B_r, grown as
+        B_(r+1) = B_1 B_r from the last level kept."""
+        levels = self._levels
+        while len(levels) <= r:
+            self._front, *ball = _run_product(self, *self._step, self._front, levels[-1][1])
+            levels.append(tuple(ball))
+            if len(levels) == 2:
+                self._step = (self._front, levels[1][1])
+        return levels[r]
+
+    def _radii(self, first: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Least r with the run of ``length`` keys from ``first`` inside B_r, for
+        every run: the largest word length on it.  Ball runs are maximal, so a
+        run lies in B_r exactly when it lies in the last ball run starting at or
+        before it."""
+        radius, todo, r = np.zeros(len(first), dtype=np.int64), np.arange(len(first)), 0
+        while todo.size:
+            f, n = self._level(r)
+            if r and n.sum() == self._level(r - 1)[1].sum():
                 raise GroupModelError("generators do not reach requested element")
-            missing = missing[~_in_sorted(sphere, missing)]
-        if radius > self._wl_radius:
-            levels = [self._origin] + self._spheres[:radius]
-            dist = np.repeat(np.arange(radius + 1), [len(k) for k in levels])
-            order = np.argsort(np.concatenate(levels), kind="stable")
-            self._wl_keys, self._wl_dist = np.concatenate(levels)[order], dist[order]
-            self._wl_radius = radius
-        return self._wl_dist[np.searchsorted(self._wl_keys, keys)]
+            i = np.searchsorted(f, first[todo], side="right") - 1
+            held = (i >= 0) & (first[todo] + (length[todo] - 1) - f[i] < n[i])  # i = -1: no ball run
+            radius[todo] = r
+            todo, r = todo[~held], r + 1
+        return radius
 
     def word_length(self, g: Element) -> int:
         """Minimal number of generators whose product equals g."""
         arr = np.array([self.check_element(g)], dtype=np.int64)
-        return int(self._lengths_packed(self._pack(arr))[0])
+        return int(self._radii(self._pack(arr), np.ones(1, dtype=np.int64))[0])
 
     def word_distance(self, g: Element, h: Element) -> int:
         """Word metric d(g, h): length of g * h^-1 (right-invariant)."""
@@ -188,27 +188,27 @@ class GroupModel:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius not in self._ball_cache:
-            # the spheres are disjoint sorted rows, which a stable sort merges
-            keys = np.sort(np.concatenate([self._origin] + _sweep(self, radius)), kind="stable")
-            self._ball_cache[radius] = _from_packed(self, keys)
+            first, length = self._level(radius)
+            ball = _from_packed(self, _run_keys(first, length))
+            top = radius == len(self._levels) - 1  # the heads of the last level are kept
+            ball._heads = (self._front if top else self._unpack(first), length)
+            ball._heads[0].flags.writeable = length.flags.writeable = False
+            self._ball_cache[radius] = ball
         return self._ball_cache[radius]
 
     # -- bulk helpers over finite sets ---------------------------------------
 
     def set_diameter(self, Q: "FiniteSet") -> int:
-        """Largest |g h^-1| over g, h in Q, on runs: z is central, so the g h^-1
-        for g in the run f_i, ..., f_i z^(L_i - 1) and h in the run f_k, ...,
-        f_k z^(L_k - 1) are the run from f_i f_k^-1 z^-(L_k - 1) of length
-        L_i + L_k - 1."""
+        """Largest |g h^-1| over g, h in Q, on runs: z is central, so the inverse
+        of the run f, ..., f z^(L - 1) is the run from f^-1 z^-(L - 1) of length
+        L, and the g h^-1 are the run product of Q and Q^-1."""
         if len(Q) == 0:
             raise ValueError("diameter of the empty set is undefined")
         first, length = Q.run_heads
-        starts = self.mul_array(first[:, None], self.inverse_array(first))
-        starts[..., -1] -= length - 1
-        length = length[:, None] + length - 1
-        self._check_range((starts[..., -1] + length - 1).max())  # the last point of each run
-        diffs = _run_keys(*_covered(self._pack(starts.reshape(-1, self.dim)), length.ravel(), 1))
-        return int(self._lengths_packed(diffs).max())
+        inverse = self.inverse_array(first)
+        inverse[:, -1] -= length - 1
+        _, keys, length = _run_product(self, first, length, inverse, length)
+        return int(self._radii(keys, length).max())
 
 
 class FreeAbelian(GroupModel):
@@ -272,17 +272,6 @@ class Heisenberg3(GroupModel):
         out[..., 2] += out[..., 0] * out[..., 1]  # (a,b,c)^-1 = (-a, -b, ab - c)
         return out
 
-    def _step_keys(self, keys: np.ndarray) -> np.ndarray:
-        # s*g = (a + s_a, b + s_b, c + s_c + s_b a): a row adds the key of s and
-        # s_b a; under the generators (+-1,0,0), (0,+-1,0) the largest new |c|
-        # is |c| + |a|, so with the checks on a and b the range check is exact
-        a = self._field(keys, 0)
-        if keys.size:
-            self._check_range((np.abs(self._field(keys, 2)) + np.abs(a)).max())
-        rows = super()._step_keys(keys)
-        rows += self._gens[:, 1:2] * a
-        return rows
-
 
 class FiniteSet:
     """Immutable finite subset of a group, with cached geometry.
@@ -293,7 +282,7 @@ class FiniteSet:
     keys.
     """
 
-    __slots__ = ("model", "packed", "_coords", "_heads", "_diameter", "_shrunk", "_hash")
+    __slots__ = ("model", "packed", "_coords", "_heads", "_diameter", "_shrunk", "_grown", "_hash")
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
@@ -308,6 +297,7 @@ class FiniteSet:
         self._heads: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._diameter: Optional[int] = None
         self._shrunk: dict[int, FiniteSet] = {}  # shrink(self, R) by R
+        self._grown: dict[int, int] = {}  # |grow(self, R)| by R
         self._hash: Optional[int] = None
 
     def __len__(self) -> int:
@@ -423,38 +413,27 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[idx] == needles
 
 
-def _sweep(model: GroupModel, R: int) -> list[np.ndarray]:
-    """Packed spheres 1..R of the word metric, growing ``model._spheres`` from
-    where it stopped: the next sphere is the neighbours of the current one
-    outside the last two."""
-    spheres = model._spheres
-    while len(spheres) < R:
-        prev, cur = ([_EMPTY, model._origin] + spheres)[-2:]
-        # the generator rows are sorted runs, which a stable sort merges
-        cand = np.sort(model._step_keys(cur).ravel(), kind="stable")
-        keep = np.append(True, cand[1:] != cand[:-1])
-        for sphere in (prev, cur):  # search the smaller array into the larger
-            if len(sphere) > len(cand):
-                keep &= ~_in_sorted(sphere, cand)
-            else:
-                idx = np.minimum(np.searchsorted(cand, sphere), len(cand) - 1)
-                keep[idx[cand[idx] == sphere]] = False
-        spheres.append(cand[keep])
-    return spheres[:R]
+def _run_product(
+    model: GroupModel, b_first: np.ndarray, b_len: np.ndarray, q_first: np.ndarray, q_len: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of the product of two sets given by the head coordinates and
+    lengths of their runs: head coordinates, first keys and lengths.  Each pair
+    of runs gives the run from b*q of length L + M - 1 (see the module); its
+    start and its last point are range-checked."""
+    starts = model.mul_array(b_first[:, None], q_first).reshape(-1, model.dim)
+    span = (b_len[:, None] + (q_len - 2)).ravel()  # length - 1
+    model._check_range((starts[:, -1] + span).max(initial=0))  # the last point of each run
+    first = model._pack(starts)
+    at, last = _merge(first, first + span)
+    first = first[at]
+    return starts[at], first, last - first + 1
 
 
 def _grow_runs(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """First keys and lengths of disjoint sorted runs covering B_R Q: the run
-    products b*q of length L + M - 1 (see the module), merged."""
+    """First keys and lengths of the maximal runs of B_R Q."""
     if R < 0:
         raise ValueError("boundary radius must be >= 0")
-    model = Q.model
-    b_first, b_len = model.ball(R).run_heads
-    q_first, q_len = Q.run_heads
-    starts = model.mul_array(b_first[:, None], q_first).reshape(-1, model.dim)
-    length = (b_len[:, None] + q_len - 1).ravel()
-    model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run
-    return _covered(model._pack(starts), length, 1)
+    return _run_product(Q.model, *Q.model.ball(R).run_heads, *Q.run_heads)[1:]
 
 
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
@@ -467,7 +446,9 @@ def boundary_int_size(Q: FiniteSet, R: int) -> int:
 
 
 def boundary_size(Q: FiniteSet, R: int) -> int:
-    return int(_grow_runs(Q, R)[1].sum()) - len(shrink(Q, R))
+    if R not in Q._grown:
+        Q._grown[R] = int(_grow_runs(Q, R)[1].sum())
+    return Q._grown[R] - len(shrink(Q, R))
 
 
 def boundary_ext(Q: FiniteSet, R: int) -> FiniteSet:
@@ -611,6 +592,20 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(keys[1:], keys[:-1] + 1, out=edge[1:-1])
     at = edge.nonzero()[0]
     return at[:-1], at[1:] - at[:-1]
+
+
+def _merge(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs holding the union of the runs of keys first..last: the index
+    of the run each one starts with, and its last key.  One argsort of the
+    starts and a running maximum of the last keys (a stop, last + 1, overflows
+    at the top key 2^63 - 1); a run starts where first - 1 > max, so abutting
+    runs join."""
+    order = np.argsort(first, kind="stable")
+    first, reach = first[order], np.maximum.accumulate(last[order])
+    edge = np.ones(len(first) + 1, dtype=bool)  # where a run starts, and the end
+    np.greater(first[1:] - 1, reach[:-1], out=edge[1:-1])  # keys are positive
+    at = edge.nonzero()[0]
+    return order[at[:-1]], reach[at[1:] - 1]
 
 
 def _covered(first: np.ndarray, length: np.ndarray, times: int) -> tuple[np.ndarray, np.ndarray]:

@@ -405,9 +405,9 @@ def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
         if col < codes.shape[1]:
             distinct = _unique_keys(ids)
             ids, span = np.searchsorted(distinct, ids), len(distinct)
-    order = np.argsort(ids, kind="stable")
+    order = np.argsort(ids)
     starts = np.flatnonzero(np.diff(ids[order], prepend=-1))  # ids are non-negative
-    first = order[starts]  # the stable sort puts each row's first occurrence first
+    first = np.minimum.reduceat(order, starts)  # the first occurrence of each distinct row
     counts = np.diff(np.append(starts, len(ids)))
     by_first = np.argsort(first)
     return first[by_first], counts[by_first]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -256,17 +257,51 @@ def test_boundaries_on_runs_match_bfs_oracle(z1, z2, h3):
 
 def test_balls_and_word_lengths_vs_bfs():
     # every ball level and word length against a breadth-first search built
-    # with multiply, in fresh models; a ball asked first grows spheres that
-    # the word-length table has not read yet
-    for fresh in (FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), Heisenberg3()):
-        depth = bfs_depths(fresh, [fresh.identity], 6)
+    # with multiply, in fresh models; the ball asked first grows the levels
+    # that the word lengths then read, and the later balls grow more; the run
+    # heads a ball is built with are those of its keys
+    models = [(FreeAbelian(1), 6), (FreeAbelian(2), 6), (FreeAbelian(3), 6), (Heisenberg3(), 6), (FreeAbelian(8), 3)]
+    for fresh, top in models:
+        depth = bfs_depths(fresh, [fresh.identity], top)
         assert frozenset(fresh.ball(3)) == {g for g, r in depth.items() if r <= 3}
         for g, r in sorted(depth.items()):
             assert fresh.word_length(g) == r
-        for R in range(7):
+        for R in range(top + 1):
             ball = fresh.ball(R)
             assert frozenset(ball) == {g for g, r in depth.items() if r <= R}
             assert np.all(np.diff(ball.packed) > 0)
+            at, length = cayley._runs(ball.packed)
+            assert np.array_equal(ball.run_heads[0], ball.coords[at])
+            assert np.array_equal(ball.run_heads[1], length)
+
+
+def test_merge_matches_key_sets():
+    # the maximal runs of a union of runs of keys first..last against the
+    # set of their keys: overlapping, nested, abutting, duplicate and unsorted
+    # runs, no runs, and a run ending at the largest key 2^63 - 1
+    top = 2**63 - 1
+    cases = [
+        ([], []),
+        ([5], [3]),
+        ([5, 6], [4, 1]),
+        ([5, 8], [3, 2]),
+        ([5, 7], [3, 4]),
+        ([5, 5, 5], [2, 2, 2]),
+        ([20, 5, 11], [1, 6, 9]),
+        ([top - 2, 1, top - 5, 2], [3, 1, 3, 7]),
+    ]
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        cases.append(([rng.randint(1, 60) for _ in range(n)], [rng.randint(1, 8) for _ in range(n)]))
+    for first, length in cases:
+        keys = sorted({f + t for f, n in zip(first, length) for t in range(n)})
+        first, length = np.array(first, dtype=np.int64), np.array(length, dtype=np.int64)
+        at, last = cayley._merge(first, first + (length - 1))
+        merged = last - first[at] + 1
+        assert cayley._run_keys(first[at], merged).tolist() == keys
+        at, runs = cayley._runs(np.array(keys, dtype=np.int64))
+        assert merged.tolist() == runs.tolist()
 
 
 def test_folner_ratio_trend(z2, h3):
@@ -463,6 +498,20 @@ def test_set_diameter_from_run_pairs_matches_pairs():
     B = h3.pack_bound
     with pytest.raises(GroupModelError):
         h3.set_diameter(FiniteSet(h3, [(0, 0, B - 19)] + [(1, 20, t) for t in range(4)]))
+
+
+def test_h3_diameter_of_far_columns():
+    # seven short columns: near (40, -3, 7) the diameter a breadth-first search
+    # of the word metric gives, and near (500, -3, 7), where the word lengths
+    # pass 200 and balls hold about 10^9 points, the maximum over point pairs
+    h3 = Heisenberg3()
+    assert h3.set_diameter(_columns(h3, random.Random(55), (40, -3, 7), 7)) == 58
+    start = time.perf_counter()
+    Q = _columns(h3, random.Random(55), (500, -3, 7), 7)
+    assert h3.set_diameter(Q) == 212
+    assert time.perf_counter() - start < 10
+    elems = tuple(Q)
+    assert max(h3.word_distance(g, h) for g in elems for h in elems) == 212
 
 
 def test_admissible_positions_tile_run_longer_than_every_run(z2, h3):
