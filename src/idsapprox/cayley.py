@@ -315,7 +315,7 @@ class FiniteSet:
             return False
         if len(coords) != model.dim or max(map(abs, coords)) >= model.pack_bound:
             return False
-        return bool(_in_sorted(self.packed, model._pack(np.array([coords], dtype=np.int64)))[0])
+        return bool(_search(self.packed, model._pack(np.array([coords], dtype=np.int64)))[1][0])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -405,12 +405,13 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
 # -- boundaries ----------------------------------------------------------------
 
 
-def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Membership mask of needles in a sorted unique array."""
+def _search(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion index of every needle in a sorted unique array, and whether
+    the needle is there (then the index is its position)."""
+    idx = np.searchsorted(haystack, needles)
     if haystack.size == 0:
-        return np.zeros(len(needles), dtype=bool)
-    idx = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
-    return haystack[idx] == needles
+        return idx, np.zeros(len(needles), dtype=bool)
+    return idx, haystack[np.minimum(idx, len(haystack) - 1)] == needles
 
 
 def _run_product(
@@ -599,8 +600,9 @@ def _merge(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     of the run each one starts with, and its last key.  One argsort of the
     starts and a running maximum of the last keys (a stop, last + 1, overflows
     at the top key 2^63 - 1); a run starts where first - 1 > max, so abutting
-    runs join."""
-    order = np.argsort(first, kind="stable")
+    runs join.  Tied starts are the same point and leave the same maximum
+    after them in any order, so the sort need not be stable."""
+    order = np.argsort(first)
     first, reach = first[order], np.maximum.accumulate(last[order])
     edge = np.ones(len(first) + 1, dtype=bool)  # where a run starts, and the end
     np.greater(first[1:] - 1, reach[:-1], out=edge[1:-1])  # keys are positive

@@ -41,6 +41,8 @@ from .spectra import BoundViolation
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERT = 3
+# largest k|U| of the continuity check, which solves two dense 2500^2 matrices (100 MB)
+CONTINUITY_MAX_DIM = 2500
 
 
 class CellAssertionError(RuntimeError):
@@ -187,9 +189,9 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
                 cert_rows.append(row)
                 side_certs[(j, spec.n)] = cert.total
         # fail fast: every emitted row must satisfy triangle consistency
-        for spec in specs:
-            for j1, j2 in itertools.combinations(sorted(approx), 2):
-                d = sup_distance(approx[j1].step, approx[j2].step)
+        for j1, j2 in itertools.combinations(sorted(approx), 2):
+            d = sup_distance(approx[j1].step, approx[j2].step)
+            for spec in specs:
                 budget = side_certs[(j1, spec.n)] + side_certs[(j2, spec.n)]
                 if d > budget + 1e-10:
                     raise CellAssertionError(
@@ -358,6 +360,10 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
     seed = int(cfg.raw.get("kernel_seed", 1))
     base, unit = _seeded_symmetric_tables(model, seed)
     rule_h = offset_table_rule(model, base, name="H")
+    if rule_h.k * len(U) > CONTINUITY_MAX_DIM:
+        raise ConfigError(
+            "$.volume_side", f"restriction dimension {rule_h.k * len(U)} exceeds {CONTINUITY_MAX_DIM}"
+        )
     bump = TestFunction.bump(center=0.0, halfwidth=6.0)
     epsilons = [float(e) for e in cfg.raw.get("epsilons", [1e-1, 1e-2, 1e-3])]
     lines = ["epsilon,gap,bound"]

@@ -30,7 +30,7 @@ from .cayley import (
     FreeAbelian,
     GroupModel,
     TilingSpec,
-    _in_sorted,
+    _search,
     _unique_keys,
     admissible_positions,
 )
@@ -118,8 +118,8 @@ class ExplicitColouring(Colouring):
 
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
         keys = self.model._pack(coords)
-        idx = np.searchsorted(self._keys, keys)
-        idx[~_in_sorted(self._keys, keys)] = len(self._keys)  # the default's code
+        idx, hit = _search(self._keys, keys)
+        idx[~hit] = len(self._keys)  # the default's code
         return self._codes[idx]
 
 
@@ -197,7 +197,8 @@ class PercolationColouring(Colouring):
 
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
         keys = self.model._pack(coords)
-        new = _unique_keys(keys[~_in_sorted(self._keys, keys)])
+        idx, hit = _search(self._keys, keys)
+        new = _unique_keys(keys[~hit])
         if new.size:
             # each point hashes as its little-endian int64 coordinates
             raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
@@ -205,8 +206,9 @@ class PercolationColouring(Colouring):
             at = np.searchsorted(self._keys, new)
             self._keys = np.insert(self._keys, at, new)
             self._codes = np.insert(self._codes, at, _cut(self.thresholds, digests))
+            idx = np.searchsorted(self._keys, keys)
         # fancy indexing copies, so callers never hold a view of the store
-        return self._codes[np.searchsorted(self._keys, keys)]
+        return self._codes[idx]
 
 
 class HalfLineMod3(Colouring):
@@ -372,7 +374,7 @@ def count_occurrences(P: Pattern, Pbig: Pattern) -> int:
         raise ColouringError("occurrences of the empty pattern are undefined")
     names, big_codes = Pbig.codes
     mine, codes = P.codes
-    if not _in_sorted(names, mine).all():
+    if not _search(names, mine)[1].all():
         return 0  # a symbol of P never occurs in Pbig
     model = P.domain.model
     X = admissible_positions(P.domain, Pbig.domain).coords

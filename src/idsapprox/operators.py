@@ -6,8 +6,10 @@ around the row point x (translated to the identity) and the column point is
 addressed by the offset w = y * x^-1, so a rule is invariant under right
 translations by construction.  The kernel is a map over whole batches of
 patterns: assembly calls it once per offset w, on the patterns at every x
-whose partner w x lies in Q.  Restrictions H[Q] read the ambient colouring;
-they never re-evaluate patterns against Q.
+whose partner w x lies in Q.  A window point is coloured only when a kernel
+reads it, once per restriction, so a rule that reads no colour (adjacency)
+colours nothing.  Restrictions H[Q] read the ambient colouring; they never
+re-evaluate patterns against Q.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cayley import Element, FiniteSet, GroupModel
+from .cayley import Element, FiniteSet, GroupModel, _search
 from .colouring import Alphabet, Colouring
 
 
@@ -32,31 +34,21 @@ class SymmetryError(OperatorError):
 class LocalPatterns:
     """Read-only view of the colouring around m base points, each pulled back to e.
 
-    ``symbol_at(q)`` is the array of the m symbols at window point q; only
-    that column of the windows is gathered.
+    ``symbol_at(q)`` is the array of the m symbols at window point q, read
+    from ``column(q)``: the colour codes at q x for every point x of the
+    restriction, of which the batch holds the rows ``base``.
     """
 
-    __slots__ = ("_column", "_symbols", "_codes", "_point_id", "_base")
+    __slots__ = ("_column", "_symbols", "_base")
 
-    def __init__(
-        self,
-        column: Mapping[Element, int],
-        symbols: np.ndarray,
-        codes: np.ndarray,
-        point_id: np.ndarray,
-        base: np.ndarray,
-    ) -> None:
-        self._column = column  # window point -> row of point_id
-        self._symbols = symbols  # the alphabet, as an array
-        self._codes = codes  # colour code of every distinct point
-        self._point_id = point_id  # (window point, base point) -> distinct point
-        self._base = base  # columns of point_id holding the m base points
+    def __init__(self, column: Callable[[Element], np.ndarray], symbols: np.ndarray, base: np.ndarray):
+        self._column, self._symbols, self._base = column, symbols, base
 
     def __len__(self) -> int:
         return len(self._base)
 
     def symbol_at(self, q: Element) -> np.ndarray:
-        return self._symbols[self._codes[self._point_id[self._column[q], self._base]]]
+        return self._symbols[self._column(q)[self._base]]
 
 
 KernelFn = Callable[[LocalPatterns, Element], object]
@@ -96,8 +88,9 @@ class LocalRule:
         self.overall_range = max(range_m, invariance_n)
         self.kernel = kernel
         self.name = name or type(self).__name__
-        self._column = {q: i for i, q in enumerate(model.ball(2 * self.overall_range))}
+        self._window = frozenset(model.ball(2 * self.overall_range))
         self._offsets = tuple(model.ball(range_m))
+        self._inverse = [self._offsets.index(model.inverse(w)) for w in self._offsets]  # of w^-1
 
     # -- pattern and block access -------------------------------------------
 
@@ -116,18 +109,29 @@ class LocalRule:
         window = self.model.ball(2 * self.overall_range).coords
         return C.colour_codes(self.model.mul_array(window, self.model.check_element(x)))
 
+    def _patterns(self, C: Colouring, X: np.ndarray) -> Callable[[np.ndarray], LocalPatterns]:
+        """The batch of patterns around the rows ``base`` of X, for any base; batches
+        share the window columns, the colour codes at q x for every x in X, each
+        coloured when q is first read.  A q outside the window B_2R raises KeyError."""
+        symbols, kept = np.array(C.alphabet.symbols), {}
+
+        def column(q: Element) -> np.ndarray:
+            if q not in kept:
+                if q not in self._window:
+                    raise KeyError(q)
+                kept[q] = C.colour_codes(self.model.mul_array(q, X))
+            return kept[q]
+
+        return lambda base: LocalPatterns(column, symbols, base)
+
     def block_at(self, C: Colouring, x: Element, y: Element) -> np.ndarray:
         """Kernel block p_y H i_x, zero beyond the hopping range."""
         model = self.model
         w = model.multiply(y, model.inverse(x))
         if model.word_length(w) > self.range_m:
             return np.zeros((self.k, self.k))
-        codes = self.window_codes(C, x)
-        pattern = LocalPatterns(
-            self._column, np.array(C.alphabet.symbols), codes,
-            np.arange(len(codes))[:, None], np.zeros(1, dtype=np.int64),
-        )
-        return self.blocks(pattern, w)[0]
+        X = np.array([model.check_element(x)], dtype=np.int64)
+        return self.blocks(self._patterns(C, X)(np.zeros(1, dtype=np.int64)), w)[0]
 
 
 @dataclass
@@ -165,39 +169,32 @@ class RestrictedMatrix:
 def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> RestrictedMatrix:
     """Assemble H[Q] = p_Q H i_Q from the rule's kernel blocks.
 
-    Every point of the windows around Q is coloured once.  For each offset w
-    the kernel is called once, on the patterns at every x in Q with
-    y = w x in Q; the block of (x, y) is its answer at x.  Transpose
-    consistency, block(y, x) == block(x, y)^T (symmetry of the diagonal
-    blocks when w = e), is validated on every pair.  The norm hint is the
-    largest spectral norm c of these blocks times |B_R|, a block-Schur bound
-    on ||H[Q]||: a row holds at most |B_M| <= |B_R| nonzero blocks.
+    For each offset w the partners y = w x in Q are found by one search of
+    the keys of w X in Q (left multiplication keeps key order, so x and y
+    both ascend), and the kernel is called once, on the patterns at every x
+    with a partner; the block of (x, y) is its answer at x.  The pairs at
+    w^-1 are those at w swapped, in the same order, so transpose consistency,
+    block(y, x) == block(x, y)^T (symmetry of the diagonal blocks when w = e),
+    is validated on every pair without a sort.  The norm hint is the largest
+    spectral norm c of these blocks times |B_R|, a block-Schur bound on
+    ||H[Q]||: a row holds at most |B_M| <= |B_R| nonzero blocks.
     """
     model = rule.model
     k = rule.k
     X = Q.coords
-    n = len(X)
-    # the point q x for every window point q (row) and every x in Q (column)
-    window = model.ball(2 * rule.overall_range).coords
-    keys = model._pack(model.mul_array(window[:, None], X))
-    points, point_id = np.unique(keys, return_inverse=True)
-    point_id = point_id.reshape(keys.shape)
-    codes = C.colour_codes(model._unpack(points))
-    row_of = np.full(len(points), -1)
-    row_of[point_id[rule._column[model.identity]]] = np.arange(n)
-    symbols = np.array(C.alphabet.symbols)
+    patterns = rule._patterns(C, X)
     xs, ys, blocks = [], [], []
     for w in rule._offsets:
-        targets = row_of[point_id[rule._column[w]]]
-        x = np.nonzero(targets >= 0)[0]
+        at, hit = _search(Q.packed, model._pack(model.mul_array(w, X)))
+        x = hit.nonzero()[0]
         xs.append(x)
-        ys.append(targets[x])
-        blocks.append(rule.blocks(LocalPatterns(rule._column, symbols, codes, point_id, x), w))
+        ys.append(at[x])
+        blocks.append(rule.blocks(patterns(x), w))
+    for i, j in enumerate(rule._inverse):
+        assert np.array_equal(xs[j], ys[i]) and np.array_equal(ys[j], xs[i])
     x, y, B = np.concatenate(xs), np.concatenate(ys), np.concatenate(blocks)
-    # the pair (y, x) is in Q too, at the offset w^-1
-    pair = x * n + y
-    order = np.argsort(pair)
-    back = B[order[np.searchsorted(pair, y * n + x, sorter=order)]]
+    # the block at (y, x), in the order of the pairs (x, y)
+    back = np.concatenate([blocks[j] for j in rule._inverse])
     bad = ~(back == B.transpose(0, 2, 1)).all(axis=(1, 2))
     if bad.any():
         i = np.argmax(bad)
@@ -205,16 +202,14 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
             f"kernel blocks at ({tuple(X[x[i]].tolist())}, {tuple(X[y[i]].tolist())}) "
             "are not transpose-consistent"
         )
-    a = np.arange(k)
-    rows = (x[:, None, None] * k + a[:, None]).repeat(k, axis=2).ravel()
-    cols = (y[:, None, None] * k + a[None, :]).repeat(k, axis=1).ravel()
     vals = B.ravel()
-    nz = vals != 0.0
+    nz = vals.nonzero()[0]
+    pair, entry = np.divmod(nz, k * k)  # entry (a, b) of a block is a k + b
     # |b| is the spectral norm of a 1 x 1 block, without one SVD per pair
     norms = np.abs(B[:, 0, 0]) if k == 1 else np.linalg.norm(B, 2, axis=(1, 2))
     c = float(norms.max(initial=0.0))
     return RestrictedMatrix(
-        Q, k, rows[nz], cols[nz], vals[nz],
+        Q, k, x[pair] * k + entry // k, y[pair] * k + entry % k, vals[nz],
         norm_hint=c * len(model.ball(rule.overall_range)),
     )
 

@@ -409,6 +409,15 @@ def test_continuity_command(tmp_path):
         assert gap <= bound
 
 
+def test_continuity_rejects_oversized_restriction(tmp_path, capsys):
+    # the H3 tile of side 20 has 20^4 points: too many for dense eigensolves
+    assert run(["continuity", "--preset", "h3_adjacency", "--out", tmp_path / "out"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["path"] == "$.volume_side"
+    assert str(cli.CONTINUITY_MAX_DIM) in err["message"]
+    assert not (tmp_path / "out" / "continuity.csv").exists()
+
+
 def test_empty_folner_list_warns(tmp_path):
     cfg = {
         "group": "zd",

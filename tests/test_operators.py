@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from idsapprox.cayley import FiniteSet, FreeAbelian, Heisenberg3, folner_set, interval_folner, shrink
+from idsapprox.cayley import FiniteSet, FreeAbelian, Heisenberg3, folner_set, grow, interval_folner, shrink
 from idsapprox.colouring import (
     Alphabet,
     BLACK,
+    Colouring,
     HalfLineMod3,
     PercolationColouring,
     TrivialColouring,
@@ -369,6 +370,49 @@ def test_nonsymmetric_diagonal_block_raises(z1):
         restrict_operator(rule, TrivialColouring(z1), interval(z1, 0, 2))
 
 
+def test_pattern_dependent_asymmetry_at_some_sites_raises(z2):
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=7)
+
+    def kernel(patterns, w):  # the block at w = (1, 0) reads the colour at x
+        if w == (0, 0):
+            return 0.0
+        return (patterns.symbol_at((0, 0)) == "a").astype(float) if w == (1, 0) else 1.0
+
+    rule = LocalRule(z2, 1, 1, 1, kernel)
+    tile = folner_set(z2, 4).tile
+    with pytest.raises(SymmetryError, match="not transpose-consistent"):
+        restrict_operator(rule, C, tile)
+    # consistent where every site has the colour 'a'
+    retained = FiniteSet(z2, [g for g in tile if C.colour(g) == "a"])
+    assert 0 < len(retained) < len(tile)
+    M = restrict_operator(rule, C, retained).to_dense()
+    assert np.array_equal(M, restrict_operator(adjacency_rule(z2), C, retained).to_dense())
+
+
+class RecordingColouring(Colouring):
+    """A colouring that records every point it is asked to colour."""
+
+    def __init__(self, inner):
+        self.inner, self.model, self.alphabet = inner, inner.model, inner.alphabet
+        self.asked = []
+
+    def colour_codes(self, coords):
+        self.asked.extend(map(tuple, np.asarray(coords).tolist()))
+        return self.inner.colour_codes(coords)
+
+
+def test_assembly_colours_only_what_the_kernel_reads(z2, h3):
+    for model in (z2, h3):
+        C = RecordingColouring(TrivialColouring(model))
+        restrict_operator(adjacency_rule(model), C, folner_set(model, 3).tile)
+        assert C.asked == []
+    C = RecordingColouring(PercolationColouring(z2, Alphabet(("a", "b")), seed=4))
+    Q = folner_set(z2, 5).tile
+    restrict_operator(percolation_rule(z2, C.alphabet, ["a"]), C, Q)
+    # the colours at x and w x for w in B_1: all of B_1 Q and nothing of B_2 Q beyond
+    assert FiniteSet(z2, C.asked) == grow(Q, 1)
+
+
 def test_norm_hint_matches_recomputation(z2):
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=8)
 
@@ -421,6 +465,8 @@ KERNEL_FORMS = {
             np.eye(2) if w == (0, 0) else HOP,
         ),
     ),
+    # the diagonal reads a window point outside B_M = B_1 but inside B_2R = B_2
+    "m_far": (1, lambda p, w: (p.symbol_at((1, 1)) == "a") + 0.0 if w == (0, 0) else retained_pairs(p, w)),
 }
 
 
@@ -432,7 +478,7 @@ def test_batch_kernel_forms_match_pairwise_oracle(z2, form):
     rule = LocalRule(z2, k, 1, 1, kernel)
     M = restrict_operator(rule, C, Q).to_dense()
     assert np.array_equal(M, pairwise_matrix(rule, C, Q))
-    if k == 1:  # the pattern-free forms are adjacency, the others percolation on 'a'
+    if form in ("scalar", "kk", "m", "mkk"):  # adjacency, or percolation on 'a'
         same = adjacency_rule(z2) if form in ("scalar", "kk") else percolation_rule(z2, C.alphabet, ["a"])
         assert np.array_equal(M, restrict_operator(same, C, Q).to_dense())
 
