@@ -60,27 +60,21 @@ from .ergodic import (
 from .ids import (
     ErrorCertificate,
     IdsApproximant,
-    JumpReport,
     TestFunction,
     continuity_gap,
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
     ids_certificate,
-    jump_lower_bound,
     raw_counting_distribution,
-    spectrum_support_diagnostic,
 )
 from .operators import (
     LocalRule,
-    PeriodicCover,
     RestrictedMatrix,
     adjacency_rule,
-    check_invariance,
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
-    periodic_fold,
     restrict_operator,
 )
 from .spectra import (
@@ -90,7 +84,6 @@ from .spectra import (
     projection_truncation_gap,
     quasi_mode_count,
     rank_perturbation_gap,
-    spectral_shift_integral,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .colouring import (
     canonicalize,
     occurring_pattern_spectrum,
 )
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, check_set_size, tile_points
 from .ergodic import StepFunction, sup_distance
 from .ids import (
     IdsError,
@@ -274,6 +274,7 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
     model = cfg.model()
     seeds = [int(s) for s in cfg.raw.get("seeds", [0])]
     window_side = int(cfg.raw.get("freq_window", 100))
+    check_set_size("$.freq_window", window_side, tile_points(cfg.raw, window_side))  # the default too
     max_domain = int(cfg.raw.get("freq_max_domain", 3))
     window = folner_set(model, window_side).tile
     # one set per volume and tile, so each keeps its shrinks across seeds
@@ -356,14 +357,13 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
     model = cfg.model()
     colouring = cfg.colouring(model)
     side = int(cfg.raw.get("volume_side", 20))
-    U = folner_set(model, side).tile
     seed = int(cfg.raw.get("kernel_seed", 1))
     base, unit = _seeded_symmetric_tables(model, seed)
     rule_h = offset_table_rule(model, base, name="H")
-    if rule_h.k * len(U) > CONTINUITY_MAX_DIM:
-        raise ConfigError(
-            "$.volume_side", f"restriction dimension {rule_h.k * len(U)} exceeds {CONTINUITY_MAX_DIM}"
-        )
+    dim = rule_h.k * tile_points(cfg.raw, side)  # checked before the volume is built
+    if dim > CONTINUITY_MAX_DIM:
+        raise ConfigError("$.volume_side", f"restriction dimension {dim} exceeds {CONTINUITY_MAX_DIM}")
+    U = folner_set(model, side).tile
     bump = TestFunction.bump(center=0.0, halfwidth=6.0)
     epsilons = [float(e) for e in cfg.raw.get("epsilons", [1e-1, 1e-2, 1e-3])]
     lines = ["epsilon,gap,bound"]

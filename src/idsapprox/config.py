@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -47,6 +47,9 @@ _COLOURING_KINDS = [
 _OPERATOR_KINDS = ["adjacency", "percolation", "laplacian", "hop_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
+# most points of any one set a config may ask for: a 10^7-point tile builds in
+# about 0.5 s; a Folner index beyond it would exhaust memory, not finish late
+MAX_SET_POINTS = 10**7
 SCHEMA = {
     "type": "object",
     "required": ["group", "colouring", "operator"],
@@ -163,6 +166,30 @@ def validate_config(obj: dict) -> None:
     folner = obj.get("folner", {"kind": "tiles"})
     if folner.get("kind") == "interval" and (obj["group"] != "zd" or obj.get("d") != 1):
         raise ConfigError("$.folner.kind", "interval sequences require zd with d=1")
+    tiles = lambda n: tile_points(obj, n)
+    volumes = (lambda j: int(folner.get("scale", 3)) * j) if folner.get("kind") == "interval" else tiles
+    sized = [(f"$.folner_j[{i}]", j, volumes) for i, j in enumerate(obj.get("folner_j", []))]
+    sized += [(f"$.tile_n[{i}]", n, tiles) for i, n in enumerate(obj.get("tile_n", []))]
+    if "reference_j" in obj.get("frequencies", {}):
+        sized.append(("$.frequencies.reference_j", obj["frequencies"]["reference_j"], volumes))
+    sized += [(f"$.{key}", obj[key], tiles) for key in ("freq_window", "volume_side") if key in obj]
+    if obj["colouring"]["kind"] == "periodic":
+        with suppress(KeyError, TypeError, ValueError):  # reported when the colouring is built
+            sized.append(("$.colouring.params.tile_n", int(obj["colouring"]["params"]["tile_n"]), tiles))
+    for path, n, points in sized:
+        check_set_size(path, n, points(int(n)))
+
+
+def tile_points(obj: dict, n: int) -> int:
+    """|Q_n| on the group of a validated config: n^4 on H3, n^d on Z^d."""
+    return n**4 if obj["group"] == "h3" else n ** int(obj["d"])
+
+
+def check_set_size(path: str, n: int, points: int) -> None:
+    """Reject the value n at ``path`` if the set it asks for has more than
+    MAX_SET_POINTS points, before that set is built."""
+    if points > MAX_SET_POINTS:
+        raise ConfigError(path, f"{n} asks for a set of {points} points, more than {MAX_SET_POINTS}")
 
 
 @dataclass

@@ -93,17 +93,6 @@ class StepFunction:
         prev = np.concatenate([[self.base], self.values[:-1]])
         return self.breakpoints, self.values - prev
 
-    def jump_at(self, x: float, tol: float = 0.0) -> float:
-        """Total jump mass within tol of x."""
-        pos, h = self.jumps()
-        if not pos.size:
-            return 0.0
-        return float(h[np.abs(pos - x) <= tol].sum())
-
-    def increase_points(self, tol: float = 0.0) -> np.ndarray:
-        pos, h = self.jumps()
-        return pos[h > tol]
-
     def sup_norm(self) -> float:
         cands = [abs(self.base)]
         if self.values.size:
@@ -155,17 +144,6 @@ class AlmostAdditive:
     bounded_const: float
     boundary_const: float
     name: str = ""
-
-
-def cardinality_function() -> AlmostAdditive:
-    """The exactly additive scalar F(Q) = |Q| (b identically zero)."""
-    return AlmostAdditive(
-        evaluate=lambda Q: StepFunction.constant(float(len(Q))),
-        boundary_term=lambda Q: 0.0,
-        bounded_const=1.0,
-        boundary_const=0.0,
-        name="cardinality",
-    )
 
 
 def ergodic_average(F: AlmostAdditive, U: FiniteSet) -> StepFunction:
@@ -277,8 +255,3 @@ def check_almost_additive(
     )
     rhs = float(sum(F.boundary_term(p) for p in parts))
     return lhs, rhs
-
-
-def boundedness_gap(F: AlmostAdditive, Q: FiniteSet) -> tuple[float, float]:
-    """(norm of F(Q), C * |Q|) for the boundedness property."""
-    return F.evaluate(Q).sup_norm(), F.bounded_const * len(Q)

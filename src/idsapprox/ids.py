@@ -5,9 +5,8 @@ operator restricted to the R-shrunk volume, normalised to a distribution
 function.  Its distance to the (never materialised) limiting spectral
 distribution is certified by four computable terms: a tile term, a Folner
 term, a frequency-deviation term and a renormalisation term.  The module
-also provides the frequency-side approximant with its tile-boundary bound,
-jump lower bounds from compactly supported eigenfunctions, the spectral
-continuity bound, and the spectrum-versus-support diagnostic.
+also provides the frequency-side approximant with its tile-boundary bound
+and the spectral continuity bound.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -32,9 +31,7 @@ from .colouring import (
     FrequencyProvider,
     PatternClass,
     SpectrumEntry,
-    canonicalize,
     frequency_deviation,
-    restrict,
 )
 from .ergodic import (
     AlmostAdditive,
@@ -42,7 +39,7 @@ from .ergodic import (
     frequency_approximant,
 )
 from .operators import LocalRule, restrict_operator
-from .spectra import BoundViolation, counting_function, eigenvalues, numerical_rank
+from .spectra import BoundViolation, counting_function
 
 
 class IdsError(ValueError):
@@ -219,90 +216,6 @@ def frequency_side_ids(
 
 
 @dataclass(frozen=True)
-class JumpReport:
-    """Certified lower bound for a jump of the limiting distribution."""
-
-    energy: float
-    support_radius: int
-    base_point: Element
-    multiplicity: int
-    pattern_class: PatternClass
-    frequency: Fraction
-    lower_bound: float
-
-
-def jump_lower_bound(
-    rule: LocalRule,
-    C: Colouring,
-    vectors: Sequence[Mapping[Element, object]],
-    energy: float,
-    freqs: FrequencyProvider,
-    residual_tol: float = 1e-9,
-) -> JumpReport:
-    """Jump bound m nu_P / (|B_{3r}| dim H) from finitely supported eigenvectors.
-
-    The vectors are verified to be eigenvectors within residual_tol on the
-    grown ball (a finite check, sufficient by finite range); the pattern is
-    the colouring on the enclosing ball B_r x around the joint support.
-    """
-    if not vectors:
-        raise IdsError("need at least one vector")
-    model = rule.model
-    k = rule.k
-    support: set[Element] = set()
-    for vec in vectors:
-        for g in vec:
-            support.add(model.check_element(g))
-    if not support:
-        raise IdsError("vectors must have non-empty support")
-    # smallest enclosing ball B_r x with base point in the support
-    best: Optional[tuple[int, Element]] = None
-    for x in sorted(support):
-        x_inv = model.inverse(x)
-        r = max(model.word_length(model.multiply(y, x_inv)) for y in support)
-        if best is None or (r, x) < best:
-            best = (r, x)
-    r, base = best
-    R = rule.overall_range
-    window = model.ball(r + R).right_translate(base)
-    matrix = restrict_operator(rule, C, window)
-    order_index = {g: i for i, g in enumerate(window)}
-    dense = matrix.to_dense()
-    stacked = []
-    for vec in vectors:
-        u = np.zeros(matrix.dim)
-        for g, val in vec.items():
-            block = np.asarray(val, dtype=np.float64).reshape(k)
-            i = order_index[model.check_element(g)]
-            u[i * k : (i + 1) * k] = block
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            raise IdsError("zero vector supplied")
-        u /= norm
-        residual = float(np.linalg.norm(dense @ u - energy * u))
-        if residual > residual_tol:
-            raise IdsError(
-                f"residual {residual} exceeds tolerance {residual_tol}: "
-                "not an eigenvector at this energy"
-            )
-        stacked.append(u)
-    m = numerical_rank(np.column_stack(stacked), 1e-12)
-    pattern = restrict(C, model.ball(r).right_translate(base))
-    cls = canonicalize(pattern)
-    nu = Fraction(freqs.frequency(cls))
-    bound = float(Fraction(m) * nu / (len(model.ball(3 * r)) * k))
-    return JumpReport(float(energy), r, base, m, cls, nu, bound)
-
-
-def validate_jump(
-    report: JumpReport, approximant: IdsApproximant, tol: float = 1e-9
-) -> tuple[float, bool]:
-    """Observed jump of the approximant at the reported energy versus the bound."""
-    observed = approximant.step.jump_at(report.energy, tol)
-    return observed, observed >= report.lower_bound - 1e-12
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """Compactly supported C^1 test function with a known derivative bound."""
 
@@ -369,61 +282,3 @@ def continuity_gap(
     if gap > bound + 1e-10 * max(1.0, bound):
         raise BoundViolation(f"continuity gap {gap} exceeds bound {bound}")
     return ContinuityResult(gap, bound, float(epsilon))
-
-
-@dataclass(frozen=True)
-class SupportProbe:
-    j: int
-    max_distance: float
-    delta: float
-    within: bool
-
-
-@dataclass(frozen=True)
-class SupportDiagnostic:
-    """Desk-scale comparison of finite-volume spectra with the reference
-    approximant's increase points.  Advisory, not a proof."""
-
-    increase_points: np.ndarray
-    probes: tuple[SupportProbe, ...]
-    frequencies_positive: bool
-
-    @property
-    def consistent(self) -> bool:
-        return all(p.within for p in self.probes)
-
-
-def spectrum_support_diagnostic(
-    rule: LocalRule,
-    C: Colouring,
-    folner: Callable[[int], FiniteSet],
-    j_ref: int,
-    probes: Sequence[int],
-    spec: TilingSpec,
-    freqs: FrequencyProvider,
-    tau: Optional[float] = None,
-) -> SupportDiagnostic:
-    """Check whether every probe eigenvalue sits near the reference support."""
-    reference = ids_approximant(rule, C, folner(j_ref), tau=tau)
-    cert_ref = ids_certificate(rule, C, folner(j_ref), spec, freqs, j=j_ref)
-    points = reference.step.increase_points(tol=0.0)
-    positive = True
-    for cls, _ in freqs.occurring(spec.tile):
-        if freqs.frequency(cls) <= 0:
-            positive = False
-    rows = []
-    for j in sorted(probes):
-        U = folner(j)
-        inner = shrink(U, rule.overall_range)
-        if len(inner) == 0:
-            continue
-        vals = eigenvalues(restrict_operator(rule, C, inner), tau).values
-        if points.size:
-            dists = np.abs(vals[:, None] - points[None, :]).min(axis=1)
-            max_dist = float(dists.max()) if dists.size else 0.0
-        else:
-            max_dist = float(np.abs(vals).max()) if vals.size else 0.0
-        cert = ids_certificate(rule, C, U, spec, freqs, j=j)
-        delta = cert.total + cert_ref.total
-        rows.append(SupportProbe(j, max_dist, delta, max_dist <= delta))
-    return SupportDiagnostic(points, tuple(rows), positive)

@@ -14,7 +14,7 @@ re-evaluate patterns against Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,7 +88,6 @@ class LocalRule:
         self.overall_range = max(range_m, invariance_n)
         self.kernel = kernel
         self.name = name or type(self).__name__
-        self._window = frozenset(model.ball(2 * self.overall_range))
         self._offsets = tuple(model.ball(range_m))
         self._inverse = [self._offsets.index(model.inverse(w)) for w in self._offsets]  # of w^-1
 
@@ -104,11 +103,6 @@ class LocalRule:
             )
         return np.broadcast_to(raw.reshape(-1, k, k), (m, k, k))
 
-    def window_codes(self, C: Colouring, x: Element) -> np.ndarray:
-        """Colour codes of the window around x, in window order."""
-        window = self.model.ball(2 * self.overall_range).coords
-        return C.colour_codes(self.model.mul_array(window, self.model.check_element(x)))
-
     def _patterns(self, C: Colouring, X: np.ndarray) -> Callable[[np.ndarray], LocalPatterns]:
         """The batch of patterns around the rows ``base`` of X, for any base; batches
         share the window columns, the colour codes at q x for every x in X, each
@@ -117,7 +111,7 @@ class LocalRule:
 
         def column(q: Element) -> np.ndarray:
             if q not in kept:
-                if q not in self._window:
+                if q not in self.model.ball(2 * self.overall_range):
                     raise KeyError(q)
                 kept[q] = C.colour_codes(self.model.mul_array(q, X))
             return kept[q]
@@ -155,16 +149,6 @@ class RestrictedMatrix:
         dense = np.zeros((self.dim, self.dim))
         dense[self.rows, self.cols] = self.vals
         return dense
-
-    def to_coordinate_text(self) -> str:
-        """Plain-text symmetric coordinate dump (upper triangle, 1-based)."""
-        upper = np.nonzero(self.rows <= self.cols)[0]
-        upper = upper[np.lexsort((self.cols[upper], self.rows[upper]))]
-        rows, cols, vals = (a[upper].tolist() for a in (self.rows, self.cols, self.vals))
-        lines = [f"% symmetric {self.dim} {self.dim} k={self.k}"]
-        lines += [f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows, cols, vals)]
-        return "\n".join(lines) + "\n"
-
 
 def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> RestrictedMatrix:
     """Assemble H[Q] = p_Q H i_Q from the rule's kernel blocks.
@@ -283,101 +267,3 @@ def laplacian_rule(base: LocalRule) -> LocalRule:
     return LocalRule(
         model, 1, 1, max(1, base.invariance_n), kernel, name=f"laplacian({base.name})"
     )
-
-
-@dataclass(frozen=True)
-class PeriodicCover:
-    """A periodic graph presented as G x D with a G-invariant kernel.
-
-    ``kernel((g, i), (h, j))`` is the matrix element between fibre point i
-    over g and fibre point j over h; it must be invariant under right
-    translation of both group coordinates and vanish whenever the word
-    distance between g and h exceeds hop_range.
-    """
-
-    model: GroupModel
-    fiber_size: int
-    kernel: Callable[[tuple[Element, int], tuple[Element, int]], float]
-    hop_range: int
-
-
-def periodic_fold(cover: PeriodicCover) -> LocalRule:
-    """Fold a periodic cover into a trivially-invariant rule with k = |D|."""
-    model = cover.model
-    d = cover.fiber_size
-    if d < 1:
-        raise OperatorError("fibre must be non-empty")
-    e = model.identity
-    # validate G-invariance and the finite range on deterministic samples
-    probe = tuple(model.ball(min(cover.hop_range + 1, 3)))
-    shifts = tuple(model.ball(2))
-    for g in probe[:6]:
-        for h in probe[:6]:
-            v0 = cover.kernel((g, 0), (h, d - 1))
-            for t in shifts[:5]:
-                gt = model.multiply(g, t)
-                ht = model.multiply(h, t)
-                if cover.kernel((gt, 0), (ht, d - 1)) != v0:
-                    raise OperatorError("cover kernel is not G-invariant")
-    shell = [
-        w
-        for w in model.ball(cover.hop_range + 1)
-        if model.word_length(w) == cover.hop_range + 1
-    ]
-    for w in shell[:25]:
-        for i in range(d):
-            for j in range(d):
-                if cover.kernel((e, i), (w, j)) != 0.0:
-                    raise OperatorError(
-                        "cover kernel exceeds the declared hopping range"
-                    )
-
-    def kernel(patterns: LocalPatterns, w: Element) -> np.ndarray:
-        block = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                block[i, j] = cover.kernel((e, i), (w, j))
-        return block
-
-    return LocalRule(model, d, cover.hop_range, 0, kernel, name="periodic_fold")
-
-
-# -- diagnostics -------------------------------------------------------------------
-
-
-@dataclass
-class InvarianceReport:
-    checked: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_invariance(
-    rule: LocalRule, C: Colouring, samples: Iterable[tuple[Element, Element]]
-) -> InvarianceReport:
-    """Sampled check of colouring invariance.
-
-    For sample pairs (x, t) whose local patterns at x and x*t agree, every
-    block p_y H i_x within range must equal the block at the translated pair.
-    Violations are collected, not raised (diagnostic).
-    """
-    model = rule.model
-    report = InvarianceReport()
-    for x, t in samples:
-        x = model.check_element(x)
-        t = model.check_element(t)
-        xt = model.multiply(x, t)
-        if not np.array_equal(rule.window_codes(C, x), rule.window_codes(C, xt)):
-            continue
-        for w in rule._offsets:
-            y = model.multiply(w, x)
-            yt = model.multiply(y, t)
-            report.checked += 1
-            b1 = rule.block_at(C, x, y)
-            b2 = rule.block_at(C, xt, yt)
-            if not np.array_equal(b1, b2):
-                report.violations.append((x, t, w))
-    return report

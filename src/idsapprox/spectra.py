@@ -283,31 +283,3 @@ def quasi_mode_count(
     if count < m:
         raise BoundViolation(f"only {count} eigenvalues inside the window, need {m}")
     return count
-
-
-def spectral_shift_integral(H, G, tau: Optional[float] = None) -> float:
-    """L^1 norm of the spectral shift between two symmetric matrices.
-
-    Computed exactly as the area between the two counting functions; bounded
-    by the trace norm of the difference.
-    """
-    Hd = _symmetric_dense(H)
-    Gd = _symmetric_dense(G)
-    if Hd.shape != Gd.shape:
-        raise SpectraError("spectral shift needs matrices of equal dimension")
-    if tau is None:
-        tau = min(default_tau(Hd), default_tau(Gd))
-    nh = counting_function(eigenvalues(Hd, tau))
-    ng = counting_function(eigenvalues(Gd, tau))
-    merged = np.union1d(nh.breakpoints, ng.breakpoints)
-    integral = 0.0
-    for i in range(len(merged) - 1):
-        width = merged[i + 1] - merged[i]
-        integral += abs(nh(merged[i]) - ng(merged[i])) * width
-    diff_vals = np.linalg.eigvalsh(Hd - Gd) if Hd.size else np.empty(0)
-    trace_norm = float(np.abs(diff_vals).sum())
-    if integral > trace_norm + 1e-7 * max(1.0, trace_norm):
-        raise BoundViolation(
-            f"shift integral {integral} exceeds trace norm {trace_norm}"
-        )
-    return integral

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import idsapprox
-from idsapprox import cli
+from idsapprox import cli, config
 from idsapprox.cli import main
 from idsapprox.config import SCHEMA, ConfigError, schema_errors, validate_config
 from idsapprox.ergodic import StepFunction
@@ -416,6 +416,70 @@ def test_continuity_rejects_oversized_restriction(tmp_path, capsys):
     assert err["path"] == "$.volume_side"
     assert str(cli.CONTINUITY_MAX_DIM) in err["message"]
     assert not (tmp_path / "out" / "continuity.csv").exists()
+
+
+def unbuilt(model, n):
+    raise AssertionError(f"tile {n} built")
+
+
+OVERSIZED = {  # command, config changes and the path blamed; each asks for >= 10^10 points
+    "folner_j": ("ids", {"folner_j": [3, 100000]}, "$.folner_j[1]"),
+    "tile_n": ("ids", {"tile_n": [100000]}, "$.tile_n[0]"),
+    "reference_j": ("ids", {"frequencies": {"kind": "empirical", "reference_j": 100000}}, "$.frequencies.reference_j"),
+    "freq_window": ("percolation", {"freq_window": 100000}, "$.freq_window"),
+    "periodic_tile_n": (
+        "ids",
+        {"colouring": {"kind": "periodic", "params": {"tile_n": 100000, "table": {"0,0": "a"}}}},
+        "$.colouring.params.tile_n",
+    ),
+    "volume_side": ("continuity", {"volume_side": 100000}, "$.volume_side"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_sets_exit_2_before_any_set_is_built(tmp_path, capsys, monkeypatch, case):
+    command, changes, path = OVERSIZED[case]
+    cfg = json.loads(small_percolation_config(tmp_path).read_text()) | changes
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    monkeypatch.setattr(idsapprox.cayley, "TilingSpec", unbuilt)
+    assert run([command, "--config", p, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["path"] == path
+    assert json.loads(err)["message"].endswith(f"points, more than {config.MAX_SET_POINTS}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_size_cap_is_inclusive():
+    cfg = {"group": "zd", "d": 1, "colouring": {"kind": "trivial"}, "operator": {"kind": "adjacency"}}
+    validate_config(dict(cfg, folner_j=[config.MAX_SET_POINTS]))
+    with pytest.raises(ConfigError) as exc:
+        validate_config(dict(cfg, folner_j=[config.MAX_SET_POINTS + 1]))
+    assert exc.value.path == "$.folner_j[0]"
+    # an interval volume holds scale * j points
+    interval = dict(cfg, folner={"kind": "interval", "scale": 3})
+    validate_config(dict(interval, folner_j=[config.MAX_SET_POINTS // 3]))
+    with pytest.raises(ConfigError):
+        validate_config(dict(interval, folner_j=[config.MAX_SET_POINTS // 3 + 1]))
+
+
+def test_percolation_checks_its_default_window(tmp_path, capsys, monkeypatch):
+    # no freq_window: the default side 100 gives an H3 window of 10^8 points
+    cfg = {
+        "group": "h3",
+        "colouring": {"kind": "percolation", "seed": 1},
+        "operator": {"kind": "adjacency"},
+        "folner_j": [2],
+        "tile_n": [1],
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with monkeypatch.context() as patched:
+        patched.setattr(idsapprox.cayley, "TilingSpec", unbuilt)
+        assert run(["percolation", "--config", p, "--out", tmp_path / "perc"]) == 2
+    assert json.loads(capsys.readouterr().err)["path"] == "$.freq_window"
+    assert run(["ids", "--config", p, "--out", tmp_path / "ids"]) == 0
 
 
 def test_empty_folner_list_warns(tmp_path):

@@ -14,8 +14,6 @@ from idsapprox.colouring import (
 from idsapprox.ergodic import (
     AlmostAdditive,
     StepFunction,
-    boundedness_gap,
-    cardinality_function,
     check_almost_additive,
     delta_estimate,
     ergodic_average,
@@ -28,6 +26,17 @@ from idsapprox.ergodic import (
 from conftest import interval, random_subset
 
 
+def cardinality_function() -> AlmostAdditive:
+    """The exactly additive scalar F(Q) = |Q| (b identically zero)."""
+    return AlmostAdditive(
+        evaluate=lambda Q: StepFunction.constant(float(len(Q))),
+        boundary_term=lambda Q: 0.0,
+        bounded_const=1.0,
+        boundary_const=0.0,
+        name="cardinality",
+    )
+
+
 def test_step_function_evaluation():
     f = StepFunction([0.0, 1.0], [2.0, 5.0], base=-1.0)
     assert f(-0.5) == -1.0
@@ -35,8 +44,7 @@ def test_step_function_evaluation():
     assert f(0.999) == 2.0
     assert f(1.0) == 5.0
     assert f.terminal_value == 5.0
-    assert f.jump_at(1.0) == 3.0
-    assert f.jump_at(0.5) == 0.0
+    assert list(f.jumps()[1]) == [3.0, 3.0]
 
 
 def test_step_function_from_jumps_merges_duplicates():
@@ -230,10 +238,3 @@ def test_triangle_of_averages(z1):
     a5 = ergodic_average(F, interval_folner(z1, 5, side="negative"))
     a12 = ergodic_average(F, interval_folner(z1, 12, side="negative"))
     assert sup_distance(a5, a12) <= deltas[5][1] + deltas[12][1] + 1e-12
-
-
-def test_boundedness_gap(z2):
-    F = cardinality_function()
-    Q = folner_set(z2, 3).tile
-    norm, budget = boundedness_gap(F, Q)
-    assert norm <= budget

@@ -15,7 +15,6 @@ from idsapprox.colouring import (
     BLACK,
     EmpiricalFrequencies,
     HalfLineMod3,
-    HalfLineMod3Window,
     PercolationColouring,
     TrivialColouring,
     TrivialFrequencies,
@@ -30,10 +29,7 @@ from idsapprox.ids import (
     frequency_side_ids,
     ids_approximant,
     ids_certificate,
-    jump_lower_bound,
     raw_counting_distribution,
-    spectrum_support_diagnostic,
-    validate_jump,
 )
 from idsapprox.operators import (
     adjacency_rule,
@@ -218,34 +214,6 @@ def test_frequency_side_close_to_reference(z1):
     assert sup_distance(side, ap.step) <= bound + cert.total + 1e-12
 
 
-def test_jump_lower_bound_negative_side(z1):
-    C, rule = half_line_setup(z1)
-    Vref = interval_folner(z1, 50, side="negative")
-    freqs = EmpiricalFrequencies(C, Vref)
-    u = {(-8,): 1.0, (-7,): 1.0}
-    rep = jump_lower_bound(rule, C, [u], 1.0, freqs)
-    assert rep.multiplicity == 1
-    assert rep.frequency > 0
-    assert rep.lower_bound > 0
-    ap = ids_approximant(rule, C, Vref)
-    observed, ok = validate_jump(rep, ap, tol=1e-9)
-    assert ok and observed == pytest.approx(1 / 3, abs=0.02)
-
-
-def test_jump_lower_bound_positive_side_is_zero(z1):
-    C, rule = half_line_setup(z1)
-    freqs = EmpiricalFrequencies(C, interval_folner(z1, 50, side="positive"))
-    rep = jump_lower_bound(rule, C, [{(-8,): 1.0, (-7,): 1.0}], 1.0, freqs)
-    assert rep.lower_bound == 0.0
-
-
-def test_jump_lower_bound_rejects_non_eigenvector(z1):
-    C, rule = half_line_setup(z1)
-    freqs = EmpiricalFrequencies(C, interval_folner(z1, 20, side="negative"))
-    with pytest.raises(IdsError):
-        jump_lower_bound(rule, C, [{(-8,): 1.0, (-7,): 1.0}], 0.5, freqs)
-
-
 def test_continuity_gap_examples(z2):
     C = TrivialColouring(z2)
     rng = random.Random(32)
@@ -278,50 +246,6 @@ def test_continuity_hypothesis_enforced(z2):
     G = offset_table_rule(z2, {(0, 0): 0.0, (1, 0): 1.5, (-1, 0): 1.5})
     with pytest.raises(EpsilonHypothesisError):
         continuity_gap(H, G, C, 0.1, TestFunction.bump(), folner_set(z2, 4).tile)
-
-
-def test_support_diagnostic_trivial_adjacency(z1):
-    # 1-d band: increase points spread across [-2, 2]
-    C = TrivialColouring(z1)
-    rule = adjacency_rule(z1)
-    freqs = TrivialFrequencies(z1, "o")
-    diag = spectrum_support_diagnostic(
-        rule,
-        C,
-        lambda j: interval(z1, 0, 3 * j),
-        j_ref=40,
-        probes=[10, 20],
-        spec=folner_set(z1, 3),
-        freqs=freqs,
-    )
-    assert diag.frequencies_positive
-    pts = diag.increase_points
-    assert pts.min() >= -2.0 - 1e-9 and pts.max() <= 2.0 + 1e-9
-    assert pts.max() > 1.9 and pts.min() < -1.9  # dense towards the band edges
-    assert diag.consistent
-
-
-def test_support_diagnostic_reports_window_discrepancy(z1):
-    # cutoff colouring: +-1 eigenvalues persist while the limit support is {0}
-    C = HalfLineMod3Window(z1)
-    rule = percolation_rule(z1, C.alphabet, [BLACK])
-    ref = interval_folner(z1, 50, side="negative")
-    freqs = EmpiricalFrequencies(C, ref)
-    diag = spectrum_support_diagnostic(
-        rule,
-        C,
-        lambda j: interval_folner(z1, j, side="negative"),
-        j_ref=50,
-        probes=[36],
-        spec=folner_set(z1, 3),
-        freqs=freqs,
-    )
-    # the +-1 spikes stay visible in the reference increase points while their
-    # jumps shrink with j: exactly the tension this diagnostic is meant to show
-    ap50 = ids_approximant(rule, C, ref)
-    assert ap50.step.jump_at(1.0, tol=1e-9) < 0.25
-    assert ap50.step.jump_at(0.0, tol=1e-9) > 0.5
-    assert diag.probes[0].j == 36
 
 
 def test_limit_certificate_normalises_to_tile_bound(h3):
@@ -391,7 +315,6 @@ def test_certificates_on_coloured_heisenberg(h3):
 
     from idsapprox.colouring import PeriodicFoldColouring
     from idsapprox.ergodic import delta_estimate as _delta, measured_delta as _meas
-    from idsapprox.operators import check_invariance
 
     rng = _random.Random(61)
     base = folner_set(h3, 2)
@@ -399,10 +322,6 @@ def test_certificates_on_coloured_heisenberg(h3):
     table[next(iter(base.tile))] = "a"  # both colours present
     C = PeriodicFoldColouring(base, table)
     rule = percolation_rule(h3, C.alphabet, ["a"])
-
-    pool = list(h3.ball(3))
-    samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
-    assert check_invariance(rule, C, samples).ok
 
     ref = folner_set(h3, 6).tile
     freqs = EmpiricalFrequencies(C, ref)

@@ -15,17 +15,14 @@ from idsapprox.colouring import (
 from idsapprox.operators import (
     LocalRule,
     OperatorError,
-    PeriodicCover,
     SymmetryError,
     adjacency_rule,
-    check_invariance,
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
-    periodic_fold,
     restrict_operator,
 )
-from conftest import interval, random_subset
+from conftest import chain_rule, interval, random_subset
 
 
 def test_zero_rule(z1):
@@ -109,35 +106,14 @@ def test_laplacian_positive_semidefinite(z2):
         assert vals.min() >= -1e-9
 
 
-def test_periodic_fold_singleton_reduces_to_adjacency(z1):
-    model = z1
-
-    def kern(a, b):
-        (g, i), (h, j) = a, b
-        return 1.0 if abs(g[0] - h[0]) == 1 else 0.0
-
-    cover = PeriodicCover(model, 1, kern, 1)
-    rule = periodic_fold(cover)
-    C = TrivialColouring(model)
-    Q = interval(model, 0, 5)
-    assert np.array_equal(
-        restrict_operator(rule, C, Q).to_dense(),
-        restrict_operator(adjacency_rule(model), C, Q).to_dense(),
-    )
-
-
 def test_periodic_fold_alternating_chain_spectrum(z1):
-    # period-2 chain with edge weights 1, 2: fold over D={0,1}
+    # the period-2 chain with edge weights 1, 2 as a k = 2 rule over its cells
     def unfolded_entry(u, v):
         if abs(u - v) != 1:
             return 0.0
         return 1.0 if min(u, v) % 2 == 0 else 2.0
 
-    def kern(a, b):
-        (g, i), (h, j) = a, b
-        return unfolded_entry(2 * g[0] + i, 2 * h[0] + j)
-
-    rule = periodic_fold(PeriodicCover(z1, 2, kern, 1))
+    rule = chain_rule(z1, 2.0)
     assert rule.k == 2
     C = TrivialColouring(z1)
     m = 6
@@ -151,40 +127,6 @@ def test_periodic_fold_alternating_chain_spectrum(z1):
         for v in range(n):
             A[u, v] = unfolded_entry(u, v)
     assert np.allclose(np.linalg.eigvalsh(M), np.linalg.eigvalsh(A), atol=1e-10)
-
-
-def test_periodic_fold_rejects_noninvariant(z1):
-    def kern(a, b):
-        (g, i), (h, j) = a, b
-        return float(g[0] == 0 and h[0] == 1)
-
-    with pytest.raises(Exception):
-        periodic_fold(PeriodicCover(z1, 1, kern, 1))
-
-
-def test_check_invariance_clean_rules(z2):
-    rng = random.Random(26)
-    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=17)
-    pool = list(z2.ball(4))
-    samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
-    for rule in (adjacency_rule(z2), percolation_rule(z2, C.alphabet, ["a"])):
-        report = check_invariance(rule, C, samples)
-        assert report.ok
-        assert report.checked > 0
-
-
-def test_check_invariance_catches_broken_rule(z2):
-    class Broken(LocalRule):
-        def block_at(self, C, x, y):  # reads absolute coordinates
-            base = super().block_at(C, x, y)
-            return base * (1.0 + 0.1 * (x[0] % 3))
-
-    rule = Broken(z2, 1, 1, 1, lambda pat, w: 0.0 if w == (0, 0) else 1.0)
-    C = TrivialColouring(z2)
-    pool = list(z2.ball(3))
-    samples = [(g, t) for g in pool[:10] for t in pool[:10]]
-    report = check_invariance(rule, C, samples)
-    assert not report.ok
 
 
 def test_norm_bound_adjacency():
@@ -281,15 +223,6 @@ def test_sparse_storage_above_threshold(z1):
     assert np.array_equal(M.to_dense(), dense)
 
 
-def test_coordinate_text_export(z1):
-    rule = adjacency_rule(z1)
-    M = restrict_operator(rule, TrivialColouring(z1), interval(z1, 0, 2))
-    text = M.to_coordinate_text()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("%")
-    assert "1 2 1.0" in text
-
-
 # -- assembly against a pairwise oracle ---------------------------------------------
 
 
@@ -302,20 +235,6 @@ def pairwise_matrix(rule, C, Q):
         for j, y in enumerate(order):
             M[i * k : (i + 1) * k, j * k : (j + 1) * k] = rule.block_at(C, x, y)
     return M
-
-
-def chain_fold(model):
-    """k=2 fold of a period-2 chain with hops 1 and 2: the blocks for the
-    offsets +-1 are not symmetric."""
-
-    def kern(a, b):
-        (g, i), (h, j) = a, b
-        u, v = 2 * g[0] + i, 2 * h[0] + j
-        if abs(u - v) != 1:
-            return 0.0
-        return 1.0 if min(u, v) % 2 == 0 else 2.0
-
-    return periodic_fold(PeriodicCover(model, 2, kern, 1))
 
 
 def oracle_cases():
@@ -331,7 +250,7 @@ def oracle_cases():
     yield laplacian_rule(percolation_rule(z2, ab, ["a"])), perc2, random_subset(z2, rng, 4, 30)
     yield percolation_rule(z4, ab, ["a"]), perc4, z4.ball(2)
     yield adjacency_rule(h3), TrivialColouring(h3), folner_set(h3, 2).tile
-    yield chain_fold(z1), TrivialColouring(z1), random_subset(z1, rng, 6, 9)
+    yield chain_rule(z1, 2.0), TrivialColouring(z1), random_subset(z1, rng, 6, 9)
 
 
 ORACLE_IDS = ["z1_halfline", "z1_offsets", "z2_perc", "z2_laplacian", "z4_perc", "h3_adj", "z1_fold_k2"]
@@ -387,6 +306,16 @@ def test_pattern_dependent_asymmetry_at_some_sites_raises(z2):
     assert 0 < len(retained) < len(tile)
     M = restrict_operator(rule, C, retained).to_dense()
     assert np.array_equal(M, restrict_operator(adjacency_rule(z2), C, retained).to_dense())
+
+
+def test_kernel_reading_outside_the_window_raises(z2):
+    # a rule of range R reads its patterns on B_2R = B_2, and (2, 1) lies outside it
+    C = PercolationColouring(z2, Alphabet(("a", "b")), seed=9)
+    rule = LocalRule(z2, 1, 1, 1, lambda p, w: (p.symbol_at((2, 1)) == "a") + 0.0)
+    with pytest.raises(KeyError):
+        restrict_operator(rule, C, folner_set(z2, 3).tile)
+    with pytest.raises(KeyError):
+        rule.block_at(C, (0, 0), (1, 0))
 
 
 class RecordingColouring(Colouring):

@@ -13,12 +13,10 @@ from idsapprox.colouring import (
     TrivialColouring,
 )
 from idsapprox.operators import (
-    PeriodicCover,
     adjacency_rule,
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
-    periodic_fold,
     restrict_operator,
 )
 from idsapprox.spectra import (
@@ -32,8 +30,8 @@ from idsapprox.spectra import (
     projection_truncation_gap,
     quasi_mode_count,
     rank_perturbation_gap,
-    spectral_shift_integral,
 )
+from conftest import chain_rule
 
 
 def sym(rng, n, scale=1.0):
@@ -237,41 +235,6 @@ def test_quasi_mode_translated_pairs(z1):
     assert quasi_mode_count(A, 1.0, 1e-8, vecs) >= j
 
 
-def test_spectral_shift_basics():
-    rng = random.Random(22)
-    H = sym(rng, 8)
-    assert spectral_shift_integral(H, H) == 0.0
-    eps = 0.25
-    G = H + eps * np.eye(8)
-    assert spectral_shift_integral(H, G) == pytest.approx(8 * eps, rel=1e-9)
-    assert spectral_shift_integral(H, G) == spectral_shift_integral(G, H)
-
-
-def test_spectral_shift_entrywise_chain(z2):
-    # |H(x,y)-G(x,y)| <= eps implies integral <= 2 |B_R| eps |U|
-    rng = random.Random(23)
-    base = {}
-    delta = {}
-    for w in z2.ball(1):
-        wn = z2.inverse(w)
-        if wn in base:
-            base[w], delta[w] = base[wn], delta[wn]
-        else:
-            base[w] = rng.uniform(-1, 1)
-            delta[w] = rng.uniform(-1, 1)
-    eps = 1e-2
-    from idsapprox.colouring import TrivialColouring
-
-    C = TrivialColouring(z2)
-    U = folner_set(z2, 12).tile
-    H = restrict_operator(offset_table_rule(z2, base), C, U)
-    G = restrict_operator(
-        offset_table_rule(z2, {w: v + eps * delta[w] for w, v in base.items()}), C, U
-    )
-    integral = spectral_shift_integral(H, G)
-    assert integral <= 2 * len(z2.ball(1)) * eps * len(U) + 1e-9
-
-
 def test_permutation_invariance_of_spectrum():
     rng = random.Random(25)
     A = sym(rng, 18)
@@ -347,15 +310,7 @@ def test_split_connected_single_block():
 def test_split_periodic_fold_restriction(monkeypatch, z1):
     # period-2 chain: weights 1 inside a cell and 2 or 0 between cells
     for between in (2.0, 0.0):
-
-        def kern(a, b, between=between):
-            (g, i), (h, j) = a, b
-            u, v = 2 * g[0] + i, 2 * h[0] + j
-            if abs(u - v) != 1:
-                return 0.0
-            return 1.0 if min(u, v) % 2 == 0 else between
-
-        rule = periodic_fold(PeriodicCover(z1, 2, kern, 1))
+        rule = chain_rule(z1, between)
         Q = FiniteSet(z1, [(i,) for i in (0, 1, 2, 3, 5, 6, 9)])
         M = restrict_operator(rule, TrivialColouring(z1), Q)
         assert rule.k == 2
