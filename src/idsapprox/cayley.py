@@ -35,6 +35,7 @@ Every boundary comes from runs of the symmetric ball B_R = {x : |x| <= R}:
 
 - shrink(Q, R) = {x : B_R x inside Q} = admissible_positions(B_R, Q), kept
   per set and radius, since certificates ask for one shrink several times;
+  it is Q at R = 0, and empty once a shrink at a smaller radius is empty;
 - grow(Q, R) = B_R Q, the points within distance R of Q, a run product whose
   size is also kept per set and radius;
 - boundary_int = Q minus shrink, boundary_ext = grow minus Q and boundary =
@@ -448,7 +449,7 @@ def boundary_int_size(Q: FiniteSet, R: int) -> int:
 
 def boundary_size(Q: FiniteSet, R: int) -> int:
     if R not in Q._grown:
-        Q._grown[R] = int(_grow_runs(Q, R)[1].sum())
+        Q._grown[R] = len(Q) if R == 0 else int(_grow_runs(Q, R)[1].sum())  # B_0 = {e}
     return Q._grown[R] - len(shrink(Q, R))
 
 
@@ -464,11 +465,18 @@ def boundary(Q: FiniteSet, R: int) -> FiniteSet:
 
 def shrink(Q: FiniteSet, R: int) -> FiniteSet:
     """Q_R = Q minus its two-sided R-boundary, the x with B_R x inside Q; may
-    be empty.  Each set keeps its shrinks by radius."""
+    be empty.  Each set keeps its shrinks by radius.  Q_0 is Q (B_0 = {e}), and
+    balls are nested, so Q_R is empty once a shrink at a smaller radius is."""
     if R < 0:
         raise ValueError("boundary radius must be >= 0")
     if R not in Q._shrunk:
-        Q._shrunk[R] = admissible_positions(Q.model.ball(R), Q)
+        empty = [S for r, S in Q._shrunk.items() if r < R and not len(S)]
+        if R == 0:
+            Q._shrunk[R] = Q
+        elif empty:
+            Q._shrunk[R] = empty[0]
+        else:
+            Q._shrunk[R] = admissible_positions(Q.model.ball(R), Q)
     return Q._shrunk[R]
 
 

@@ -1,6 +1,6 @@
 """Batch front end: config in, tables and plot-ready CSV out.
 
-Subcommands: ids, folner-audit, percolation, continuity.  Outputs are
+Commands: ids, folner-audit, percolation, continuity.  Outputs are
 deterministic functions of the effective config (seeds included); exit code
 0 on success, 2 on config errors, 3 on an assertion failure inside a cell.
 """
@@ -379,20 +379,19 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; the options may come before or after it."""
     parser = argparse.ArgumentParser(
         prog="idsapprox",
         description="IDS approximants with computable error certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ids", "folner-audit", "percolation", "continuity"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a JSON run config")
-        p.add_argument("--preset", help="name of a shipped preset config")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="ignored: cells run serially")
-        p.add_argument("--seed", type=int, default=None, help="override colouring seed")
-        p.add_argument("--folner-j", default="", help="override folner_j (comma list)")
-        p.add_argument("--tile-n", default="", help="override tile_n (comma list)")
+    parser.add_argument("command", choices=("ids", "folner-audit", "percolation", "continuity"))
+    parser.add_argument("--config", help="path to a JSON run config")
+    parser.add_argument("--preset", help="name of a shipped preset config")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--workers", type=int, default=None, help="ignored: cells run serially")
+    parser.add_argument("--seed", type=int, default=None, help="override colouring seed")
+    parser.add_argument("--folner-j", default="", help="override folner_j (comma list)")
+    parser.add_argument("--tile-n", default="", help="override tile_n (comma list)")
     return parser
 
 

@@ -198,17 +198,21 @@ class PercolationColouring(Colouring):
     def colour_codes(self, coords: np.ndarray) -> np.ndarray:
         keys = self.model._pack(coords)
         idx, hit = _search(self._keys, keys)
-        new = _unique_keys(keys[~hit])
-        if new.size:
-            # each point hashes as its little-endian int64 coordinates
-            raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
-            digests = _keyed_digests(self._key, raw, 8 * self.model.dim)
-            at = np.searchsorted(self._keys, new)
-            self._keys = np.insert(self._keys, at, new)
-            self._codes = np.insert(self._codes, at, _cut(self.thresholds, digests))
-            idx = np.searchsorted(self._keys, keys)
-        # fancy indexing copies, so callers never hold a view of the store
-        return self._codes[idx]
+        if hit.all():
+            # fancy indexing copies, so callers never hold a view of the store
+            return self._codes[idx]
+        miss = ~hit
+        new = _unique_keys(keys[miss])
+        # each point hashes as its little-endian int64 coordinates
+        raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
+        fresh = _cut(self.thresholds, _keyed_digests(self._key, raw, 8 * self.model.dim))
+        out = np.empty(len(keys), dtype=np.int64)
+        out[hit] = self._codes[idx[hit]]
+        out[miss] = fresh[np.searchsorted(new, keys[miss])]
+        at = np.searchsorted(self._keys, new)
+        self._keys = np.insert(self._keys, at, new)
+        self._codes = np.insert(self._codes, at, fresh)
+        return out
 
 
 class HalfLineMod3(Colouring):
@@ -435,15 +439,21 @@ def occurring_pattern_spectrum(
     classes, and one canonical domain tile * d^-1 (d = max(tile)) and one
     shift d serve them all: the class of row p is its symbols on that domain,
     witnessed at d * x_p.  The counts sum to the number of admissible positions.
+    A one-colour alphabet has one row, so it is tallied without colouring.
     """
     model = tile.model
     X = admissible_positions(tile, U).coords
+    domain, d = _canonical_domain(tile)
+    symbols = np.array(C.alphabet.symbols)
+    if len(symbols) == 1:
+        if not len(X):
+            return {}
+        cls = PatternClass(_pattern(domain, symbols.repeat(len(tile))))
+        return {cls: SpectrumEntry(len(X), tuple(model.mul_array(d, X[0]).tolist()))}
     points = model.mul_array(tile.coords[:, None], X).reshape(-1, model.dim)
     codes = C.colour_codes(points).reshape(len(tile), len(X)).T
-    first, counts = _tally_rows(codes, len(C.alphabet))
-    domain, d = _canonical_domain(tile)
+    first, counts = _tally_rows(codes, len(symbols))
     witnesses = map(tuple, model.mul_array(d, X[first]).tolist())
-    symbols = np.array(C.alphabet.symbols)
     return {
         PatternClass(_pattern(domain, symbols[codes[f]])): SpectrumEntry(count, witness)
         for f, count, witness in zip(first.tolist(), counts.tolist(), witnesses)

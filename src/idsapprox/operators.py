@@ -34,9 +34,10 @@ class SymmetryError(OperatorError):
 class LocalPatterns:
     """Read-only view of the colouring around m base points, each pulled back to e.
 
-    ``symbol_at(q)`` is the array of the m symbols at window point q, read
-    from ``column(q)``: the colour codes at q x for every point x of the
-    restriction, of which the batch holds the rows ``base``.
+    ``code_at(q)`` is the array of the m colour codes (indices into the
+    alphabet) at window point q, read from ``column(q)``: the colour codes at
+    q x for every point x of the restriction, of which the batch holds the
+    rows ``base``.  ``symbol_at(q)`` is the same as alphabet symbols.
     """
 
     __slots__ = ("_column", "_symbols", "_base")
@@ -47,8 +48,11 @@ class LocalPatterns:
     def __len__(self) -> int:
         return len(self._base)
 
+    def code_at(self, q: Element) -> np.ndarray:
+        return self._column(q)[self._base]
+
     def symbol_at(self, q: Element) -> np.ndarray:
-        return self._symbols[self._column(q)[self._base]]
+        return self._symbols[self.code_at(q)]
 
 
 KernelFn = Callable[[LocalPatterns, Element], object]
@@ -213,7 +217,8 @@ def adjacency_rule(model: GroupModel) -> LocalRule:
 def percolation_rule(
     model: GroupModel, alphabet: Alphabet, retained: Iterable[str]
 ) -> LocalRule:
-    """Adjacency of the subgraph induced on retained-coloured vertices."""
+    """Adjacency of the subgraph induced on retained-coloured vertices; the
+    colouring's alphabet is ``alphabet``, whose codes index the retained mask."""
     kept = tuple(sorted(set(retained)))
     if not kept:
         raise OperatorError("retained colour set must be non-empty")
@@ -221,11 +226,12 @@ def percolation_rule(
         if s not in alphabet:
             raise OperatorError(f"retained symbol {s!r} not in alphabet")
     e = model.identity
+    mask = np.array([s in kept for s in alphabet.symbols])
 
     def kernel(patterns: LocalPatterns, w: Element) -> object:
         if w == e:
             return 0.0
-        return np.isin(patterns.symbol_at(e), kept) & np.isin(patterns.symbol_at(w), kept)
+        return mask[patterns.code_at(e)] & mask[patterns.code_at(w)]
 
     return LocalRule(model, 1, 1, 1, kernel, name=f"percolation[{','.join(kept)}]")
 

@@ -744,6 +744,34 @@ def test_boundary_union_formula_identity(z2, h3):
             assert shrink(Q, R) is Q._shrunk[R]
 
 
+def test_shrinks_reuse_known_radii(z2, h3, monkeypatch):
+    # B_0 = {e}: the radius-0 shrink is the set itself, and its grown size its
+    # own; balls are nested, so a radius above an empty shrink needs no search
+    calls = []
+    search = cayley.admissible_positions
+
+    def counted(tile, U):
+        calls.append(len(tile))
+        return search(tile, U)
+
+    monkeypatch.setattr(cayley, "admissible_positions", counted)
+    strip = FiniteSet(z2, [(a, b) for a in range(8) for b in range(2)])  # shrink(1) is empty
+    for Q in (folner_set(h3, 3).tile, folner_set(z2, 6).tile, strip):
+        assert shrink(Q, 0) is Q
+        assert boundary_size(Q, 0) == 0
+        assert not calls
+        R = 1
+        while len(shrink(Q, R)):
+            R += 1
+        calls.clear()
+        for bigger in (R + 2, R + 1, R + 7):
+            assert len(shrink(Q, bigger)) == 0
+            assert shrink(Q, bigger) == search(Q.model.ball(bigger), Q)
+            assert boundary_size(Q, bigger) == len(grow(Q, bigger))
+        assert not calls
+    assert shrink(FiniteSet(h3, []), 0) == FiniteSet(h3, [])
+
+
 @pytest.mark.parametrize("model", [FreeAbelian(d) for d in range(1, 9)] + [Heisenberg3()], ids=lambda m: m.describe())
 def test_packing_round_trip_at_bound(model):
     edge = model.pack_bound - 1

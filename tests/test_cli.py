@@ -335,6 +335,26 @@ def test_folner_audit_h3(tmp_path):
     assert rows[2]["tile_size"] == 81
 
 
+def test_flags_go_on_either_side_of_the_command(tmp_path, capsys):
+    outs = [tmp_path / name for name in ("after", "before", "around")]
+    flags = ["--preset", "h3_adjacency", "--tile-n", "1,2"]
+    assert run(["folner-audit", *flags, "--out", outs[0]]) == 0
+    assert run([*flags, "--out", outs[1], "folner-audit"]) == 0
+    assert run([*flags, "folner-audit", "--out", outs[2]]) == 0
+    texts = {read(out / "folner_audit.json") for out in outs}
+    assert len(texts) == 1
+    parsed = cli.build_parser().parse_args(["--out", "o", "ids", "--seed", "3"])
+    assert vars(parsed) == {
+        "command": "ids", "config": None, "preset": None, "out": "o", "workers": None,
+        "seed": 3, "folner_j": "", "tile_n": "",
+    }
+    for argv in (["audit", "--preset", "h3_adjacency", "--out", tmp_path / "x"], ["--out", tmp_path / "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    assert "invalid choice: 'audit'" in capsys.readouterr().err
+
+
 def test_folner_audit_z2(tmp_path):
     cfg = {
         "group": "zd",

@@ -591,6 +591,36 @@ def test_spectrum_matches_per_position_loop(z1, h3):
         assert len(ref) > 2
 
 
+def test_one_colour_spectrum_matches_per_position_loop(z1, z2, h3):
+    # a one-colour alphabet is tallied without colouring; a two-colour one
+    # that paints every point "o" takes the general path to the same answer
+    box = FiniteSet(z2, [(a, b) for a in range(7) for b in range(-2, 5)])
+    cases = [
+        (z1, folner_set(z1, 3).tile, interval(z1, -30, 10)),
+        (z1, FiniteSet(z1, [(-2,), (0,), (3,)]), interval(z1, -30, 10)),  # no identity
+        (z2, folner_set(z2, 2).tile, box),
+        (z2, folner_set(z2, 3).tile.right_translate((4, -1)), box),  # no identity
+        (h3, folner_set(h3, 2).tile, folner_set(h3, 4).tile),
+        (h3, folner_set(h3, 2).tile.right_translate((1, -2, 5)), folner_set(h3, 3).tile),
+        # no admissible position: the tile is larger than the volume
+        (h3, folner_set(h3, 3).tile, folner_set(h3, 2).tile),
+        (z1, folner_set(z1, 5).tile, interval(z1, 0, 3)),
+    ]
+    for model, tile, U in cases:
+        C = TrivialColouring(model, "o")
+        spec = occurring_pattern_spectrum(C, tile, U)
+        got = {cls.key: (e.count, e.witness) for cls, e in spec.items()}
+        ref = _spectrum_reference(C, tile, U)
+        assert got == ref
+        assert list(got) == list(ref)
+        assert len(ref) == (len(admissible_positions(tile, U)) > 0)
+        painted = ExplicitColouring(model, Alphabet(("o", "p")), {}, "o")
+        general = occurring_pattern_spectrum(painted, tile, U)
+        assert list(general) == list(spec)
+        assert list(general.values()) == list(spec.values())
+        assert [c.digest() for c in general] == [c.digest() for c in spec]
+
+
 def _tally_reference(codes):
     """First index and count of every distinct row, in first-occurrence order."""
     _, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)

@@ -65,6 +65,29 @@ def test_percolation_all_retained_equals_adjacency(z2):
     )
 
 
+def test_percolation_kernel_reads_codes(h3):
+    # the retained mask is indexed by alphabet code: retained symbols that sort
+    # before and after a dropped one, against the induced subgraph by colour
+    C = PercolationColouring(h3, Alphabet(("c", "a", "b")), seed=4)
+    Q = folner_set(h3, 3).tile
+    rule = percolation_rule(h3, C.alphabet, ["c", "b"])
+    seen = []
+
+    def kernel(patterns, w):
+        codes = patterns.code_at(w)
+        assert codes.dtype == np.int64
+        assert patterns.symbol_at(w).tolist() == [C.alphabet.symbols[c] for c in codes]
+        seen.append(len(codes))
+        return rule.kernel(patterns, w)
+
+    spy = LocalRule(h3, 1, 1, 1, kernel)
+    M = restrict_operator(spy, C, Q).to_dense()
+    assert seen and np.array_equal(M, restrict_operator(rule, C, Q).to_dense())
+    kept = np.array([C.colour(g) in ("c", "b") for g in Q])
+    expected = restrict_operator(adjacency_rule(h3), C, Q).to_dense() * np.outer(kept, kept)
+    assert np.array_equal(M, expected)
+
+
 def test_example_block_structure(z1):
     C = HalfLineMod3(z1)
     rule = percolation_rule(z1, C.alphabet, [BLACK])
