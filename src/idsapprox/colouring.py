@@ -570,6 +570,8 @@ def frequency_deviation(
     non-occurring patterns (empirical frequency zero) is added as the
     residual of the provider's total mass, so the full pattern set is never
     enumerated; ``spectrum``, if given, is the tile's occurring spectrum over U.
+    The sums are taken as integers over the least common denominator of |U|,
+    the total mass and every frequency, and give one Fraction at the end.
     """
     if len(U) == 0:
         raise ColouringError("deviation needs a non-empty volume")
@@ -580,15 +582,16 @@ def frequency_deviation(
             spectrum = freqs.spectrum(tile)
         else:
             spectrum = occurring_pattern_spectrum(C, tile, U)
-    seen_mass = Fraction(0)
-    deviation = Fraction(0)
-    for cls, entry in spectrum.items():
-        nu = Fraction(freqs.frequency(cls))
-        seen_mass += nu
-        deviation += abs(Fraction(entry.count, len(U)) - nu)
-    residual = Fraction(freqs.total_mass(tile)) - seen_mass
+    nus = [Fraction(freqs.frequency(cls)) for cls in spectrum]
+    total = Fraction(freqs.total_mass(tile))
+    den = math.lcm(len(U), total.denominator, *(nu.denominator for nu in nus))
+    # each term as its numerator over den
+    seen = [nu.numerator * (den // nu.denominator) for nu in nus]
+    per_count = den // len(U)
+    deviation = sum(abs(e.count * per_count - s) for e, s in zip(spectrum.values(), seen))
+    residual = total.numerator * (den // total.denominator) - sum(seen)
     if residual < 0:
         raise FrequencyProviderError(
-            f"negative residual frequency mass {residual} for tile of size {len(tile)}"
+            f"negative residual frequency mass {Fraction(residual, den)} for tile of size {len(tile)}"
         )
-    return deviation + residual
+    return Fraction(deviation + residual, den)

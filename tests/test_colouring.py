@@ -49,7 +49,7 @@ from idsapprox.colouring import (
     restrict,
     translate_pattern,
 )
-from conftest import interval
+from conftest import interval, random_subset
 
 
 def make_pattern(model, coords_to_symbol):
@@ -336,6 +336,53 @@ def test_deviation_rejects_inconsistent_provider(z1):
         frequency_deviation(
             triv, folner_set(z1, 2).tile, interval(z1, 0, 9), Bad(z1, "o")
         )
+
+
+def _deviation_reference(C, tile, U, freqs):
+    """The frequency deviation summed as Fractions, one class at a time."""
+    seen_mass = deviation = Fraction(0)
+    for cls, entry in occurring_pattern_spectrum(C, tile, U).items():
+        nu = Fraction(freqs.frequency(cls))
+        seen_mass += nu
+        deviation += abs(Fraction(entry.count, len(U)) - nu)
+    residual = Fraction(freqs.total_mass(tile)) - seen_mass
+    if residual < 0:
+        raise FrequencyProviderError(f"negative residual frequency mass {residual}")
+    return deviation + residual
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deviation_matches_fraction_loop(seed):
+    rng = random.Random(640 + seed)
+    weights = (Fraction(1, 3), Fraction(2, 3))
+
+    class Short(PercolationFrequencies):  # less total mass than the classes seen
+        def total_mass(self, tile):
+            return Fraction(1, 1000)
+
+    values = set()
+    for model in (FreeAbelian(2), Heisenberg3()):
+        perc = PercolationColouring(model, Alphabet(("a", "b")), seed=seed, weights=weights)
+        pool = len(model.ball(3))
+        for _ in range(3):
+            tile = random_subset(model, rng, radius=1, size=rng.randint(1, 4))
+            U = random_subset(model, rng, radius=3, size=pool - rng.randint(0, 6))
+            reference = random_subset(model, rng, radius=3, size=pool - rng.randint(0, 6))
+            cases = [
+                (TrivialColouring(model), TrivialFrequencies(model, "o")),
+                (perc, PercolationFrequencies(perc)),
+                (perc, EmpiricalFrequencies(perc, reference)),
+                (perc, EmpiricalFrequencies(perc, U)),  # the provider's own spectrum
+            ]
+            for C, freqs in cases:
+                dev = frequency_deviation(C, tile, U, freqs)
+                assert dev == _deviation_reference(C, tile, U, freqs)
+                values.add(dev)
+            with pytest.raises(FrequencyProviderError, match="negative residual"):
+                _deviation_reference(perc, tile, U, Short(perc))
+            with pytest.raises(FrequencyProviderError, match="negative residual"):
+                frequency_deviation(perc, tile, U, Short(perc))
+    assert len(values) > 4
 
 
 def test_frequency_stability_under_shrinking(z1):

@@ -342,14 +342,18 @@ def test_kernel_reading_outside_the_window_raises(z2):
 
 
 class RecordingColouring(Colouring):
-    """A colouring that records every point it is asked to colour."""
+    """A colouring that records the points of every call it gets."""
 
     def __init__(self, inner):
         self.inner, self.model, self.alphabet = inner, inner.model, inner.alphabet
-        self.asked = []
+        self.calls = []
+
+    @property
+    def asked(self):
+        return [q for call in self.calls for q in call]
 
     def colour_codes(self, coords):
-        self.asked.extend(map(tuple, np.asarray(coords).tolist()))
+        self.calls.append(list(map(tuple, np.asarray(coords).tolist())))
         return self.inner.colour_codes(coords)
 
 
@@ -357,12 +361,34 @@ def test_assembly_colours_only_what_the_kernel_reads(z2, h3):
     for model in (z2, h3):
         C = RecordingColouring(TrivialColouring(model))
         restrict_operator(adjacency_rule(model), C, folner_set(model, 3).tile)
-        assert C.asked == []
-    C = RecordingColouring(PercolationColouring(z2, Alphabet(("a", "b")), seed=4))
-    Q = folner_set(z2, 5).tile
-    restrict_operator(percolation_rule(z2, C.alphabet, ["a"]), C, Q)
-    # the colours at x and w x for w in B_1: all of B_1 Q and nothing of B_2 Q beyond
-    assert FiniteSet(z2, C.asked) == grow(Q, 1)
+        assert C.calls == []
+        C = RecordingColouring(PercolationColouring(model, Alphabet(("a", "b")), seed=4))
+        Q = folner_set(model, 5 if model is z2 else 3).tile
+        restrict_operator(percolation_rule(model, C.alphabet, ["a"]), C, Q)
+        # one call: w x for every offset w in B_1 and every x in Q, offset by
+        # offset, so all of B_1 Q and nothing of B_2 Q beyond
+        assert C.calls == [[model.multiply(w, x) for w in model.ball(1) for x in Q]]
+        assert FiniteSet(model, C.asked) == grow(Q, 1)
+
+
+def test_window_point_beyond_the_offsets_is_coloured_on_its_own(z2, h3):
+    for model in (z2, h3):
+        far = next(q for q in model.ball(2) if q not in model.ball(1))
+        e = model.identity
+        C = RecordingColouring(PercolationColouring(model, Alphabet(("a", "b")), seed=11))
+        perc = percolation_rule(model, C.alphabet, ["a"])
+
+        def kernel(patterns, w):  # the diagonal reads the colour at far x
+            return (patterns.code_at(far) == 0) + 0.0 if w == e else perc.kernel(patterns, w)
+
+        rule = LocalRule(model, 1, 1, 2, kernel)
+        assert rule.overall_range == 2 and far not in rule._offsets
+        Q = random_subset(model, random.Random(33), 4, 40)
+        M = restrict_operator(rule, C, Q)
+        assert np.array_equal(M.to_dense(), pairwise_matrix(rule, C.inner, Q))
+        assert len(C.calls) == 2
+        assert FiniteSet(model, C.calls[0]) == grow(Q, 1)
+        assert C.calls[1] == [model.multiply(far, x) for x in Q]
 
 
 def test_norm_hint_matches_recomputation(z2):
