@@ -113,8 +113,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         obj["folner_j"] = _int_list(args.folner_j, "$.folner_j")
     if args.tile_n:
         obj["tile_n"] = _int_list(args.tile_n, "$.tile_n")
-    if args.workers is not None:
-        obj["workers"] = args.workers
     if args.seed is not None:
         colouring = obj.setdefault("colouring", {})
         if isinstance(colouring, dict):  # anything else fails validation at $.colouring
@@ -388,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--preset", help="name of a shipped preset config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="ignored: cells run serially")
     parser.add_argument("--seed", type=int, default=None, help="override colouring seed")
     parser.add_argument("--folner-j", default="", help="override folner_j (comma list)")
     parser.add_argument("--tile-n", default="", help="override tile_n (comma list)")

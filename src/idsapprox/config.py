@@ -47,6 +47,8 @@ _COLOURING_KINDS = [
 _OPERATOR_KINDS = ["adjacency", "percolation", "laplacian", "hop_table"]
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
+# a colouring seed keys its hash as a signed 64-bit integer
+_SEED = {"type": "integer", "minimum": -(2**63), "maximum": 2**63 - 1}
 # most points of any one set a config may ask for: a 10^7-point tile builds in
 # about 0.5 s; a Folner index beyond it would exhaust memory, not finish late
 MAX_SET_POINTS = 10**7
@@ -78,7 +80,7 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": _COLOURING_KINDS},
-                "seed": {"type": "integer"},
+                "seed": _SEED,
                 "params": {"type": "object"},
             },
         },
@@ -100,7 +102,7 @@ SCHEMA = {
             },
         },
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "seeds": {"type": "array", "items": {"type": "integer"}},
+        "seeds": {"type": "array", "items": _SEED},
         "epsilons": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "freq_window": _POSITIVE_INT,
         "freq_max_domain": _POSITIVE_INT,

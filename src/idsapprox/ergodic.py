@@ -3,15 +3,16 @@
 The target space is the right-continuous bounded step functions with the
 supremum norm; scalars are the zero-breakpoint special case.  Almost-additive
 set functions carry their boundary term and the two constants C (boundedness)
-and D (boundary linearity), and the finite-volume error estimate and both
-limit certificates are computed from those ingredients.
+and D (boundary linearity).  ``estimate_terms`` derives the three exact terms
+of the finite-volume error estimate from those ingredients, once: the
+estimate, both limit certificates and the IDS certificate are sums of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .colouring import (
     Element,
     FrequencyProvider,
     PatternClass,
+    SpectrumEntry,
     frequency_deviation,
 )
 
@@ -136,7 +138,8 @@ class AlmostAdditive:
 
     ``evaluate`` maps finite sets into the step-function space, ``boundary_term``
     is the translation-invariant b with b(Q) <= boundary_const * |Q| and
-    ||evaluate(Q)|| <= bounded_const * |Q|.
+    ||evaluate(Q)|| <= bounded_const * |Q|.  The estimate reads b and both
+    constants exactly, so integers keep its terms exact rationals.
     """
 
     evaluate: Callable[[FiniteSet], StepFunction]
@@ -172,18 +175,27 @@ def frequency_approximant(
     return weighted_sum(terms)
 
 
-def _estimate_parts(
+def estimate_terms(
     F: AlmostAdditive,
     C: Colouring,
     U: FiniteSet,
     spec: TilingSpec,
     freqs: FrequencyProvider,
-) -> tuple[float, float, Fraction]:
+    spectrum: Optional[Mapping[PatternClass, SpectrumEntry]] = None,
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The three exact terms of the finite-volume estimate,
+
+        b(Q_n)/|Q_n|,  (C+D) |boundary^{diam Q_n}(U)| / |U|,  C * deviation,
+
+    with ``spectrum`` passed on to ``frequency_deviation``."""
     tile = spec.tile
-    b_ratio = F.boundary_term(tile) / len(tile)
-    fol_ratio = boundary_size(U, spec.bounding_diameter) / len(U)
-    dev = frequency_deviation(C, tile, U, freqs)
-    return b_ratio, fol_ratio, dev
+    bounded = Fraction(F.bounded_const)
+    b_ratio = Fraction(F.boundary_term(tile)) / len(tile)
+    fol = (bounded + Fraction(F.boundary_const)) * Fraction(
+        boundary_size(U, spec.bounding_diameter), len(U)
+    )
+    dev = bounded * frequency_deviation(C, tile, U, freqs, spectrum=spectrum)
+    return b_ratio, fol, dev
 
 
 def delta_estimate(
@@ -194,16 +206,9 @@ def delta_estimate(
     freqs: FrequencyProvider,
 ) -> float:
     """Computable bound on the distance between the volume average F(U)/|U|
-    and the frequency approximant over the tile:
-
-        b(Q_n)/|Q_n| + (C+D) |boundary^{diam Q_n}(U)| / |U| + C * deviation.
-    """
-    b_ratio, fol_ratio, dev = _estimate_parts(F, C, U, spec, freqs)
-    return (
-        b_ratio
-        + (F.bounded_const + F.boundary_const) * fol_ratio
-        + F.bounded_const * float(dev)
-    )
+    and the frequency approximant over the tile: the sum of the three
+    ``estimate_terms``."""
+    return float(sum(estimate_terms(F, C, U, spec, freqs)))
 
 
 def measured_delta(
@@ -227,15 +232,11 @@ def limit_certificates(
     spec: TilingSpec,
     freqs: FrequencyProvider,
 ) -> tuple[float, float]:
-    """Both limit-distance bounds: against the volume average (doubled
-    boundary term) and against the frequency approximant (b(Q_n)/|Q_n|)."""
-    b_ratio, fol_ratio, dev = _estimate_parts(F, C, U, spec, freqs)
-    vs_volume = (
-        2.0 * b_ratio
-        + (F.bounded_const + F.boundary_const) * fol_ratio
-        + F.bounded_const * float(dev)
-    )
-    return vs_volume, b_ratio
+    """Both limit-distance bounds: against the volume average (the estimate
+    with its boundary term doubled) and against the frequency approximant
+    (b(Q_n)/|Q_n|)."""
+    b_ratio, fol, dev = estimate_terms(F, C, U, spec, freqs)
+    return float(2 * b_ratio + fol + dev), float(b_ratio)
 
 
 def check_almost_additive(

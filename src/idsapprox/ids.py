@@ -4,9 +4,11 @@ The approximant at volume U is the eigenvalue counting function of the
 operator restricted to the R-shrunk volume, normalised to a distribution
 function.  Its distance to the (never materialised) limiting spectral
 distribution is certified by four computable terms: a tile term, a Folner
-term, a frequency-deviation term and a renormalisation term.  The module
-also provides the frequency-side approximant with its tile-boundary bound
-and the spectral continuity bound.
+term, a frequency-deviation term and a renormalisation term.  The first
+three are the ergodic estimate's terms for the set function Q -> n(H[Q_R])
+divided by dim(H); the set function holds its constants as exact integers,
+so dim(H) cancels exactly.  The module also provides the frequency-side
+approximant with its tile-boundary bound and the spectral continuity bound.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .cayley import (
-    Element,
     FiniteSet,
     TilingSpec,
     boundary_int_size,
@@ -31,11 +32,12 @@ from .colouring import (
     FrequencyProvider,
     PatternClass,
     SpectrumEntry,
-    frequency_deviation,
 )
 from .ergodic import (
     AlmostAdditive,
+    ClassValue,
     StepFunction,
+    estimate_terms,
     frequency_approximant,
 )
 from .operators import LocalRule, restrict_operator
@@ -69,9 +71,9 @@ class IdsApproximant:
 class ErrorCertificate:
     """The four computable terms of the uniform IDS error bound."""
 
-    tile_term: float       # 8 |d^R Q_n| / |Q_n|
-    folner_term: float     # (1 + 4|B_R|) |d^{diam Q_n} U_j| / |U_j|
-    freq_term: float       # sum over tile patterns of |empirical - nu|
+    tile_term: float       # 2 b(Q_n) / (k |Q_n|)
+    folner_term: float     # (C + D) |d^{diam Q_n} U_j| / (k |U_j|)
+    freq_term: float       # C / k times the sum over tile patterns of |empirical - nu|
     renorm_term: float     # |d_int^R U_j| / |U_j|
     j: Optional[int] = None
     n: Optional[int] = None
@@ -97,8 +99,8 @@ def eigenvalue_count_function(
 ) -> AlmostAdditive:
     """The almost-additive set function Q -> n(H[Q_R]) of the given operator.
 
-    Boundary term 4 |d^R Q| dim(H), boundedness constant dim(H) and boundary
-    constant 4 |B_R| dim(H).
+    Its constants are exact integers: boundary term 4 dim(H) |d^R Q|,
+    boundedness constant dim(H) and boundary constant 4 |B_R| dim(H).
     """
     R = rule.overall_range
     k = rule.k
@@ -118,9 +120,9 @@ def eigenvalue_count_function(
 
     return AlmostAdditive(
         evaluate=evaluate,
-        boundary_term=lambda Q: 4.0 * k * boundary_size(Q, R),
-        bounded_const=float(k),
-        boundary_const=4.0 * len(rule.model.ball(R)) * k,
+        boundary_term=lambda Q: 4 * k * boundary_size(Q, R),
+        bounded_const=k,
+        boundary_const=4 * len(rule.model.ball(R)) * k,
         name=f"n({rule.name}[.])",
     )
 
@@ -163,20 +165,14 @@ def ids_certificate(
     """The four-term certificate bounding the sup distance between the
     approximant over U and the limiting distribution function; ``spectrum``
     is the tile's occurring spectrum over U, if the caller has it."""
-    R = rule.overall_range
-    tile = spec.tile
-    tile_term = Fraction(8 * boundary_size(tile, R), len(tile))
-    ball_r = len(rule.model.ball(R))
-    folner_term = Fraction(
-        (1 + 4 * ball_r) * boundary_size(U, spec.bounding_diameter), len(U)
-    )
-    freq_term = frequency_deviation(C, tile, U, freqs, spectrum=spectrum)
-    renorm_term = Fraction(boundary_int_size(U, R), len(U))
+    F = eigenvalue_count_function(rule, C)
+    b_ratio, fol, dev = estimate_terms(F, C, U, spec, freqs, spectrum=spectrum)
+    k = rule.k
     return ErrorCertificate(
-        tile_term=float(tile_term),
-        folner_term=float(folner_term),
-        freq_term=float(freq_term),
-        renorm_term=float(renorm_term),
+        tile_term=float(2 * b_ratio / k),
+        folner_term=float(fol / k),
+        freq_term=float(dev / k),
+        renorm_term=float(Fraction(boundary_int_size(U, rule.overall_range), len(U))),
         j=j,
         n=spec.n,
     )
@@ -184,20 +180,12 @@ def ids_certificate(
 
 def class_counting(
     rule: LocalRule, C: Colouring, tau: Optional[float] = None
-) -> Callable[[PatternClass, Element], StepFunction]:
+) -> ClassValue:
     """Per-class value n(H[Q_R]) where Q is the tile instance witnessing the
     class; colouring invariance makes the choice of witness immaterial."""
-    R = rule.overall_range
-
-    def value(cls: PatternClass, witness: Element) -> StepFunction:
-        # the witness places the canonical domain at an actual instance
-        domain = cls.canonical.domain.right_translate(witness)
-        inner = shrink(domain, R)
-        if len(inner) == 0:
-            return StepFunction.constant(0.0)
-        return counting_function(restrict_operator(rule, C, inner), tau)
-
-    return value
+    F = eigenvalue_count_function(rule, C, tau)
+    # the witness places the canonical domain at an actual instance
+    return lambda cls, witness: F.evaluate(cls.canonical.domain.right_translate(witness))
 
 
 def frequency_side_ids(
@@ -208,10 +196,10 @@ def frequency_side_ids(
     tau: Optional[float] = None,
 ) -> tuple[StepFunction, float]:
     """Frequency-weighted approximant sum_P nu_P n(H[Q_R]) / (|Q_n| dim H),
-    with its bound 4 |d^R Q_n| / |Q_n|."""
-    value = class_counting(rule, C, tau)
-    step = frequency_approximant(value, spec, freqs).over(float(rule.k))
-    bound = 4.0 * boundary_size(spec.tile, rule.overall_range) / len(spec.tile)
+    with its bound b(Q_n) / (|Q_n| dim H)."""
+    k = rule.k
+    step = frequency_approximant(class_counting(rule, C, tau), spec, freqs).over(float(k))
+    bound = eigenvalue_count_function(rule, C).boundary_term(spec.tile) / (k * len(spec.tile))
     return step, bound
 
 

@@ -43,12 +43,14 @@ def test_schema_rejects_bad_config(tmp_path, capsys):
         '{"group": "zd", "d": 1, "colouring": {"kind": "trivial"},'
         ' "operator": {"kind": "hop_table", "params": {"table": {"1": Infinity, "-1": 1.0}}}}'
     )
+    workers = tmp_path / "workers.json"
+    workers.write_text(json.dumps(dict(json.loads(cli._preset_text("h3_adjacency")), workers=0)))
     good = ["ids", "--preset", "h3_adjacency"]
     for args, path in [
         (good + ["--folner-j", "3,,4"], "$.folner_j"),
         (good + ["--folner-j", "a"], "$.folner_j"),
         (good + ["--tile-n", "x"], "$.tile_n"),
-        (good + ["--workers", "0"], "$.workers"),
+        (["ids", "--config", workers], "$.workers"),
         (["ids", "--config", array, "--seed", "3"], "$"),
         (["ids", "--config", nan], "$"),
         (["ids", "--config", inf], "$"),
@@ -125,6 +127,11 @@ def test_schema_walker_matches_jsonschema():
         ("tolerance", True, ("tolerance",)),
         ("tolerance", 0, ("tolerance",)),
         ("seeds", [1, 1.5], ("seeds", 1)),
+        ("seeds", [-(2**63), 2**63 - 1], None),
+        ("seeds", [1, 2**63], ("seeds", 1)),
+        ("seeds", [-(2**63) - 1], ("seeds", 0)),
+        ("colouring", dict(FULL_CONFIG["colouring"], seed=2**63), ("colouring", "seed")),
+        ("colouring", dict(FULL_CONFIG["colouring"], seed=-(2**63)), None),
         ("folner", {"kind": "tiles", "sides": []}, ("folner", "sides")),
     ]:
         obj = dict(FULL_CONFIG, **{key: value})
@@ -237,6 +244,29 @@ def test_seed_flag_with_non_object_colouring_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["path"].startswith("$.colouring")
 
 
+def test_seeds_outside_int64_exit_2(tmp_path, capsys):
+    cfg = json.loads(read(small_percolation_config(tmp_path, seeds=(1,), window=10)))
+    p = tmp_path / "cfg.json"
+    for colouring_seed, seeds, flag, path in [
+        (2**63, [1], [], "$.colouring.seed"),
+        (1, [1], ["--seed", 2**63], "$.colouring.seed"),
+        (1, [1, 2**63], [], "$.seeds[1]"),
+        (1, [-(2**63) - 1], [], "$.seeds[0]"),
+    ]:
+        p.write_text(json.dumps({**cfg, "colouring": {**cfg["colouring"], "seed": colouring_seed}, "seeds": seeds}))
+        out = tmp_path / "bad"
+        assert run(["percolation", "--config", p, "--out", out, *flag]) == 2
+        assert json.loads(capsys.readouterr().err)["path"] == path
+        assert not out.exists()
+    # both ends of the signed 64-bit range still run, as --seed and in seeds
+    ends = [2**63 - 1, -(2**63)]
+    p.write_text(json.dumps({**cfg, "seeds": ends}))
+    for seed in ends:
+        out = tmp_path / str(seed)
+        assert run(["percolation", "--config", p, "--seed", seed, "--out", out]) == 0
+        assert all((out / f"approximant_seed{s}_j6.csv").exists() for s in ends)
+
+
 def test_cells_do_not_depend_on_earlier_cells(tmp_path):
     blobs = []
     for js in ("5", "2,5"):
@@ -345,8 +375,8 @@ def test_flags_go_on_either_side_of_the_command(tmp_path, capsys):
     assert len(texts) == 1
     parsed = cli.build_parser().parse_args(["--out", "o", "ids", "--seed", "3"])
     assert vars(parsed) == {
-        "command": "ids", "config": None, "preset": None, "out": "o", "workers": None,
-        "seed": 3, "folner_j": "", "tile_n": "",
+        "command": "ids", "config": None, "preset": None, "out": "o", "seed": 3,
+        "folner_j": "", "tile_n": "",
     }
     for argv in (["audit", "--preset", "h3_adjacency", "--out", tmp_path / "x"], ["--out", tmp_path / "x"]):
         with pytest.raises(SystemExit) as exc:
@@ -536,17 +566,6 @@ def test_infeasible_cell_reported_run_continues(tmp_path):
     assert len(certs["errors"]) == 1  # j=1 interval {-1} shrinks to nothing
     assert certs["errors"][0]["j"] == 1
     assert any(row["j"] == 9 for row in certs["rows"])
-
-
-def test_workers_flag_gives_same_output(tmp_path):
-    for preset, js in (("example4_1", "3,6"), ("z2_percolation", "6,10")):
-        base = ["ids", "--preset", preset, "--folner-j", js]
-        blobs = []
-        for name, extra in (("w1", ["--workers", "1"]), ("w4", ["--workers", "4"])):
-            out = tmp_path / preset / name
-            assert run(base + ["--out", out] + extra) == 0
-            blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert blobs[0] == blobs[1]
 
 
 def test_hop_table_operator_from_config(tmp_path):

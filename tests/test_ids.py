@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from idsapprox.cayley import (
     FiniteSet,
+    boundary_int_size,
     boundary_size,
     folner_set,
     interval_folner,
@@ -18,8 +20,17 @@ from idsapprox.colouring import (
     PercolationColouring,
     TrivialColouring,
     TrivialFrequencies,
+    frequency_deviation,
+    occurring_pattern_spectrum,
 )
-from idsapprox.ergodic import StepFunction, check_almost_additive, sup_distance
+from idsapprox.ergodic import (
+    StepFunction,
+    check_almost_additive,
+    delta_estimate,
+    estimate_terms,
+    limit_certificates,
+    sup_distance,
+)
 from idsapprox.ids import (
     EpsilonHypothesisError,
     IdsError,
@@ -37,7 +48,7 @@ from idsapprox.operators import (
     percolation_rule,
     restrict_operator,
 )
-from conftest import interval, random_subset
+from conftest import chain_rule, interval, random_subset
 
 N_V = StepFunction([-1.0, 0.0, 1.0], [1 / 3, 2 / 3, 1.0], base=0.0)
 N_STEP0 = StepFunction([0.0], [1.0], base=0.0)
@@ -143,6 +154,52 @@ def test_ids_set_function_constants(h3):
     F = eigenvalue_count_function(rule, TrivialColouring(h3))
     assert F.bounded_const == 1.0
     assert F.boundary_const == 4.0 * len(h3.ball(1))
+
+
+def hard_coded_certificate(rule, C, U, spec, freqs, spectrum=None):
+    """The certificate formula as written out before it was derived from the
+    set function: the four exact terms, tile, Folner, frequency, renorm."""
+    R = rule.overall_range
+    tile = spec.tile
+    ball_r = len(rule.model.ball(R))
+    return (
+        Fraction(8 * boundary_size(tile, R), len(tile)),
+        Fraction((1 + 4 * ball_r) * boundary_size(U, spec.bounding_diameter), len(U)),
+        frequency_deviation(C, tile, U, freqs, spectrum=spectrum),
+        Fraction(boundary_int_size(U, R), len(U)),
+    )
+
+
+def derivation_cases(z1, z2, h3):
+    """(rule, colouring, U, spec, freqs, with_spectrum): the k = 2 chain on
+    Z^1, percolation on Z^2 with and without the spectrum, H3 adjacency."""
+    C = PercolationColouring(z1, Alphabet(("a", "b")), seed=2)
+    freqs = EmpiricalFrequencies(C, folner_set(z1, 60).tile)
+    yield chain_rule(z1, 2.0), C, folner_set(z1, 9).tile, folner_set(z1, 3), freqs, False
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=5)
+    rule = percolation_rule(z2, C.alphabet, ["open"])
+    freqs = EmpiricalFrequencies(C, folner_set(z2, 16).tile)
+    for with_spectrum in (False, True):
+        yield rule, C, folner_set(z2, 8).tile, folner_set(z2, 2), freqs, with_spectrum
+    C = TrivialColouring(h3)
+    yield adjacency_rule(h3), C, folner_set(h3, 4).tile, folner_set(h3, 2), TrivialFrequencies(h3), False
+
+
+def test_certificate_is_the_derived_estimate(z1, z2, h3):
+    for rule, C, U, spec, freqs, with_spectrum in derivation_cases(z1, z2, h3):
+        spectrum = occurring_pattern_spectrum(C, spec.tile, U) if with_spectrum else None
+        oracle = hard_coded_certificate(rule, C, U, spec, freqs, spectrum)
+        cert = ids_certificate(rule, C, U, spec, freqs, spectrum=spectrum)
+        terms = (cert.tile_term, cert.folner_term, cert.freq_term, cert.renorm_term)
+        assert terms == tuple(float(t) for t in oracle)
+        # the set function's terms are dim(H) times the certificate's, exactly
+        F = eigenvalue_count_function(rule, C)
+        b, fol, dev = estimate_terms(F, C, U, spec, freqs, spectrum=spectrum)
+        assert (2 * b, fol, dev) == tuple(rule.k * t for t in oracle[:3])
+        assert delta_estimate(F, C, U, spec, freqs) == float(b + fol + dev)
+        assert limit_certificates(F, C, U, spec, freqs) == (float(2 * b + fol + dev), float(b))
+        _, bound = frequency_side_ids(rule, C, spec, freqs)
+        assert bound == float(oracle[0] / 2)
 
 
 def test_certificate_terms_nonnegative_and_total(z1):
