@@ -65,6 +65,7 @@ from .ids import (
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
+    ids_approximants,
     ids_certificate,
     raw_counting_distribution,
 )
@@ -75,10 +76,13 @@ from .operators import (
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
+    principal_restriction,
     restrict_operator,
 )
 from .spectra import (
+    ComponentSpectrum,
     EigenvalueList,
+    component_spectrum,
     counting_function,
     eigenvalues,
     projection_truncation_gap,

@@ -31,7 +31,7 @@ from .ids import (
     IdsError,
     TestFunction,
     continuity_gap,
-    ids_approximant,
+    ids_approximants,
     ids_certificate,
     raw_counting_distribution,
 )
@@ -152,11 +152,9 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
         freqs = cfg.frequency_provider(model, colouring, reference)
 
         approx = {}
-        for j in js:
-            try:
-                ap = ids_approximant(rule, colouring, volumes[j], tau=tau)
-            except IdsError as exc:
-                errors.append({"side": side, "j": j, "error": str(exc)})
+        for j, ap in zip(js, ids_approximants(rule, colouring, [volumes[j] for j in js], tau)):
+            if isinstance(ap, IdsError):
+                errors.append({"side": side, "j": j, "error": str(ap)})
                 continue
             approx[j] = ap
             _write_step_csv(outdir / f"approximant_{side}_j{j}.csv", ap.step)
@@ -298,11 +296,10 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
             emp = Fraction(count, len(window))
             lines.append(f"{seed},{name},{count},{_fmt(emp)},{_fmt(ana)},{_fmt(abs(emp - ana))}")
         rule = cfg.rule(model, colouring)
-        for j, U in volumes.items():
-            try:
-                ap = ids_approximant(rule, colouring, U, tau=cfg.tolerance)
-            except IdsError as exc:
-                errors.append({"seed": seed, "j": j, "error": str(exc)})
+        approx = ids_approximants(rule, colouring, list(volumes.values()), cfg.tolerance)
+        for (j, U), ap in zip(volumes.items(), approx):
+            if isinstance(ap, IdsError):
+                errors.append({"seed": seed, "j": j, "error": str(ap)})
                 continue
             _write_step_csv(outdir / f"approximant_seed{seed}_j{j}.csv", ap.step)
             for spec in specs:

@@ -202,13 +202,22 @@ class PercolationColouring(Colouring):
             # fancy indexing copies, so callers never hold a view of the store
             return self._codes[idx]
         miss = ~hit
-        new = _unique_keys(keys[miss])
+        # the distinct missing keys, and the index of each among them, from one
+        # stable sort: callers pass keys in ascending runs, which it merges
+        missing = keys[miss]
+        order = np.argsort(missing, kind="stable")
+        ranked = missing[order]
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        new = ranked[first]
         # each point hashes as its little-endian int64 coordinates
         raw = np.ascontiguousarray(self.model._unpack(new), dtype="<i8").tobytes()
         fresh = _cut(self.thresholds, _keyed_digests(self._key, raw, 8 * self.model.dim))
         out = np.empty(len(keys), dtype=np.int64)
         out[hit] = self._codes[idx[hit]]
-        out[miss] = fresh[np.searchsorted(new, keys[miss])]
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.cumsum(first) - 1
+        out[miss] = fresh[rank]
         at = np.searchsorted(self._keys, new)
         self._keys = np.insert(self._keys, at, new)
         self._codes = np.insert(self._codes, at, fresh)

@@ -2,9 +2,10 @@
 
 The approximant at volume U is the eigenvalue counting function of the
 operator restricted to the R-shrunk volume, normalised to a distribution
-function.  Its distance to the (never materialised) limiting spectral
-distribution is certified by four computable terms: a tile term, a Folner
-term, a frequency-deviation term and a renormalisation term.  The first
+function.  The approximants of several volumes come from one assembly and
+one eigensolve over the union of their shrinks.  The distance of an
+approximant to the (never materialised) limiting spectral distribution is
+certified by four computable terms: a tile term, a Folner term, a frequency-deviation term and a renormalisation term.  The first
 three are the ergodic estimate's terms for the set function Q -> n(H[Q_R])
 divided by dim(H); the set function holds its constants as exact integers,
 so dim(H) cancels exactly.  The module also provides the frequency-side
@@ -13,10 +14,11 @@ approximant with its tile-boundary bound and the spectral continuity bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,8 +42,14 @@ from .ergodic import (
     estimate_terms,
     frequency_approximant,
 )
-from .operators import LocalRule, restrict_operator
-from .spectra import BoundViolation, counting_function
+from .operators import LocalRule, principal_restriction, restrict_operator
+from .spectra import (
+    BoundViolation,
+    component_spectrum,
+    counting_from_values,
+    counting_function,
+    default_tau,
+)
 
 
 class IdsError(ValueError):
@@ -137,6 +145,40 @@ def raw_counting_distribution(
     return cf.over(float(rule.k * len(Q)))
 
 
+def ids_approximants(
+    rule: LocalRule,
+    C: Colouring,
+    volumes: Sequence[FiniteSet],
+    tau: Optional[float] = None,
+) -> list[Union[IdsApproximant, IdsError]]:
+    """The IDS approximant n(H[U_R]) / (dim(H) |U_R|) of every volume U, R the
+    rule's range, or the IdsError of a volume whose shrink is empty.
+
+    H[V] is assembled and solved once, for the union V of the shrinks.  Each
+    H[U_R] is its principal restriction: the spectrum of every component of
+    H[V] that lies wholly inside U_R is reused, and only the rows of the
+    components that U_R cuts are solved.  With ``tau`` None each volume
+    clusters with the default tolerance of its own H[U_R].
+    """
+    R, k = rule.overall_range, rule.k
+    inner = [shrink(U, R) for U in volumes]
+    filled = [W for W in inner if len(W)]
+    if filled:
+        whole = restrict_operator(rule, C, functools.reduce(FiniteSet.union, filled))
+        spectrum = component_spectrum(whole)
+    out: list[Union[IdsApproximant, IdsError]] = []
+    for U, W in zip(volumes, inner):
+        if len(W) == 0:
+            out.append(IdsError(f"volume of size {len(U)} is empty after shrinking by R={R}"))
+            continue
+        matrix = principal_restriction(whole, W)
+        at = np.searchsorted(whole.Q.packed, W.packed)
+        values = np.sort(spectrum.principal(matrix, (k * at[:, None] + np.arange(k)).ravel()))
+        step = counting_from_values(values, float(default_tau(matrix) if tau is None else tau))
+        out.append(IdsApproximant(step.over(float(k * len(W))), U, W, R, k))
+    return out
+
+
 def ids_approximant(
     rule: LocalRule,
     C: Colouring,
@@ -144,13 +186,10 @@ def ids_approximant(
     tau: Optional[float] = None,
 ) -> IdsApproximant:
     """The IDS approximant n(H[U_R]) / (dim(H) |U_R|), R the rule's range."""
-    R = rule.overall_range
-    inner = shrink(U, R)
-    if len(inner) == 0:
-        raise IdsError(f"volume of size {len(U)} is empty after shrinking by R={R}")
-    matrix = restrict_operator(rule, C, inner)
-    step = counting_function(matrix, tau).over(float(rule.k * len(inner)))
-    return IdsApproximant(step, U, inner, R, rule.k)
+    (out,) = ids_approximants(rule, C, [U], tau)
+    if isinstance(out, IdsError):
+        raise out
+    return out
 
 
 def ids_certificate(

@@ -10,7 +10,9 @@ whose partner w x lies in Q.  The kernel's first read of an offset colours
 the points w x of every offset in one call, and any other window point is
 coloured over all of Q when a kernel first reads it, so a rule that reads no
 colour (adjacency) colours nothing.  Restrictions H[Q] read the ambient
-colouring; they never re-evaluate patterns against Q.
+colouring; they never re-evaluate patterns against Q.  So the restriction
+H[W] to a subset W of Q is a principal submatrix of H[Q], and
+``principal_restriction`` reads it from H[Q] without assembling it.
 """
 
 from __future__ import annotations
@@ -147,7 +149,9 @@ class LocalRule:
 class RestrictedMatrix:
     """Finite restriction H[Q] held as its nonzero entries: vals[i] at
     (rows[i], cols[i]), each position once.  Rows follow the key order of Q:
-    rows i*k..i*k+k-1 belong to the i-th element that iterating Q yields."""
+    rows i*k..i*k+k-1 belong to the i-th element that iterating Q yields.
+    The norm hint is the largest spectral norm of a block times
+    ``row_blocks``, the most nonzero blocks a row can hold."""
 
     Q: FiniteSet
     k: int
@@ -155,6 +159,7 @@ class RestrictedMatrix:
     cols: np.ndarray
     vals: np.ndarray
     norm_hint: float = 0.0
+    row_blocks: int = 0
 
     @property
     def dim(self) -> int:
@@ -213,13 +218,49 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     vals = B.ravel()
     nz = vals.nonzero()[0]
     pair, entry = np.divmod(nz, k * k)  # entry (a, b) of a block is a k + b
-    # |b| is the spectral norm of a 1 x 1 block, without one SVD per pair
-    norms = np.abs(B[:, 0, 0]) if k == 1 else np.linalg.norm(B, 2, axis=(1, 2))
+    rows, cols = x[pair] * k + entry // k, y[pair] * k + entry % k
+    return _with_norm_hint(Q, k, rows, cols, vals[nz], len(model.ball(rule.overall_range)))
+
+
+def _with_norm_hint(
+    Q: FiniteSet, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_blocks: int
+) -> RestrictedMatrix:
+    """The restriction with these entries, which come block by block, and its
+    norm hint: the largest spectral norm c of the nonzero blocks times
+    ``row_blocks``.  A zero block has norm 0, so c is also the largest over
+    every pair of partners."""
+    if k == 1:  # |b| is the spectral norm of a 1 x 1 block, without one SVD per pair
+        norms = np.abs(vals)
+    else:
+        pair = rows // k * len(Q) + cols // k
+        block = np.cumsum(np.diff(pair, prepend=-1) != 0) - 1
+        blocks = np.zeros((block[-1] + 1 if len(block) else 0, k, k))
+        blocks[block, rows % k, cols % k] = vals
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
     c = float(norms.max(initial=0.0))
-    return RestrictedMatrix(
-        Q, k, x[pair] * k + entry // k, y[pair] * k + entry % k, vals[nz],
-        norm_hint=c * len(model.ball(rule.overall_range)),
-    )
+    return RestrictedMatrix(Q, k, rows, cols, vals, norm_hint=c * row_blocks, row_blocks=row_blocks)
+
+
+def principal_restriction(M: RestrictedMatrix, W: FiniteSet) -> RestrictedMatrix:
+    """H[W] read from M = H[Q] for a subset W of Q, with no assembly.
+
+    The kernel block of a pair depends on the ambient colouring only, so the
+    blocks of H[W] are the blocks of H[Q] whose two points lie in W.  The
+    entries keep M's order (offset by offset, x ascending: the map from Q to W
+    keeps key order) and are renumbered by W's key order, and the norm hint is
+    taken over the kept blocks, so the result equals restrict_operator(rule,
+    C, W) field by field.
+    """
+    if W == M.Q:
+        return M
+    at, hit = _search(W.packed, M.Q.packed)  # W's index of every point of Q
+    if W.model is not M.Q.model or int(hit.sum()) != len(W):
+        raise OperatorError("the principal restriction needs a subset of the restriction's set")
+    k = M.k
+    keep = hit[M.rows // k] & hit[M.cols // k]
+    rows, cols = M.rows[keep], M.cols[keep]
+    rows, cols = at[rows // k] * k + rows % k, at[cols // k] * k + cols % k
+    return _with_norm_hint(W, k, rows, cols, M.vals[keep], M.row_blocks)
 
 
 # -- concrete rules ---------------------------------------------------------------

@@ -10,8 +10,12 @@ chiral (bipartite, zero diagonal) exactly when its cover splits; it is then
 zeros (Jordan-Wielandt; Golub and Van Loan, Matrix Computations, 8.6).
 Components of equal size and side size are solved together: chiral ones by
 one stacked singular-value call (none for isolated vertices), the others by
-LAPACK's symmetric solver on one stacked array.  Counting functions cluster
-eigenvalues closer than the tolerance tau into a single breakpoint.
+LAPACK's symmetric solver on one stacked array.  The solve names the
+component that owns each eigenvalue and the component of each row
+(``ComponentSpectrum``), so the spectrum of a principal submatrix reuses every
+component that lies wholly inside it and solves only the rows of the
+components it cuts.  Counting functions cluster eigenvalues closer than the
+tolerance tau into a single breakpoint.
 """
 
 from __future__ import annotations
@@ -116,16 +120,38 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
-    """All eigenvalues of a symmetric matrix, with multiplicity.
+@dataclass(frozen=True)
+class ComponentSpectrum:
+    """The eigenvalues of a symmetric matrix by connected component.
 
-    M is a RestrictedMatrix, a dense array, or a sparse matrix with
-    ``tocoo()``; the eigensolve reads only its nonzero entries.
+    ``values`` holds every eigenvalue with multiplicity, in solve order, and
+    ``owner`` the component of each; ``label`` is the component of each row.
+    A component is named by its smallest row.
     """
-    coo = _symmetric_coo(M)
-    if tau is None:
-        tau = default_tau(M, coo)
-    n, rows, cols, vals = coo
+
+    values: np.ndarray
+    owner: np.ndarray
+    label: np.ndarray
+
+    def principal(self, M, rows: np.ndarray) -> np.ndarray:
+        """The eigenvalues, unsorted, of M, the principal submatrix of the solved
+        matrix on the ascending ``rows`` (read as the entries of a
+        RestrictedMatrix).  A component wholly inside ``rows`` is a component of
+        M with the same block, so its spectrum is reused; only the rows of the
+        components that ``rows`` cuts are solved."""
+        size = np.bincount(self.label, minlength=len(self.label))
+        whole = np.bincount(self.label[rows], minlength=len(self.label)) == size
+        cut = ~whole[self.label[rows]]
+        if not cut.any():
+            return self.values[whole[self.owner]]
+        at = np.cumsum(cut) - 1
+        mine = cut[M.rows]  # an entry joins two rows of one component
+        rest = _solve(int(cut.sum()), at[M.rows[mine]], at[M.cols[mine]], M.vals[mine])
+        return np.concatenate([self.values[whole[self.owner]], rest.values])
+
+
+def _solve(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> ComponentSpectrum:
+    """The spectrum of the symmetric n x n matrix with these nonzero entries."""
     # the double cover: (u, s) -- (v, 1 - s) for every entry (u, v)
     cover = _component_labels(2 * n, np.r_[2 * rows, 2 * rows + 1], np.r_[2 * cols + 1, 2 * cols])
     label = np.minimum(cover[0::2], cover[1::2]) // 2  # smallest vertex of the component
@@ -146,21 +172,47 @@ def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
     mine = mine[np.argsort(key[rows[mine]], kind="stable")]
     groups = key[order[comp[group]]]
     end = np.searchsorted(key[rows[mine]], groups, side="right")
-    values = [np.empty(0)]
-    for g, k, lo, hi in zip(groups.tolist(), members.tolist(), np.r_[0, end[:-1]], end):
+    names = label[order[comp]]  # the components, group by group
+    values, owner = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for g, first, k, lo, hi in zip(groups.tolist(), group.tolist(), members.tolist(), np.r_[0, end[:-1]], end):
         m, pg = divmod(g, n + 1)
         r, c = rows[mine[lo:hi]], cols[mine[lo:hi]]
         blocks = np.zeros((k, m, m) if pg == 0 else (k, pg, m - pg))
         blocks[slot[r], local[r], local[c]] = vals[mine[lo:hi]]
+        comps = names[first : first + k]  # slot by slot
         try:
             if pg == 0:
                 values.append(np.linalg.eigvalsh(blocks).ravel())
+                owner.append(np.repeat(comps, m))
             else:  # +-sigma(B) and |p - q| zeros; an isolated vertex (q = 0) is one zero
                 sigma = np.linalg.svd(blocks, compute_uv=False).ravel() if pg < m else np.empty(0)
                 values += [sigma, -sigma, np.zeros(k * abs(2 * pg - m))]
+                pairs = np.repeat(comps, min(pg, m - pg))
+                owner += [pairs, pairs, np.repeat(comps, abs(2 * pg - m))]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SpectraError(f"eigensolver did not converge: {exc}") from exc
-    return EigenvalueList(np.sort(np.concatenate(values)), float(tau))
+    return ComponentSpectrum(np.concatenate(values), np.concatenate(owner), label)
+
+
+def component_spectrum(M) -> ComponentSpectrum:
+    """The eigenvalues of a symmetric matrix with their components.
+
+    M is a RestrictedMatrix, a dense array, or a sparse matrix with
+    ``tocoo()``; the eigensolve reads only its nonzero entries.
+    """
+    return _solve(*_symmetric_coo(M))
+
+
+def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
+    """All eigenvalues of a symmetric matrix, with multiplicity.
+
+    M is a RestrictedMatrix, a dense array, or a sparse matrix with
+    ``tocoo()``; the eigensolve reads only its nonzero entries.
+    """
+    coo = _symmetric_coo(M)
+    if tau is None:
+        tau = default_tau(M, coo)
+    return EigenvalueList(np.sort(_solve(*coo).values), float(tau))
 
 
 def cluster_values(values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:

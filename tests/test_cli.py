@@ -268,12 +268,30 @@ def test_seeds_outside_int64_exit_2(tmp_path, capsys):
 
 
 def test_cells_do_not_depend_on_earlier_cells(tmp_path):
-    blobs = []
-    for js in ("5", "2,5"):
-        out = tmp_path / js
-        assert run(["ids", "--preset", "example4_1", "--folner-j", js, "--out", out]) == 0
-        blobs.append({f.name: f.read_bytes() for f in sorted(out.glob("*_j5.csv"))})
-    assert len(blobs[0]) == 6 and blobs[0] == blobs[1]
+    """Every j gives the same files and rows alone as beside other volumes,
+    where the smaller volumes reuse the spectra of the largest."""
+
+    def cells(out, j):
+        files = {f.name: f.read_bytes() for f in sorted(out.glob(f"*_j{j}.csv"))}
+        rows = json.loads((out / "certificates.json").read_text())["rows"]
+        summary = json.loads((out / "summary.json").read_text())["per_j"]
+        return files, [r for r in rows if r["j"] == j], [r for r in summary if r["j"] == j]
+
+    for preset, js, files, extra in (
+        ("example4_1", "2,5", 6, []),
+        ("z2_percolation", "30,40,50", 1, []),
+        ("h3_adjacency", "3,4,5", 1, ["--tile-n", "1,2"]),
+    ):
+        full = tmp_path / preset
+        assert run(["ids", "--preset", preset, "--folner-j", js, "--out", full] + extra) == 0
+        for j in map(int, js.split(",")):
+            alone = tmp_path / f"{preset}_{j}"
+            assert run(["ids", "--preset", preset, "--folner-j", j, "--out", alone] + extra) == 0
+            got, want = cells(full, j), cells(alone, j)
+            assert len(got[0]) == files and got[0] == want[0], (preset, j)
+            # example4_1 reads its empirical frequencies at the largest j, and so its rows
+            if preset != "example4_1" or j == 5:
+                assert got[1] and got[1:] == want[1:], (preset, j)
 
 
 def test_schema_error_reports_path():
@@ -779,6 +797,34 @@ def test_ids_reproduces_reference_outputs(tmp_path, workload):
     # approximant breakpoints may move within tau, so only the exact files are pinned
     for name in ("certificates.json", "summary.json"):
         assert (out / name).read_bytes() == (reference / "outputs" / name).read_bytes(), name
+
+
+def test_ids_assembles_and_solves_each_side_once(tmp_path, monkeypatch):
+    from idsapprox import ids, spectra
+    from idsapprox.cayley import shrink
+
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "z2_perc_ids"
+    assembled, solved = [], []
+    restrict_operator, solve = ids.restrict_operator, spectra._solve
+
+    def count_assembly(rule, C, Q):
+        assembled.append(len(Q))
+        return restrict_operator(rule, C, Q)
+
+    def count_solve(n, *args):
+        solved.append(n)
+        return solve(n, *args)
+
+    monkeypatch.setattr(ids, "restrict_operator", count_assembly)
+    monkeypatch.setattr(spectra, "_solve", count_solve)
+    cfg = json.loads((reference / "config.json").read_text())
+    assert run(["ids", "--config", reference / "config.json", "--out", tmp_path / "out"]) == 0
+    model = config.RunConfig.from_dict(cfg).model()
+    sizes = [len(shrink(cli.folner_set(model, j).tile, 1)) for j in cfg["folner_j"]]
+    # the one assembly and solve are of the largest shrink; the smaller ones
+    # solve only the clusters that their edge cuts
+    assert assembled == [max(sizes)] == solved[:1]
+    assert sum(solved) < sum(sizes)
 
 
 def test_empirical_frequencies_reuse_the_reference_spectrum(tmp_path, monkeypatch):

@@ -564,6 +564,31 @@ def test_percolation_store_matches_definition(monkeypatch):
             C.colour_codes(np.array([[0, c, 0]], dtype=np.int64))
 
 
+def test_percolation_codes_of_shuffled_and_repeated_keys(z2):
+    rng = np.random.default_rng(24)
+    box = np.array([(a, b) for a in range(-9, 9) for b in range(-9, 9)], dtype=np.int64)
+    runs = np.concatenate([box + s for s in ((0, 0), (1, 0), (0, -1), (-1, 0))])  # ascending runs
+    queries = [
+        runs,
+        rng.permutation(runs),
+        np.repeat(box[rng.permutation(len(box))], 3, axis=0),  # every key three times, adjacent
+        np.concatenate([box[::-1], box, box[::2]]),
+        box[rng.integers(0, len(box), 700)],
+    ]
+    for pts in queries:
+        C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=31)
+        # an empty store, then a warm one that lacks the points right of the box
+        C_warm = PercolationColouring(z2, Alphabet(("open", "closed")), seed=31)
+        C_warm.colour_codes(box[box[:, 0] < 4])
+        oracle = [C.alphabet.symbols.index(_colour_reference(C, tuple(g))) for g in pts.tolist()]
+        for store in (C, C_warm):
+            assert store.colour_codes(pts).tolist() == oracle
+            # the store stays sorted, and holds each key's own code
+            assert (np.diff(store._keys) > 0).all()
+            stored = store.model._unpack(store._keys).tolist()
+            assert store._codes.tolist() == [store.alphabet.symbols.index(_colour_reference(store, tuple(g))) for g in stored]
+
+
 def test_keyed_digests_match_per_record_construction():
     rng = np.random.default_rng(9)
     for dim, seed in ((1, 0), (2, -5), (3, 1 << 40)):

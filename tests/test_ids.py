@@ -23,6 +23,7 @@ from idsapprox.colouring import (
     frequency_deviation,
     occurring_pattern_spectrum,
 )
+from idsapprox.spectra import counting_function
 from idsapprox.ergodic import (
     StepFunction,
     check_almost_additive,
@@ -39,11 +40,13 @@ from idsapprox.ids import (
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
+    ids_approximants,
     ids_certificate,
     raw_counting_distribution,
 )
 from idsapprox.operators import (
     adjacency_rule,
+    laplacian_rule,
     offset_table_rule,
     percolation_rule,
     restrict_operator,
@@ -83,6 +86,44 @@ def test_empty_shrink_raises(z1):
     C, rule = half_line_setup(z1)
     with pytest.raises(IdsError):
         ids_approximant(rule, C, FiniteSet(z1, [(0,), (1,)]))
+
+
+def approximant_cases(z1, z2, h3):
+    """(rule, colouring, volume sets): nested, overlapping and disjoint sets,
+    each set also holding a volume whose shrink is empty."""
+    perc = PercolationColouring(z2, Alphabet(("a", "b")), seed=11)
+    tiles = [folner_set(z2, j).tile for j in (5, 8, 12)]
+    far = tiles[1].right_translate((40, -3))
+    dot = FiniteSet(z2, [(100, 100)])
+    z2_sets = [tiles, [tiles[2], tiles[1].right_translate((4, 5)), dot], [tiles[1], far, dot]]
+    cubes = [folner_set(h3, j).tile for j in (2, 3, 4)]
+    h3_sets = [cubes, [cubes[2], cubes[2].right_translate((1, 2, 0)), FiniteSet(h3, [(0, 0, 0)])]]
+    intervals = [interval(z1, 0, n) for n in (4, 9, 15)]
+    z1_sets = [intervals, [intervals[2], interval(z1, 10, 30), interval(z1, 50, 51)]]
+    yield chain_rule(z1, 0.5), TrivialColouring(z1), z1_sets
+    yield percolation_rule(z2, perc.alphabet, ["a"]), perc, z2_sets
+    yield laplacian_rule(percolation_rule(z2, perc.alphabet, ["a"])), perc, z2_sets
+    yield adjacency_rule(h3), TrivialColouring(h3), h3_sets
+
+
+def test_approximants_equal_one_solve_per_volume(z1, z2, h3):
+    for rule, C, volume_sets in approximant_cases(z1, z2, h3):
+        R, k = rule.overall_range, rule.k
+        for volumes in volume_sets:
+            for tau in (None, 1e-9, 1e-3):
+                got = ids_approximants(rule, C, volumes, tau)
+                assert len(got) == len(volumes)
+                for U, ap in zip(volumes, got):
+                    inner = shrink(U, R)
+                    if len(inner) == 0:
+                        with pytest.raises(IdsError) as exc:
+                            ids_approximant(rule, C, U, tau)
+                        assert isinstance(ap, IdsError) and str(ap) == str(exc.value)
+                        continue
+                    want = counting_function(restrict_operator(rule, C, inner), tau).over(float(k * len(inner)))
+                    assert ap.shrunk == inner and ap.volume == U
+                    assert np.array_equal(ap.step.breakpoints, want.breakpoints)
+                    assert np.array_equal(ap.step.values, want.values) and ap.step.base == want.base
 
 
 def test_example_tables(z1):

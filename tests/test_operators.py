@@ -20,6 +20,7 @@ from idsapprox.operators import (
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
+    principal_restriction,
     restrict_operator,
 )
 from conftest import chain_rule, interval, random_subset
@@ -285,6 +286,42 @@ def test_assembly_matches_pairwise_oracle(case):
     M = restrict_operator(rule, C, Q)
     assert np.array_equal(M.to_dense(), pairwise_matrix(rule, C, Q))
     assert M.Q == Q
+
+
+def principal_cases():
+    """(rule, colouring, Q) with the k = 2 chain, Z^2 percolation, H3 adjacency
+    and the Laplacian of Z^2 percolation."""
+    z1, z2, h3 = FreeAbelian(1), FreeAbelian(2), Heisenberg3()
+    perc = PercolationColouring(z2, Alphabet(("a", "b")), seed=5)
+    yield chain_rule(z1, 2.0), TrivialColouring(z1), interval(z1, -20, 20)
+    yield percolation_rule(z2, perc.alphabet, ["a"]), perc, folner_set(z2, 12).tile
+    yield adjacency_rule(h3), TrivialColouring(h3), folner_set(h3, 3).tile
+    yield laplacian_rule(percolation_rule(z2, perc.alphabet, ["a"])), perc, folner_set(z2, 10).tile
+
+
+def assert_same_restriction(M, N):
+    assert M.Q == N.Q and M.k == N.k and M.row_blocks == N.row_blocks
+    for field in ("rows", "cols", "vals"):
+        got, want = getattr(M, field), getattr(N, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert M.norm_hint == N.norm_hint
+
+
+def test_principal_restriction_equals_assembly():
+    rng = random.Random(24)
+    for rule, C, Q in principal_cases():
+        M = restrict_operator(rule, C, Q)
+        points = list(Q)
+        subsets = [Q, FiniteSet(Q.model, []), FiniteSet(Q.model, points[::7]), shrink(Q, 1)]
+        subsets += [FiniteSet(Q.model, rng.sample(points, size)) for size in (1, 5, len(points) // 2)]
+        for W in subsets:
+            assert_same_restriction(principal_restriction(M, W), restrict_operator(rule, C, W))
+    # on the chain, points 7 apart keep only the diagonal blocks, of norm 1 against 2
+    rule, C, Q = next(principal_cases())
+    M = restrict_operator(rule, C, Q)
+    assert (M.norm_hint, principal_restriction(M, FiniteSet(Q.model, list(Q)[::7])).norm_hint) == (6.0, 3.0)
+    with pytest.raises(OperatorError):
+        principal_restriction(M, grow(Q, 1))
 
 
 def test_assembly_empty_set(z2):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from idsapprox.cayley import FiniteSet, folner_set, interval_folner
 from idsapprox.colouring import (
@@ -23,6 +24,7 @@ from idsapprox.spectra import (
     QuasiModeError,
     SpectraError,
     cluster_values,
+    component_spectrum,
     counting_from_values,
     counting_function,
     eigenvalues,
@@ -315,6 +317,23 @@ def test_split_periodic_fold_restriction(monkeypatch, z1):
         M = restrict_operator(rule, TrivialColouring(z1), Q)
         assert rule.k == 2
         assert_chiral_matches_dense(monkeypatch, M, M.to_dense())  # paths are chiral
+
+
+def test_component_spectrum_names_each_value_and_row(z2):
+    rng = np.random.default_rng(43)
+    A = permuted_block_diagonal(rng, [1, 2, 3, 5], 2)
+    B = random_bipartite(rng, 4, 7)
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=9)
+    M = restrict_operator(percolation_rule(z2, C.alphabet, ["open"]), C, folner_set(z2, 9).tile)
+    for matrix, dense in ((A, A), (scipy.sparse.block_diag([A, B]).toarray(),) * 2, (M, M.to_dense())):
+        spec = component_spectrum(matrix)
+        assert np.array_equal(np.sort(spec.values), eigenvalues(matrix).values)
+        _, comp = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(dense), directed=False)
+        for c in np.unique(comp):
+            rows = np.flatnonzero(comp == c)
+            assert (spec.label[rows] == rows[0]).all()  # a component is named by its smallest row
+            mine = np.sort(spec.values[spec.owner == rows[0]])
+            assert np.allclose(mine, np.linalg.eigvalsh(dense[np.ix_(rows, rows)]), rtol=0.0, atol=1e-12)
 
 
 def test_split_empty_matrix():
