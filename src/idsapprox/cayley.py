@@ -40,6 +40,12 @@ Every boundary comes from runs of the symmetric ball B_R = {x : |x| <= R}:
   size is also kept per set and radius;
 - boundary_int = Q minus shrink, boundary_ext = grow minus Q and boundary =
   grow minus shrink, so the sizes are sums of run lengths.
+
+The colour-free facts that the pattern layer asks for again and again are
+kept on objects that live as long as the sets: U keeps
+admissible_positions(tile, U) per tile, the model keeps the canonical
+translate Q d^-1 (d = max(Q)) per set content, one object per canonical
+translate, and a canonical translate holds the pattern classes found on it.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ class GroupModel:
         step = np.concatenate([self._front, self._gens])
         self._step = (step, np.ones(len(step), dtype=np.int64))
         self._ball_cache: dict[int, "FiniteSet"] = {}
+        # canonical_translate by set content, so equal sets share one translate
+        self._canonical: dict["FiniteSet", tuple["FiniteSet", Element]] = {}
 
     # -- group structure ----------------------------------------------------
 
@@ -283,7 +291,10 @@ class FiniteSet:
     keys.
     """
 
-    __slots__ = ("model", "packed", "_coords", "_heads", "_diameter", "_shrunk", "_grown", "_hash")
+    __slots__ = (
+        "model", "packed", "_coords", "_heads", "_diameter", "_shrunk", "_grown", "_positions",
+        "_classes", "_hash",
+    )
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
         rows = [model.check_element(g) for g in elements]
@@ -299,6 +310,8 @@ class FiniteSet:
         self._diameter: Optional[int] = None
         self._shrunk: dict[int, FiniteSet] = {}  # shrink(self, R) by R
         self._grown: dict[int, int] = {}  # |grow(self, R)| by R
+        self._positions: dict[FiniteSet, FiniteSet] = {}  # admissible_positions(tile, self) by tile
+        self._classes: dict = {}  # the pattern classes on a canonical translate, interned by colouring
         self._hash: Optional[int] = None
 
     def __len__(self) -> int:
@@ -480,6 +493,21 @@ def shrink(Q: FiniteSet, R: int) -> FiniteSet:
     return Q._shrunk[R]
 
 
+def canonical_translate(Q: FiniteSet) -> tuple[FiniteSet, Element]:
+    """The translate Q d^-1 with d = max(Q), and d.  Translation keeps key
+    order, so its greatest element is the identity and every translate of Q
+    has the same one.  The model keeps it per set: equal sets share one
+    translate, which is its own, so there is one object per canonical set."""
+    memo = Q.model._canonical
+    found = memo.get(Q)
+    if found is None:
+        d = tuple(Q.coords[-1].tolist())
+        D = Q.right_translate(Q.model.inverse(d))
+        D = memo.setdefault(D, (D, Q.model.identity))[0]  # an equal translate kept before
+        found = memo[Q] = (D, d)
+    return found
+
+
 def grow(Q: FiniteSet, R: int) -> FiniteSet:
     """Q^R = Q together with its two-sided R-boundary, the product B_R Q."""
     return _from_packed(Q.model, _run_keys(*_grow_runs(Q, R)))
@@ -635,7 +663,15 @@ def _run_keys(first: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
-    """All x with tile*x contained in U (not restricted to the grid), on runs.
+    """All x with tile*x contained in U (not restricted to the grid); U keeps
+    them per tile."""
+    if tile not in U._positions:
+        U._positions[tile] = _admissible_positions(tile, U)
+    return U._positions[tile]
+
+
+def _admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
+    """admissible_positions on runs.
 
     z = (0,...,0,1) is central and key(g z^t) = key(g) + t, so left
     multiplication maps a run to a run of the same length (on H3 the c shift

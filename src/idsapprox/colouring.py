@@ -10,6 +10,14 @@ class representative is the translate that moves the greatest domain element
 to the identity: key order is translation invariant, so among the translates
 whose domain contains the identity it has the lexicographically least
 serialized form, and the symbols never decide.
+
+What does not depend on the colouring is computed once per command: the
+admissible positions of a tile in a volume and the canonical translate of a
+tile are kept by ``cayley``, and the classes are interned on their canonical
+translate by symbol content (up to a bounded number of sites per translate),
+so every canonicalisation and spectrum returns one object per class, which
+keeps its hash, key, digest and analytic percolation frequency.  Spectra,
+witnesses and colour codes depend on the colouring and are computed per call.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .cayley import (
     _search,
     _unique_keys,
     admissible_positions,
+    canonical_translate,
 )
 
 WHITE = "white"
@@ -141,15 +150,24 @@ class PeriodicFoldColouring(Colouring):
         return self._codes[np.searchsorted(self.spec.tile.packed, self.model._pack(q))]
 
 
+_DIGEST_BLOCK = 4096  # records whose digests are joined at a time
+
+
 def _keyed_digests(key: bytes, raw: bytes, step: int) -> np.ndarray:
     """Keyed 8-byte blake2b digests of the ``step``-byte records of ``raw``, as
-    uint64; copies of one keyed template compress the key block only once."""
-    template, digests = hashlib.blake2b(digest_size=8, key=key), []
-    for i in range(0, len(raw), step):
-        h = template.copy()
-        h.update(raw[i : i + step])
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype="<u8")
+    uint64; copies of one keyed template compress the key block only once.
+    The digests are joined block by block into the output, so at most one
+    block of them is held as ``bytes`` objects."""
+    template = hashlib.blake2b(digest_size=8, key=key)
+    out = np.empty(len(raw) // step, dtype="<u8")
+    for at in range(0, len(out), _DIGEST_BLOCK):
+        digests = []
+        for i in range(at * step, min(at + _DIGEST_BLOCK, len(out)) * step, step):
+            h = template.copy()
+            h.update(raw[i : i + step])
+            digests.append(h.digest())
+        out[at : at + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+    return out
 
 
 def _cut(thresholds: Sequence[int], u: np.ndarray) -> np.ndarray:
@@ -319,11 +337,23 @@ def _pattern(domain: FiniteSet, symbols: np.ndarray) -> Pattern:
     return out
 
 
-@dataclass(frozen=True)
 class PatternClass:
-    """Right-translation equivalence class, stored via its canonical member."""
+    """Right-translation equivalence class, stored via its canonical member.
 
-    canonical: Pattern
+    The canonicalisations and spectra return one object per class (see
+    ``_class``), so its hash, key and digest, and its analytic percolation
+    frequency, are computed once, and lookups of a class found twice hit by
+    identity.
+    """
+
+    __slots__ = ("canonical", "_hash", "_digest", "_frequency")
+
+    def __init__(self, canonical: Pattern) -> None:
+        self.canonical = canonical
+        self._hash: Optional[int] = None
+        self._digest: Optional[str] = None
+        # the analytic percolation frequency and the provider that computed it
+        self._frequency: Optional[tuple[PercolationFrequencies, Fraction]] = None
 
     @property
     def key(self) -> tuple:
@@ -333,12 +363,38 @@ class PatternClass:
         return isinstance(other, PatternClass) and other.canonical == self.canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical)
+        if self._hash is None:
+            self._hash = hash(self.canonical)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"PatternClass(canonical={self.canonical!r})"
 
     def digest(self) -> str:
         """Stable short hash of the canonical form, for CSV export."""
-        text = repr(self.key).encode()
-        return hashlib.blake2b(text, digest_size=8).hexdigest()
+        if self._digest is None:
+            text = repr(self.key).encode()
+            self._digest = hashlib.blake2b(text, digest_size=8).hexdigest()
+        return self._digest
+
+
+_INTERNED_SITES = 1 << 10  # sites of the classes that a canonical translate keeps
+
+
+def _class(domain: FiniteSet, symbols: np.ndarray) -> PatternClass:
+    """The class of the pattern with these symbols (aligned with its keys) on a
+    canonical translate.  The translate keeps one object per class, by symbol
+    content, so symbol arrays of different string widths find the same one.
+    It keeps at most ``_INTERNED_SITES`` sites of classes: every class of a
+    binary tile of up to 7 sites, and a bounded number of a large tile, whose
+    classes rarely recur; a class past that bound is made anew."""
+    key = tuple(symbols.tolist())
+    cls = domain._classes.get(key)
+    if cls is None:
+        cls = PatternClass(_pattern(domain, symbols))
+        if (len(domain._classes) + 1) * len(domain) <= _INTERNED_SITES:
+            domain._classes[key] = cls
+    return cls
 
 
 def restrict(C: Colouring, Q: FiniteSet) -> Pattern:
@@ -351,13 +407,6 @@ def translate_pattern(P: Pattern, x: Sequence[int]) -> Pattern:
     return _pattern(P.domain.right_translate(x), P.symbols)
 
 
-def _canonical_domain(domain: FiniteSet) -> tuple[FiniteSet, Element]:
-    """The translate D d^-1 with d = max(D), and d: the domain of the canonical
-    representative of every pattern on D."""
-    d = tuple(domain.coords[-1].tolist())
-    return domain.right_translate(domain.model.inverse(d)), d
-
-
 def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """Canonical class of P together with the shift d such that the canonical
     representative right-translated by d equals P.
@@ -367,8 +416,8 @@ def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """
     if len(P) == 0:
         raise ColouringError("cannot canonicalize a pattern with empty domain")
-    domain, d = _canonical_domain(P.domain)
-    return PatternClass(_pattern(domain, P.symbols)), d
+    domain, d = canonical_translate(P.domain)
+    return _class(domain, P.symbols), d
 
 
 def canonicalize(P: Pattern) -> PatternClass:
@@ -452,19 +501,19 @@ def occurring_pattern_spectrum(
     """
     model = tile.model
     X = admissible_positions(tile, U).coords
-    domain, d = _canonical_domain(tile)
+    domain, d = canonical_translate(tile)
     symbols = np.array(C.alphabet.symbols)
     if len(symbols) == 1:
         if not len(X):
             return {}
-        cls = PatternClass(_pattern(domain, symbols.repeat(len(tile))))
+        cls = _class(domain, symbols.repeat(len(tile)))
         return {cls: SpectrumEntry(len(X), tuple(model.mul_array(d, X[0]).tolist()))}
     points = model.mul_array(tile.coords[:, None], X).reshape(-1, model.dim)
     codes = C.colour_codes(points).reshape(len(tile), len(X)).T
     first, counts = _tally_rows(codes, len(symbols))
     witnesses = map(tuple, model.mul_array(d, X[first]).tolist())
     return {
-        PatternClass(_pattern(domain, symbols[codes[f]])): SpectrumEntry(count, witness)
+        _class(domain, symbols[codes[f]]): SpectrumEntry(count, witness)
         for f, count, witness in zip(first.tolist(), counts.tolist(), witnesses)
     }
 
@@ -509,17 +558,21 @@ class TrivialFrequencies(FrequencyProvider):
 
 
 class PercolationFrequencies(FrequencyProvider):
-    """Analytic i.i.d. frequencies: the product of the site weights."""
+    """Analytic i.i.d. frequencies: the product of the site weights, kept on
+    the class."""
 
     def __init__(self, colouring: PercolationColouring) -> None:
         self.colouring = colouring
-        self._weight = dict(zip(colouring.alphabet.symbols, colouring.weights))
+        symbols, weights = colouring.alphabet.symbols, colouring.weights
+        self._weight = {s: (w.numerator, w.denominator) for s, w in zip(symbols, weights)}
 
     def frequency(self, cls: PatternClass) -> Fraction:
-        out = Fraction(1)
-        for s in cls.canonical.symbols.tolist():
-            out *= self._weight[s]
-        return out
+        if cls._frequency is None or cls._frequency[0] is not self:
+            # one Fraction from the products of the numerators and denominators
+            weights = [self._weight[s] for s in cls.canonical.symbols.tolist()]
+            num, den = (math.prod(w[i] for w in weights) for i in (0, 1))
+            cls._frequency = (self, Fraction(num, den))
+        return cls._frequency[1]
 
     def total_mass(self, tile: FiniteSet) -> Fraction:
         return Fraction(1)
@@ -547,8 +600,7 @@ class EmpiricalFrequencies(FrequencyProvider):
         """Occurring spectrum of the tile over the reference, computed on first
         use.  It is kept per canonical domain: every translate of a tile has
         the same classes, counts and witnesses."""
-        # a canonical domain asked for before needs no translate
-        domain = tile if tile in self._spectra else _canonical_domain(tile)[0]
+        domain = canonical_translate(tile)[0]
         if domain not in self._spectra:
             self._spectra[domain] = occurring_pattern_spectrum(self.colouring, domain, self.reference)
         return self._spectra[domain]

@@ -663,6 +663,84 @@ def test_percolation_computes_each_spectrum_once(tmp_path, monkeypatch):
     assert window_calls == [(seed, domain) for seed in (1, 2) for domain in domains]
 
 
+def test_percolation_computes_colour_free_facts_once(tmp_path, monkeypatch):
+    # on the z2_perc_frequencies reference config: tile positions per (tile,
+    # volume) pair, canonical translates per distinct tile, frequency products
+    # and digests per distinct class
+    import hashlib
+    import math
+    import types
+
+    from idsapprox import cayley, colouring
+
+    passes, translates, products, digests = [], [], [], []
+    positions, right_translate = cayley._admissible_positions, cayley.FiniteSet.right_translate
+
+    def count_positions(tile, U):
+        if not any(tile is ball for ball in tile.model._ball_cache.values()):  # not a shrink
+            passes.append((tuple(tile), tuple(U)))
+        return positions(tile, U)
+
+    def count_translates(self, x):
+        translates.append(tuple(self))
+        return right_translate(self, x)
+
+    def count_products(factors):
+        products.append(1)
+        return math.prod(factors)
+
+    def count_digests(*args, **kwargs):
+        if "key" not in kwargs:  # the keyed ones hash colouring coordinates
+            digests.append(1)
+        return hashlib.blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(cayley, "_admissible_positions", count_positions)
+    monkeypatch.setattr(cayley.FiniteSet, "right_translate", count_translates)
+    # the module's view of math and hashlib, with one function counted
+    counted_math = types.SimpleNamespace(**{**vars(math), "prod": count_products})
+    counted_hashlib = types.SimpleNamespace(**{**vars(hashlib), "blake2b": count_digests})
+    monkeypatch.setattr(colouring, "math", counted_math)
+    monkeypatch.setattr(colouring, "hashlib", counted_hashlib)
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "z2_perc_frequencies"
+    out = tmp_path / "once"
+    assert run(["percolation", "--config", reference / "config.json", "--out", out]) == 0
+    # 6 family domains over the window, 2 tiles over 2 volumes
+    assert len(passes) == len(set(passes)) == 10
+    # the family domains and the tiles, of which the one-point tile is the domain {e}
+    assert len(translates) == len(set(translates)) == 7
+    written = {line.split(",")[1] for line in read(out / "frequencies.csv").splitlines()[1:]}
+    for f in out.glob("spectrum_*.csv"):
+        written |= {line.split(",")[0] for line in read(f).splitlines()[1:]}
+    # a numerator and a denominator product per class
+    assert len(products) == 2 * len(written) == 2 * 50
+    assert len(digests) == len(written) == 50
+
+
+def test_percolation_seeds_share_no_colour_dependent_memo(tmp_path):
+    # a run over three seeds writes the same per-seed files as three one-seed runs
+    cfg = json.loads(read(small_percolation_config(tmp_path, seeds=(1, 2, 3), window=12)))
+    cfg |= {"tile_n": [1, 2], "folner_j": [4, 6]}
+
+    def percolation(seeds):
+        path = tmp_path / f"seeds{len(seeds)}_{seeds[0]}.json"
+        path.write_text(json.dumps(cfg | {"seeds": seeds}))
+        out = tmp_path / path.stem
+        assert run(["percolation", "--config", path, "--out", out]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir() if f.name.endswith(".csv")}
+        files["frequencies.csv"] = read(out / "frequencies.csv").splitlines()[1:]
+        rows = json.loads(read(out / "certificates.json"))["rows"]
+        return files, rows
+
+    together, rows = percolation([1, 2, 3])
+    singles = [percolation([seed]) for seed in (1, 2, 3)]
+    assert rows == [row for _, seed_rows in singles for row in seed_rows]
+    lines = together.pop("frequencies.csv")
+    assert lines == [line for files, _ in singles for line in files.pop("frequencies.csv")]
+    # two approximants and four spectra per seed
+    assert together == {name: data for files, _ in singles for name, data in files.items()}
+    assert len(together) == 3 * (2 + 4)
+
+
 def test_zd_certificates_carry_weakened_columns(tmp_path):
     out = tmp_path / "weak"
     assert run(["ids", "--preset", "example4_1", "--out", out, "--folner-j", "4"]) == 0

@@ -17,6 +17,7 @@ from idsapprox.cayley import (
     admissible_positions,
     boundary_int_size,
     boundary_size,
+    canonical_translate,
     folner_set,
     interval_folner,
     shrink,
@@ -31,12 +32,15 @@ from idsapprox.colouring import (
     HalfLineMod3,
     HalfLineMod3Window,
     Pattern,
+    PatternClass,
     PercolationColouring,
     PeriodicFoldColouring,
     PercolationFrequencies,
     TrivialColouring,
     TrivialFrequencies,
     WHITE,
+    _DIGEST_BLOCK,
+    _INTERNED_SITES,
     _cut,
     _keyed_digests,
     _tally_rows,
@@ -591,9 +595,12 @@ def test_percolation_codes_of_shuffled_and_repeated_keys(z2):
 
 def test_keyed_digests_match_per_record_construction():
     rng = np.random.default_rng(9)
-    for dim, seed in ((1, 0), (2, -5), (3, 1 << 40)):
+    # the digests are joined block by block: one partial block, one block and a
+    # record past it, two blocks and a partial one
+    records = (257, _DIGEST_BLOCK + 1, 2 * _DIGEST_BLOCK + 5)
+    for (dim, seed), n in zip(((1, 0), (2, -5), (3, 1 << 40)), records):
         key = struct.pack("<q", seed)
-        raw = rng.integers(-(1 << 40), 1 << 40, (257, dim)).astype("<i8").tobytes()
+        raw = rng.integers(-(1 << 40), 1 << 40, (n, dim)).astype("<i8").tobytes()
         step = 8 * dim
         expected = [
             hashlib.blake2b(raw[i : i + step], digest_size=8, key=key).digest()
@@ -603,6 +610,88 @@ def test_keyed_digests_match_per_record_construction():
         assert got.dtype == np.dtype("<u8")
         assert got.tobytes() == b"".join(expected)
     assert len(_keyed_digests(key, b"", 8)) == 0
+
+
+def test_classes_are_one_object_per_class(z2):
+    # the classes of two spectra of one tile (other seeds, an equal set built
+    # anew, a translate) and the canonicalisation of a pattern whose symbols
+    # are a narrower string array are the same objects
+    alphabet = Alphabet(("open", "closed"))
+    tile = folner_set(z2, 2).tile
+    U = folner_set(z2, 20).tile
+    first = occurring_pattern_spectrum(PercolationColouring(z2, alphabet, seed=1), tile, U)
+    by_key = {cls.key: cls for cls in first}
+    assert len(by_key) == 16
+    for seed, other in ((2, FiniteSet(z2, tile)), (3, tile.right_translate((4, -1)))):
+        again = occurring_pattern_spectrum(PercolationColouring(z2, alphabet, seed=seed), other, U)
+        assert again and all(cls is by_key[cls.key] for cls in again)
+    moved = tile.right_translate((7, 7))
+    P = Pattern(moved, {g: "open" for g in moved})
+    assert P.symbols.dtype == np.dtype("<U4")
+    assert all(cls.canonical.symbols.dtype == np.dtype("<U6") for cls in first)
+    cls, _ = canonicalize_with_shift(P)
+    assert cls is canonicalize(P) is by_key[cls.key]
+    # its hash and digest are computed once
+    assert cls.digest() is cls.digest()
+    assert hash(cls) == hash(PatternClass(cls.canonical))
+    # one colour: the spectrum and the trivial provider's classes
+    single = occurring_pattern_spectrum(TrivialColouring(z2, "o"), tile, U)
+    assert list(single) == [TrivialFrequencies(z2, "o").occurring(FiniteSet(z2, tile))[0][0]]
+    assert list(single)[0] is TrivialFrequencies(z2, "o").occurring(tile)[0][0]
+
+
+def test_percolation_frequency_is_the_weight_product(z1):
+    weights = (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+    C = PercolationColouring(z1, Alphabet(("a", "b", "c")), seed=1, weights=weights)
+    freqs = PercolationFrequencies(C)
+    dom = FiniteSet(z1, [(0,), (1,), (3,)])
+    for symbols in itertools.product("abc", repeat=3):
+        cls = canonicalize(Pattern(dom, dict(zip(dom, symbols))))
+        product = Fraction(1)
+        for s in symbols:
+            product *= weights["abc".index(s)]
+        assert freqs.frequency(cls) == product
+        # kept on the class, for the provider that computed it
+        assert freqs.frequency(cls) is freqs.frequency(cls)
+        assert PercolationFrequencies(C).frequency(cls) == product
+
+
+def test_interned_classes_are_bounded(z2):
+    # a 16-site tile has 2^16 classes: its canonical translate keeps the first
+    # _INTERNED_SITES // 16 found, over any number of seeds, and the spectra
+    # equal those of a model that has kept none
+    alphabet = Alphabet(("open", "closed"))
+    tile, U = folner_set(z2, 4).tile, folner_set(z2, 20).tile
+    domain = canonical_translate(tile)[0]
+    for seed in range(4):
+        spec = occurring_pattern_spectrum(PercolationColouring(z2, alphabet, seed=seed), tile, U)
+        assert len(domain._classes) == _INTERNED_SITES // len(tile) < len(spec)
+        fresh = FreeAbelian(2)
+        C = PercolationColouring(fresh, alphabet, seed=seed)
+        ref = occurring_pattern_spectrum(C, folner_set(fresh, 4).tile, folner_set(fresh, 20).tile)
+        assert [(c.key, e) for c, e in spec.items()] == [(c.key, e) for c, e in ref.items()]
+        if seed == 0:  # the first classes found are kept
+            assert list(domain._classes.values()) == list(spec)[: len(domain._classes)]
+        # a class found again is the kept object
+        assert all(domain._classes.get(tuple(c.canonical.symbols.tolist()), c) is c for c in spec)
+
+
+def test_spectra_do_not_depend_on_request_order():
+    # two fresh models, so each order starts with empty memos
+    def spectra(model, order):
+        tile = folner_set(model, 2).tile
+        moved = tile.right_translate(model.generators[0])
+        tiles = [folner_set(model, 1).tile, tile, model.ball(1), moved]
+        U = folner_set(model, 5).tile
+        C = PercolationColouring(model, Alphabet(("open", "closed")), seed=4)
+        out = {}
+        for i in order:
+            spec = occurring_pattern_spectrum(C, tiles[i], U)
+            out[i] = [(cls.key, cls.digest(), entry) for cls, entry in spec.items()]
+        return out
+
+    for make in (lambda: FreeAbelian(2), Heisenberg3):
+        assert spectra(make(), [0, 1, 2, 3]) == spectra(make(), [3, 2, 1, 0])
 
 
 def test_percolation_thresholds_are_exact(z1):
