@@ -23,7 +23,9 @@ maps a run to a run of the same length, and a run of length L from b times a
 run of length M from q is the run from b*q of length L + M - 1.  A product of
 two sets is therefore formed from run starts alone (``_run_product``), and
 ``admissible_positions`` works on runs too, read from each set's
-``run_heads`` (first point and length of every run).
+``run_heads`` (first point, length and field extent of the runs).  The
+starts b*q are formed as keys (``GroupModel._products``), and runs are merged
+and counted from their first and last keys, sorted apart (``_merge``, ``_covered``).
 
 The word metric lives on the runs of the balls: B_(r+1) = B_1 B_r (a word of
 length r + 1 is a generator times a word of length r), so each level is one
@@ -85,13 +87,13 @@ class GroupModel:
         self._pack_shifts = self.pack_bits * np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         self._pack_scale = np.left_shift(1, self._pack_shifts)
         self._pack_offset = self.pack_bound * int(self._pack_scale.sum())  # the key of coordinates 0
-        # maximal runs of B_0, B_1, ...: first keys and lengths; B_1 (first as
-        # points, then as runs) times the last level, whose head coordinates
-        # are kept, grows the next one
+        # maximal runs of B_0, B_1, ...: first keys, lengths and extent; B_1 (first as
+        # points, then as runs) times the last level, whose heads are kept, grows the next
         self._front = np.array([self.identity], dtype=np.int64)
-        self._levels = [(self._pack(self._front), np.ones(1, dtype=np.int64))]
+        zero = np.zeros((2, self.dim - 1), dtype=np.int64)  # the extent of B_0 = {e}
+        self._levels = [(self._pack(self._front), np.ones(1, dtype=np.int64), zero)]
         step = np.concatenate([self._front, self._gens])
-        self._step = (step, np.ones(len(step), dtype=np.int64))
+        self._step = (step, np.ones(len(step), dtype=np.int64), _extent(step))
         self._ball_cache: dict[int, "FiniteSet"] = {}
         # canonical_translate by set content, so equal sets share one translate
         self._canonical: dict["FiniteSet", tuple["FiniteSet", Element]] = {}
@@ -139,6 +141,20 @@ class GroupModel:
                 f"coordinate out of packable range |c| < {self.pack_bound} for {self.describe()}"
             )
 
+    def _products(self, b_heads: tuple, q_heads: tuple, span: np.ndarray) -> np.ndarray:
+        """Keys of b_i q_j over two run heads: the key is linear in the fields and
+        the law adds all but the last, the one field formed per pair (b_c + q_c,
+        plus b_b q_a on H3).  Raises unless the runs of span_ij + 1 keys pack."""
+        (b, _, b_ext), (q, _, q_ext) = b_heads, q_heads
+        c = self._last_of_products(b, q)
+        top = max((b_ext + q_ext).max(initial=0), (c + span).max(initial=0))  # 0 over no pairs
+        self._check_range(max(top, -c.min(initial=0)))
+        scale = self._pack_scale[:-1]
+        return (b[:, :-1] @ scale)[:, None] + (q[:, :-1] @ scale + self._pack_offset) + c
+
+    def _last_of_products(self, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return b[:, -1, None] + q[:, -1]
+
     def _pack(self, coords: np.ndarray) -> np.ndarray:
         """Pack coordinate rows into sortable int64 keys (lexicographic order)."""
         if coords.size:
@@ -156,15 +172,16 @@ class GroupModel:
 
     # -- word metric --------------------------------------------------------
 
-    def _level(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """First keys and lengths of the maximal runs of B_r, grown as
+    def _level(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First keys, lengths and extent of the maximal runs of B_r, grown as
         B_(r+1) = B_1 B_r from the last level kept."""
         levels = self._levels
         while len(levels) <= r:
-            self._front, *ball = _run_product(self, *self._step, self._front, levels[-1][1])
-            levels.append(tuple(ball))
+            first, length = _run_product(self, self._step, (self._front, *levels[-1][1:]))
+            levels.append((first, length, self._step[2] + levels[-1][2]))
+            self._front = self._unpack(first)
             if len(levels) == 2:
-                self._step = (self._front, levels[1][1])
+                self._step = (self._front, *levels[1][1:])
         return levels[r]
 
     def _radii(self, first: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -174,7 +191,7 @@ class GroupModel:
         before it."""
         radius, todo, r = np.zeros(len(first), dtype=np.int64), np.arange(len(first)), 0
         while todo.size:
-            f, n = self._level(r)
+            f, n, _ = self._level(r)
             if r and n.sum() == self._level(r - 1)[1].sum():
                 raise GroupModelError("generators do not reach requested element")
             i = np.searchsorted(f, first[todo], side="right") - 1
@@ -197,10 +214,10 @@ class GroupModel:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if radius not in self._ball_cache:
-            first, length = self._level(radius)
+            first, length, extent = self._level(radius)
             ball = _from_packed(self, _run_keys(first, length))
             top = radius == len(self._levels) - 1  # the heads of the last level are kept
-            ball._heads = (self._front if top else self._unpack(first), length)
+            ball._heads = (self._front if top else self._unpack(first), length, extent)
             ball._heads[0].flags.writeable = length.flags.writeable = False
             self._ball_cache[radius] = ball
         return self._ball_cache[radius]
@@ -213,10 +230,10 @@ class GroupModel:
         L, and the g h^-1 are the run product of Q and Q^-1."""
         if len(Q) == 0:
             raise ValueError("diameter of the empty set is undefined")
-        first, length = Q.run_heads
+        first, length, extent = Q.run_heads
         inverse = self.inverse_array(first)
         inverse[:, -1] -= length - 1
-        _, keys, length = _run_product(self, first, length, inverse, length)
+        keys, length = _run_product(self, Q.run_heads, (inverse, length, extent[::-1]))
         return int(self._radii(keys, length).max())
 
 
@@ -271,6 +288,9 @@ class Heisenberg3(GroupModel):
         a, b, c = self.check_element(g)
         return (-a, -b, a * b - c)
 
+    def _last_of_products(self, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return super()._last_of_products(b, q) + b[:, 1, None] * q[:, 0]
+
     def mul_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         out = super().mul_array(g, h)
         out[..., 2] += np.multiply(np.asarray(g)[..., 1], np.asarray(h)[..., 0], dtype=np.int64)
@@ -306,7 +326,7 @@ class FiniteSet:
         self.model = model
         self.packed = keys
         self._coords: Optional[np.ndarray] = None
-        self._heads: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._heads: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._diameter: Optional[int] = None
         self._shrunk: dict[int, FiniteSet] = {}  # shrink(self, R) by R
         self._grown: dict[int, int] = {}  # |grow(self, R)| by R
@@ -354,13 +374,13 @@ class FiniteSet:
         return self._coords
 
     @property
-    def run_heads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of the first element and length of every run."""
+    def run_heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinates of the first element and length of every run, and their extent."""
         if self._heads is None:
             at, length = _runs(self.packed)
             first = self.model._unpack(self.packed[at])
             first.flags.writeable = length.flags.writeable = False
-            self._heads = (first, length)
+            self._heads = (first, length, _extent(first))
         return self._heads
 
     @property
@@ -428,27 +448,29 @@ def _search(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, haystack[np.minimum(idx, len(haystack) - 1)] == needles
 
 
-def _run_product(
-    model: GroupModel, b_first: np.ndarray, b_len: np.ndarray, q_first: np.ndarray, q_len: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal runs of the product of two sets given by the head coordinates and
-    lengths of their runs: head coordinates, first keys and lengths.  Each pair
-    of runs gives the run from b*q of length L + M - 1 (see the module); its
-    start and its last point are range-checked."""
-    starts = model.mul_array(b_first[:, None], q_first).reshape(-1, model.dim)
-    span = (b_len[:, None] + (q_len - 2)).ravel()  # length - 1
-    model._check_range((starts[:, -1] + span).max(initial=0))  # the last point of each run
-    first = model._pack(starts)
-    at, last = _merge(first, first + span)
-    first = first[at]
-    return starts[at], first, last - first + 1
+def _extent(first: np.ndarray) -> np.ndarray:
+    """-min and max (0 if none) of every field but the last over head coordinates,
+    constant on a run: the extents of two run heads add up to that of their
+    products, and the inverses, which negate these fields, have its row reverse."""
+    rest = first[:, :-1]
+    return np.array([-rest.min(0, initial=0), rest.max(0, initial=0)])
+
+
+def _run_product(model: GroupModel, b_heads: tuple, q_heads: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """First keys and lengths of the maximal runs of the product of two sets
+    given by their run heads.  Each pair of runs gives the run from b*q of
+    length L + M - 1 (see the module), range-checked."""
+    span = b_heads[1][:, None] + (q_heads[1] - 2)  # length - 1
+    first = model._products(b_heads, q_heads, span)
+    first, last = _merge(first, first + span)
+    return first, last - first + 1
 
 
 def _grow_runs(Q: FiniteSet, R: int) -> tuple[np.ndarray, np.ndarray]:
     """First keys and lengths of the maximal runs of B_R Q."""
     if R < 0:
         raise ValueError("boundary radius must be >= 0")
-    return _run_product(Q.model, *Q.model.ball(R).run_heads, *Q.run_heads)[1:]
+    return _run_product(Q.model, Q.model.ball(R).run_heads, Q.run_heads)
 
 
 def boundary_int(Q: FiniteSet, R: int) -> FiniteSet:
@@ -632,29 +654,27 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs holding the union of the runs of keys first..last: the index
-    of the run each one starts with, and its last key.  One argsort of the
-    starts and a running maximum of the last keys (a stop, last + 1, overflows
-    at the top key 2^63 - 1); a run starts where first - 1 > max, so abutting
-    runs join.  Tied starts are the same point and leave the same maximum
-    after them in any order, so the sort need not be stable."""
-    order = np.argsort(first)
-    first, reach = first[order], np.maximum.accumulate(last[order])
+    """First and last keys of the maximal runs holding the runs of keys first..last
+    (any shape), both sorted apart: a run starts at i when first[i] - 1 > last[i - 1]
+    (no run holds first[i] - 1; abutting runs join, tied starts start one) and
+    ends at the last key before the next start.  Last keys fit 2^63 - 1; stops not."""
+    first, last = np.sort(first, axis=None), np.sort(last, axis=None)
     edge = np.ones(len(first) + 1, dtype=bool)  # where a run starts, and the end
-    np.greater(first[1:] - 1, reach[:-1], out=edge[1:-1])  # keys are positive
-    at = edge.nonzero()[0]
-    return order[at[:-1]], reach[at[1:] - 1]
+    np.greater(first[1:] - 1, last[:-1], out=edge[1:-1])  # keys are positive
+    return first[edge[:-1]], last[edge[1:]]
 
 
-def _covered(first: np.ndarray, length: np.ndarray, times: int) -> tuple[np.ndarray, np.ndarray]:
-    """First keys and lengths of disjoint sorted runs holding the keys that
-    at least ``times`` of the runs [first, first + length) hold."""
-    first = first - 1  # keys are non-negative, so every stop minus 1 fits int64
-    ends = np.concatenate([first, first + length])
-    order = np.argsort(ends)
-    ends = ends[order]
-    at = (np.where(order < len(first), 1, -1).cumsum() >= times).nonzero()[0]
-    return ends[at] + 1, ends[at + 1] - ends[at]  # ties give empty runs
+def _covered(first: np.ndarray, last: np.ndarray, times: int) -> tuple[np.ndarray, np.ndarray]:
+    """First keys and lengths of the maximal runs (and maybe empty ones) of the keys
+    that at least ``times`` runs of keys first..last hold.  searchsorted counts the
+    runs holding the keys after each of the points first - 1 and last, sorted apart
+    (starts first at a tie, so abutting runs join): the k-th start where the count
+    reaches ``times`` pairs with the k-th last key where it falls below."""
+    starts, stops = np.sort(first - 1), np.sort(last)  # keys are positive: no overflow
+    rank = np.arange(1, len(starts) + 1)
+    up = (rank - np.searchsorted(stops, starts) == times).nonzero()[0]
+    down = (np.searchsorted(starts, stops, side="right") - rank == times - 1).nonzero()[0]
+    return starts[up] + 1, stops[down] - starts[up]
 
 
 def _run_keys(first: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -684,16 +704,14 @@ def _admissible_positions(tile: FiniteSet, U: FiniteSet) -> FiniteSet:
     model = tile.model
     if len(tile) == 0:
         raise ValueError("tile must be non-empty")
-    t_first, t_len = tile.run_heads
-    u_first, u_len = U.run_heads
-    # row i, column j: the run q_i^-1 * erode(run j of U) for tile run i
-    length = u_len - t_len[:, None] + 1
-    keep = length > 0
-    if not keep.any(axis=1).all():  # a tile run that fits in no run of U
+    if len(tile) > len(U):  # tile*x has more points than U
         return _from_packed(model, _EMPTY)
-    starts = model.mul_array(model.inverse_array(t_first)[:, None], u_first)[keep]
-    length = length[keep]
-    model._check_range((starts[:, -1] + length - 1).max(initial=0))  # the last point of each run
+    t_first, t_len, t_extent = tile.run_heads
+    # row i, column j: the run q_i^-1 * erode(run j of U) for tile run i
+    length = U.run_heads[1] - t_len[:, None] + 1
+    keep = length > 0  # every pair is range-checked at its start, the kept ones at their end too
+    inverse = (model.inverse_array(t_first), t_len, t_extent[::-1])
+    starts = model._products(inverse, U.run_heads, length - 1)[keep]
     # the runs that one tile run allows are disjoint, so the keys that every
     # tile run allows are those covered len(t_len) times
-    return _from_packed(model, _run_keys(*_covered(model._pack(starts), length, len(t_len))))
+    return _from_packed(model, _run_keys(*_covered(starts, starts + (length[keep] - 1), len(t_len))))

@@ -310,8 +310,9 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
                 row["seed"] = seed
                 cert_rows.append(row)
                 spec_lines = ["pattern,count,empirical,analytic"]
+                # one domain for every class: their symbols order them as their keys do
                 for cls, entry in sorted(
-                    spectrum.items(), key=lambda kv: kv[0].key
+                    spectrum.items(), key=lambda kv: kv[0].canonical.symbols.tolist()
                 ):
                     emp = Fraction(entry.count, len(U))
                     spec_lines.append(

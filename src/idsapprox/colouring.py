@@ -614,7 +614,8 @@ class EmpiricalFrequencies(FrequencyProvider):
         return Fraction(sum(e.count for e in self.spectrum(tile).values()), len(self.reference))
 
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
-        items = sorted(self.spectrum(tile).items(), key=lambda kv: kv[0].key)
+        # one domain for every class: their symbols order them as their keys do
+        items = sorted(self.spectrum(tile).items(), key=lambda kv: kv[0].canonical.symbols.tolist())
         return [(cls, entry.witness) for cls, entry in items]
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,11 +298,82 @@ def test_merge_matches_key_sets():
     for first, length in cases:
         keys = sorted({f + t for f, n in zip(first, length) for t in range(n)})
         first, length = np.array(first, dtype=np.int64), np.array(length, dtype=np.int64)
-        at, last = cayley._merge(first, first + (length - 1))
-        merged = last - first[at] + 1
-        assert cayley._run_keys(first[at], merged).tolist() == keys
+        start, last = cayley._merge(first, first + (length - 1))
+        merged = last - start + 1
+        assert cayley._run_keys(start, merged).tolist() == keys
         at, runs = cayley._runs(np.array(keys, dtype=np.int64))
         assert merged.tolist() == runs.tolist()
+
+
+def test_covered_matches_key_sets():
+    # the keys that at least ``times`` of the runs first..last hold, against
+    # counts over their key sets, for every times from 1 to the number of
+    # runs: nested, overlapping and abutting runs, tied and duplicate starts,
+    # and runs that end at the largest key 2^63 - 1 (whose stop overflows);
+    # the runs that are not empty are maximal
+    top = 2**63 - 1
+    cases = [
+        ([5], [3]),
+        ([5, 5], [3, 3]),
+        ([5, 5, 6], [9, 2, 1]),
+        ([3, 1, 2], [1, 5, 3]),
+        ([1, 4, 4, 7], [3, 3, 2, 1]),
+        ([top - 2, top - 5, top, 1], [3, 6, 1, 2]),
+        ([top - 9, top - 9, top - 3], [10, 4, 4]),
+    ]
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        cases.append(([rng.randint(1, 40) for _ in range(n)], [rng.randint(1, 12) for _ in range(n)]))
+    for first, length in cases:
+        count = Counter(f + t for f, n in zip(first, length) for t in range(n))
+        first = np.array(first, dtype=np.int64)
+        last = first + (np.array(length, dtype=np.int64) - 1)
+        for times in range(1, len(first) + 1):
+            keys = np.array(sorted(k for k, c in count.items() if c >= times), dtype=np.int64)
+            start, size = cayley._covered(first, last, times)
+            assert cayley._run_keys(start, size).tolist() == keys.tolist()
+            assert size[size > 0].tolist() == cayley._runs(keys)[1].tolist()  # maximal runs
+
+
+@pytest.mark.parametrize(
+    "model", [FreeAbelian(1), FreeAbelian(2), FreeAbelian(8), Heisenberg3()], ids=lambda m: m.describe()
+)
+def test_run_product_matches_key_sets(model):
+    # the runs of B*Q from the run heads of B and Q against the keys of every
+    # product b*q, on sets of a few columns near the identity or near the edge
+    # of the packable range; GroupModelError exactly when a product does not
+    # pack.  On H3 the b of B and the a of Q are up to 200 away from 0, so the
+    # c shift b_b q_a decides whether a product near the c edge packs
+    rng = random.Random(model.dim)
+    bound, h3 = model.pack_bound, isinstance(model, Heisenberg3)
+
+    def columns():
+        centre = [rng.randint(-200, 200) if h3 and i < 2 else rng.randint(-12, 12) for i in range(model.dim)]
+        if rng.random() < 0.6:
+            i = rng.randrange(model.dim)
+            centre[i] = rng.choice((1, -1)) * (bound - rng.randint(10, 40_000 if h3 and i == 2 else 20))
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            head = [c + rng.randint(-3, 3) for c in centre]
+            rows += [head[:-1] + [head[-1] + t] for t in range(rng.randint(1, 5))]
+        return FiniteSet(model, rows)
+
+    outcomes = Counter()
+    for _ in range(150):
+        B, Q = columns(), columns()
+        products = [model.multiply(b, q) for b in B for q in Q]
+        unpackable = max(abs(c) for g in products for c in g) >= bound
+        outcomes[unpackable] += 1
+        if unpackable:
+            with pytest.raises(GroupModelError):
+                cayley._run_product(model, B.run_heads, Q.run_heads)
+            continue
+        keys = cayley._unique_keys(model._pack(np.array(products, dtype=np.int64)))
+        first, length = cayley._run_product(model, B.run_heads, Q.run_heads)
+        assert np.array_equal(cayley._run_keys(first, length), keys)
+        assert np.array_equal(length, cayley._runs(keys)[1])  # maximal runs
+    assert outcomes[True] > 10 and outcomes[False] > 10
 
 
 def test_folner_ratio_trend(z2, h3):

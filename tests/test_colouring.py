@@ -676,6 +676,23 @@ def test_interned_classes_are_bounded(z2):
         assert all(domain._classes.get(tuple(c.canonical.symbols.tolist()), c) is c for c in spec)
 
 
+def test_spectra_sort_by_symbols_as_by_keys(z2, h3):
+    # the classes of one spectrum share its canonical domain, so their symbols
+    # in domain order sort them as their (point, symbol) keys do: Z^2 tiles of
+    # 4 and 16 sites and the 16-site H3 tile, two and three symbols
+    for model, n, side in ((z2, 2, 12), (z2, 4, 12), (h3, 2, 4)):
+        tile, U = folner_set(model, n).tile, folner_set(model, side).tile
+        for names in (("open", "closed"), ("a", "b", "c")):
+            C = PercolationColouring(model, Alphabet(names), seed=5)
+            spec = occurring_pattern_spectrum(C, tile, U)
+            by_key = sorted(spec, key=lambda cls: cls.key)
+            assert len(by_key) > 2 * len(names)
+            assert sorted(spec, key=lambda cls: cls.canonical.symbols.tolist()) == by_key
+            assert sorted(spec, key=lambda cls: tuple(cls.canonical.symbols.tolist())) == by_key
+            occurring = EmpiricalFrequencies(C, U).occurring(tile)
+            assert [cls for cls, _ in occurring] == by_key
+
+
 def test_spectra_do_not_depend_on_request_order():
     # two fresh models, so each order starts with empty memos
     def spectra(model, order):
