@@ -39,12 +39,9 @@ from .colouring import (
     TrivialColouring,
     TrivialFrequencies,
     canonicalize,
-    count_occurrences,
     empirical_frequency,
     frequency_deviation,
     occurring_pattern_spectrum,
-    restrict,
-    translate_pattern,
 )
 from .ergodic import (
     AlmostAdditive,
@@ -53,7 +50,6 @@ from .ergodic import (
     delta_estimate,
     ergodic_average,
     frequency_approximant,
-    limit_certificates,
     measured_delta,
     sup_distance,
 )

@@ -114,9 +114,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.tile_n:
         obj["tile_n"] = _int_list(args.tile_n, "$.tile_n")
     if args.seed is not None:
+        try:
+            seed = int(args.seed)
+        except ValueError as exc:
+            raise ConfigError("$.colouring.seed", f"expected an integer, got {args.seed!r}") from exc
         colouring = obj.setdefault("colouring", {})
         if isinstance(colouring, dict):  # anything else fails validation at $.colouring
-            colouring["seed"] = args.seed
+            colouring["seed"] = seed
     return RunConfig.from_dict(obj)
 
 
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--preset", help="name of a shipped preset config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override colouring seed")
+    parser.add_argument("--seed", default=None, help="override colouring seed")
     parser.add_argument("--folner-j", default="", help="override folner_j (comma list)")
     parser.add_argument("--tile-n", default="", help="override tile_n (comma list)")
     return parser

@@ -4,7 +4,8 @@ Counts and frequencies are exact rationals; floating point only enters the
 spectral modules.  Colours are read for whole coordinate arrays at once, as
 codes indexing the alphabet (``Colouring.colour_codes``), and a pattern holds
 its symbols as a string array aligned with the sorted keys of its domain, so
-restriction, translation, occurrence counts and spectra are numpy gathers.
+canonicalisation keeps the symbols and spectra are numpy gathers.  Every
+occurrence count is read from the occurring spectrum of the pattern's domain.
 Pattern equivalence is right-translation equivalence, and the canonical
 class representative is the translate that moves the greatest domain element
 to the identity: key order is translation invariant, so among the translates
@@ -269,11 +270,11 @@ class HalfLineMod3Window(HalfLineMod3):
 class Pattern:
     """Colour map on a finite domain.
 
-    ``symbols`` is a string array aligned with ``domain.packed``; ``values``,
-    ``key`` and ``codes`` are views built from it on first use.
+    ``symbols`` is a string array aligned with ``domain.packed``; ``values``
+    and ``key`` are views built from it on first use.
     """
 
-    __slots__ = ("domain", "symbols", "_values", "_key", "_codes")
+    __slots__ = ("domain", "symbols", "_values", "_key")
 
     def __init__(self, domain: FiniteSet, values: Mapping[Element, str]) -> None:
         elements = tuple(domain)
@@ -288,7 +289,6 @@ class Pattern:
         self.symbols = symbols
         self._values: Optional[dict[Element, str]] = None
         self._key: Optional[tuple] = None
-        self._codes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def values(self) -> dict[Element, str]:
@@ -302,13 +302,6 @@ class Pattern:
         if self._key is None:
             self._key = tuple(zip(self.domain, self.symbols.tolist()))
         return self._key
-
-    @property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct symbols, and the index into them of every symbol."""
-        if self._codes is None:
-            self._codes = np.unique(self.symbols, return_inverse=True)
-        return self._codes
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -397,16 +390,6 @@ def _class(domain: FiniteSet, symbols: np.ndarray) -> PatternClass:
     return cls
 
 
-def restrict(C: Colouring, Q: FiniteSet) -> Pattern:
-    """Restriction of the colouring to the finite set Q."""
-    return _pattern(Q, np.array(C.alphabet.symbols)[C.colour_codes(Q.coords)])
-
-
-def translate_pattern(P: Pattern, x: Sequence[int]) -> Pattern:
-    """Right translate: domain D(P)x, value at y*x equals P(y)."""
-    return _pattern(P.domain.right_translate(x), P.symbols)
-
-
 def canonicalize_with_shift(P: Pattern) -> tuple[PatternClass, Element]:
     """Canonical class of P together with the shift d such that the canonical
     representative right-translated by d equals P.
@@ -428,30 +411,6 @@ def canonicalize(P: Pattern) -> PatternClass:
     chosen; equality of canonical forms characterises equivalence.
     """
     return canonicalize_with_shift(P)[0]
-
-
-def count_occurrences(P: Pattern, Pbig: Pattern) -> int:
-    """Number of x with D(P)x inside D(Pbig) and matching values."""
-    if len(P) == 0:
-        raise ColouringError("occurrences of the empty pattern are undefined")
-    names, big_codes = Pbig.codes
-    mine, codes = P.codes
-    if not _search(names, mine)[1].all():
-        return 0  # a symbol of P never occurs in Pbig
-    model = P.domain.model
-    X = admissible_positions(P.domain, Pbig.domain).coords
-    # d x lies in D(Pbig) for every d in D(P) and every admissible x
-    points = model._pack(model.mul_array(P.domain.coords[:, None], X))
-    idx = np.searchsorted(Pbig.domain.packed, points)
-    want = np.searchsorted(names, mine)[codes]
-    return int((big_codes[idx] == want[:, None]).all(axis=0).sum())
-
-
-def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
-    """Occurrence count of P in the restriction of C to U, divided by |U|."""
-    if len(U) == 0:
-        raise ColouringError("empirical frequency needs a non-empty volume")
-    return Fraction(count_occurrences(P, restrict(C, U)), len(U))
 
 
 def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -489,8 +448,8 @@ def occurring_pattern_spectrum(
     C: Colouring, tile: FiniteSet, U: FiniteSet
 ) -> dict[PatternClass, SpectrumEntry]:
     """Tally of pattern classes over all tile positions inside U, in order of
-    first occurrence.  The frequency term, the empirical provider and the
-    percolation frequency table read their pattern counts from it.
+    first occurrence.  Every pattern count is read from it (the frequency term,
+    the empirical provider, ``empirical_frequency``, the percolation table).
 
     Row p of the code matrix holds the colour codes of tile * x_p in tile
     order.  Every row lies on the same tile, so distinct rows are distinct
@@ -516,6 +475,16 @@ def occurring_pattern_spectrum(
         _class(domain, symbols[codes[f]]): SpectrumEntry(count, witness)
         for f, count, witness in zip(first.tolist(), counts.tolist(), witnesses)
     }
+
+
+def empirical_frequency(P: Pattern, C: Colouring, U: FiniteSet) -> Fraction:
+    """Occurrence count of P in the restriction of C to U, divided by |U|: the
+    count of its class in the occurring spectrum of its domain over U."""
+    if len(U) == 0:
+        raise ColouringError("empirical frequency needs a non-empty volume")
+    cls = canonicalize(P)  # raises for the empty pattern
+    entry = occurring_pattern_spectrum(C, P.domain, U).get(cls)
+    return Fraction(0 if entry is None else entry.count, len(U))
 
 
 # -- frequency providers --------------------------------------------------------

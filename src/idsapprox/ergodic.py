@@ -5,7 +5,7 @@ supremum norm; scalars are the zero-breakpoint special case.  Almost-additive
 set functions carry their boundary term and the two constants C (boundedness)
 and D (boundary linearity).  ``estimate_terms`` derives the three exact terms
 of the finite-volume error estimate from those ingredients, once: the
-estimate, both limit certificates and the IDS certificate are sums of them.
+estimate and the IDS certificate are sums of them.
 """
 
 from __future__ import annotations
@@ -223,20 +223,6 @@ def measured_delta(
     return sup_distance(
         ergodic_average(F, U), frequency_approximant(class_value, spec, freqs)
     )
-
-
-def limit_certificates(
-    F: AlmostAdditive,
-    C: Colouring,
-    U: FiniteSet,
-    spec: TilingSpec,
-    freqs: FrequencyProvider,
-) -> tuple[float, float]:
-    """Both limit-distance bounds: against the volume average (the estimate
-    with its boundary term doubled) and against the frequency approximant
-    (b(Q_n)/|Q_n|)."""
-    b_ratio, fol, dev = estimate_terms(F, C, U, spec, freqs)
-    return float(2 * b_ratio + fol + dev), float(b_ratio)
 
 
 def check_almost_additive(

@@ -45,15 +45,11 @@ DEFAULT_TAU_SCALE = 1e-9
 
 
 def _symmetric_coo(M) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Dimension n and nonzero entries (rows, cols, vals) of M (a RestrictedMatrix,
-    a dense array or a sparse matrix with ``tocoo()``), which must be square
-    with max |M - M^T| <= 1e-12 * max(1, max |M|)."""
+    """Dimension n and nonzero entries (rows, cols, vals) of M (a RestrictedMatrix
+    or a dense array), which must be square with max |M - M^T| <= 1e-12 *
+    max(1, max |M|)."""
     if isinstance(M, RestrictedMatrix):
         shape, rows, cols, vals = (M.dim, M.dim), M.rows, M.cols, M.vals
-    elif hasattr(M, "tocoo"):
-        A = M.tocoo(copy=True)
-        A.sum_duplicates()
-        shape, rows, cols, vals = A.shape, A.row.astype(np.int64), A.col.astype(np.int64), A.data
     else:
         A = np.asarray(M, dtype=np.float64)
         if A.ndim != 2:
@@ -197,8 +193,8 @@ def _solve(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Comp
 def component_spectrum(M) -> ComponentSpectrum:
     """The eigenvalues of a symmetric matrix with their components.
 
-    M is a RestrictedMatrix, a dense array, or a sparse matrix with
-    ``tocoo()``; the eigensolve reads only its nonzero entries.
+    M is a RestrictedMatrix or a dense array; the eigensolve reads only its
+    nonzero entries.
     """
     return _solve(*_symmetric_coo(M))
 
@@ -206,8 +202,8 @@ def component_spectrum(M) -> ComponentSpectrum:
 def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
     """All eigenvalues of a symmetric matrix, with multiplicity.
 
-    M is a RestrictedMatrix, a dense array, or a sparse matrix with
-    ``tocoo()``; the eigensolve reads only its nonzero entries.
+    M is a RestrictedMatrix or a dense array; the eigensolve reads only its
+    nonzero entries.
     """
     coo = _symmetric_coo(M)
     if tau is None:

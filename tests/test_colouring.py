@@ -46,12 +46,9 @@ from idsapprox.colouring import (
     _tally_rows,
     canonicalize,
     canonicalize_with_shift,
-    count_occurrences,
     empirical_frequency,
     frequency_deviation,
     occurring_pattern_spectrum,
-    restrict,
-    translate_pattern,
 )
 from conftest import interval, random_subset
 
@@ -59,6 +56,22 @@ from conftest import interval, random_subset
 def make_pattern(model, coords_to_symbol):
     dom = FiniteSet(model, list(coords_to_symbol))
     return Pattern(dom, {model.check_element(g): s for g, s in coords_to_symbol.items()})
+
+
+def coloured_pattern(C, Q):
+    """The colouring on Q, one point at a time."""
+    return Pattern(Q, {g: C.colour(g) for g in Q})
+
+
+def translate(P, x):
+    """Right translate of P by x: the value at y*x is P(y)."""
+    model = P.domain.model
+    return make_pattern(model, {model.multiply(g, x): s for g, s in P.values.items()})
+
+
+def count(P, C, U):
+    """Occurrences of P in the colouring on U."""
+    return empirical_frequency(P, C, U) * len(U)
 
 
 def test_alphabet_validation():
@@ -71,16 +84,16 @@ def test_alphabet_validation():
 def test_restrict_examples(z1):
     triv = TrivialColouring(z1)
     Q = interval(z1, -3, 3)
-    P = restrict(triv, Q)
+    P = coloured_pattern(triv, Q)
     assert set(P.values.values()) == {"o"}
 
     C = HalfLineMod3(z1)
-    P = restrict(C, FiniteSet(z1, [(-2,), (-1,), (0,)]))
+    P = coloured_pattern(C, FiniteSet(z1, [(-2,), (-1,), (0,)]))
     assert [P.value_at(g) for g in P.domain] == [BLACK, BLACK, WHITE]
 
     perc = PercolationColouring(z1, Alphabet(("a", "b")), seed=11)
     Q = interval(z1, 0, 20)
-    assert restrict(perc, Q).key == restrict(perc, Q).key
+    assert coloured_pattern(perc, Q).key == coloured_pattern(perc, Q).key
 
 
 def test_window_colouring_cutoff(z1):
@@ -93,11 +106,11 @@ def test_window_colouring_cutoff(z1):
 
 def test_translate_pattern(z1):
     P = make_pattern(z1, {(0,): "a", (1,): "b"})
-    assert translate_pattern(P, (0,)) == P
-    moved = translate_pattern(P, (5,))
+    assert translate(P, (0,)) == P
+    moved = translate(P, (5,))
     assert frozenset(moved.domain) == {(5,), (6,)}
     assert moved.value_at((5,)) == "a" and moved.value_at((6,)) == "b"
-    back = translate_pattern(moved, (-5,))
+    back = translate(moved, (-5,))
     assert back == P
 
 
@@ -116,13 +129,13 @@ def test_canonicalize_orbit_invariance(z1, h3):
         P = make_pattern(model, {g: rng.choice("ab") for g in dom})
         for _ in range(10):
             x = rng.choice(pool)
-            assert canonicalize(translate_pattern(P, x)) == canonicalize(P)
+            assert canonicalize(translate(P, x)) == canonicalize(P)
 
 
 def test_canonicalize_shift_reconstructs(z1):
     P = make_pattern(z1, {(4,): "a", (5,): "b"})
     cls, d = canonicalize_with_shift(P)
-    assert translate_pattern(cls.canonical, d) == P
+    assert translate(cls.canonical, d) == P
 
 
 def test_canonicalize_distinguishes_swapped(z1):
@@ -140,63 +153,63 @@ def test_canonical_equality_characterises_equivalence(z1):
         P1 = make_pattern(z1, {(a,): rng.choice("ab"), (a + 1,): rng.choice("ab")})
         P2 = make_pattern(z1, {(b,): rng.choice("ab"), (b + 1,): rng.choice("ab")})
         equivalent = any(
-            translate_pattern(P1, (t,)) == P2 for t in range(-10, 11)
+            translate(P1, (t,)) == P2 for t in range(-10, 11)
         )
         assert (canonicalize(P1) == canonicalize(P2)) == equivalent
 
 
 def test_count_single_symbol(z1):
     C = HalfLineMod3(z1)
-    big = restrict(C, interval(z1, -6, -1))
     P = make_pattern(z1, {(0,): BLACK})
-    assert count_occurrences(P, big) == 4
+    assert count(P, C, interval(z1, -6, -1)) == 4
 
 
 def test_count_occurrences_brute_force_oracle(z2):
-    def oracle(P, big):
-        # scan every x in a bounding window
+    def oracle(P, C, U):
+        # scan every x in a bounding window, one point at a time
         expected = 0
         for xa in range(-3, 8):
             for xb in range(-3, 8):
-                try:
-                    ok = all(
-                        big.values[(d[0] + xa, d[1] + xb)] == s
-                        for d, s in P.values.items()
-                    )
-                except KeyError:
-                    continue
-                expected += ok
+                points = [(d[0] + xa, d[1] + xb) for d in P.values]
+                expected += all(p in U for p in points) and all(
+                    C.colour(p) == s for p, s in zip(points, P.values.values())
+                )
         return expected
 
     rng = random.Random(9)
-    big_dom = [(a, b) for a in range(5) for b in range(5)]
+    ab = Alphabet(("a", "b"))
+    box = [(a, b) for a in range(5) for b in range(5)]
     for _ in range(15):
-        big = make_pattern(z2, {g: rng.choice("ab") for g in rng.sample(big_dom, 20)})
+        # a volume with holes, coloured at random; outside it every point is "b"
+        U = FiniteSet(z2, rng.sample(box, 20))
+        C = ExplicitColouring(z2, ab, {g: rng.choice("ab") for g in U}, "b")
         P = make_pattern(
             z2, {(0, 0): rng.choice("ab"), (1, 0): rng.choice("ab")}
         )
-        assert count_occurrences(P, big) == oracle(P, big)
-        # a symbol that the big pattern never shows, sorting between its two
+        assert count(P, C, U) == oracle(P, C, U)
+        # a symbol that the colouring never shows, sorting between its two
         absent = make_pattern(z2, {(0, 0): rng.choice("ab"), (0, 1): "aa"})
-        assert count_occurrences(absent, big) == oracle(absent, big) == 0
-    # a big pattern of one symbol
-    big = make_pattern(z2, {g: "b" for g in rng.sample(big_dom, 20)})
-    for values in ({(0, 0): "b", (1, 0): "b"}, {(0, 0): "b", (0, 1): "a"}, {(0, 0): "b"}):
-        P = make_pattern(z2, values)
-        assert count_occurrences(P, big) == oracle(P, big)
-    assert count_occurrences(make_pattern(z2, {(0, 0): "b"}), big) == 20
+        assert count(absent, C, U) == oracle(absent, C, U) == 0
+    # a volume of one symbol, in a two-symbol colouring and in a one-symbol one
+    U = FiniteSet(z2, rng.sample(box, 20))
+    for C in (ExplicitColouring(z2, ab, {g: "b" for g in U}, "a"), TrivialColouring(z2, "b")):
+        for values in ({(0, 0): "b", (1, 0): "b"}, {(0, 0): "b", (0, 1): "a"}, {(0, 0): "b"}):
+            P = make_pattern(z2, values)
+            assert count(P, C, U) == oracle(P, C, U)
+        assert count(make_pattern(z2, {(0, 0): "b"}), C, U) == 20
 
 
 def test_count_translation_invariance(z1):
     rng = random.Random(10)
     C = PercolationColouring(z1, Alphabet(("a", "b")), seed=3)
-    big = restrict(C, interval(z1, 0, 30))
+    U = interval(z1, 0, 30)
+    big = coloured_pattern(C, U)
     P = make_pattern(z1, {(0,): "a", (2,): "b"})
     for _ in range(10):
         x = (rng.randrange(-5, 5),)
-        assert count_occurrences(P, big) == count_occurrences(
-            translate_pattern(P, x), translate_pattern(big, x)
-        )
+        # the colouring that reads C's colours on U at U x
+        moved = ExplicitColouring(z1, C.alphabet, translate(big, x).values, "a")
+        assert count(P, C, U) == count(translate(P, x), moved, U.right_translate(x))
 
 
 def test_trivial_count_lower_bound(z1):
@@ -205,7 +218,7 @@ def test_trivial_count_lower_bound(z1):
     tile = folner_set(z1, 3).tile
     for j in (6, 9, 12):
         Q = folner_set(z1, j).tile
-        cnt = count_occurrences(restrict(triv, tile), restrict(triv, Q))
+        cnt = count(coloured_pattern(triv, tile), triv, Q)
         assert cnt >= len(shrink(Q, tile.diameter))
 
 
@@ -270,7 +283,7 @@ def test_spectrum_witness_realises_class(z2):
     spec = occurring_pattern_spectrum(C, tile, U)
     assert sum(e.count for e in spec.values()) == len(admissible_positions(tile, U))
     for cls, entry in spec.items():
-        instance = restrict(C, cls.canonical.domain.right_translate(entry.witness))
+        instance = coloured_pattern(C, cls.canonical.domain.right_translate(entry.witness))
         assert canonicalize(instance) == cls
 
 
@@ -419,7 +432,7 @@ def test_percolation_determinism_and_translation_consistency(z2):
 
 def test_pattern_class_digest_is_stable(z1):
     P = make_pattern(z1, {(0,): "a", (1,): "b"})
-    assert canonicalize(P).digest() == canonicalize(translate_pattern(P, (9,))).digest()
+    assert canonicalize(P).digest() == canonicalize(translate(P, (9,))).digest()
 
 
 # -- reference implementations: the per-element algorithms of the array code
@@ -731,7 +744,7 @@ def _check_canonical(P):
     assert cls.key == key
     assert d == ref_d
     assert cls.digest() == ref_digest
-    assert translate_pattern(cls.canonical, d) == P
+    assert translate(cls.canonical, d) == P
 
 
 @pytest.mark.parametrize("symbols", [("white", "black"), ("open", "closed")])

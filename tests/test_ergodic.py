@@ -17,8 +17,8 @@ from idsapprox.ergodic import (
     check_almost_additive,
     delta_estimate,
     ergodic_average,
+    estimate_terms,
     frequency_approximant,
-    limit_certificates,
     measured_delta,
     sup_distance,
     weighted_sum,
@@ -203,9 +203,10 @@ def test_limit_certificates_zero_boundary(z1):
     freqs = TrivialFrequencies(z1, "o")
     F = cardinality_function()
     spec = folner_set(z1, 2)
-    vs_vol, vs_freq = limit_certificates(F, triv, folner_set(z1, 10).tile, spec, freqs)
-    assert vs_freq == 0.0
-    assert vs_vol > 0.0
+    # the limit bounds against the frequency approximant and the volume average
+    b, fol, dev = estimate_terms(F, triv, folner_set(z1, 10).tile, spec, freqs)
+    assert float(b) == 0.0
+    assert float(2 * b + fol + dev) > 0.0
 
 
 def test_triangle_of_averages(z1):

@@ -29,7 +29,6 @@ from idsapprox.ergodic import (
     check_almost_additive,
     delta_estimate,
     estimate_terms,
-    limit_certificates,
     sup_distance,
 )
 from idsapprox.ids import (
@@ -238,7 +237,6 @@ def test_certificate_is_the_derived_estimate(z1, z2, h3):
         b, fol, dev = estimate_terms(F, C, U, spec, freqs, spectrum=spectrum)
         assert (2 * b, fol, dev) == tuple(rule.k * t for t in oracle[:3])
         assert delta_estimate(F, C, U, spec, freqs) == float(b + fol + dev)
-        assert limit_certificates(F, C, U, spec, freqs) == (float(2 * b + fol + dev), float(b))
         _, bound = frequency_side_ids(rule, C, spec, freqs)
         assert bound == float(oracle[0] / 2)
 
@@ -349,20 +347,18 @@ def test_continuity_hypothesis_enforced(z2):
 def test_limit_certificate_normalises_to_tile_bound(h3):
     # for the eigenvalue-count set function, the frequency-side limit bound
     # b(Q_n)/|Q_n| equals k times the tile-boundary bound of the approximant
-    from idsapprox.ergodic import limit_certificates
-
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
     freqs = TrivialFrequencies(h3, C.symbol)
     F = eigenvalue_count_function(rule, C)
     spec = folner_set(h3, 2)
-    _, vs_freq = limit_certificates(F, C, folner_set(h3, 3).tile, spec, freqs)
+    b, _, _ = estimate_terms(F, C, folner_set(h3, 3).tile, spec, freqs)
     _, side_bound = frequency_side_ids(rule, C, spec, freqs)
-    assert vs_freq == pytest.approx(rule.k * side_bound)
+    assert float(b) == pytest.approx(rule.k * side_bound)
 
 
 def test_volume_averages_within_certificate_budget(h3):
-    from idsapprox.ergodic import ergodic_average, limit_certificates
+    from idsapprox.ergodic import ergodic_average
 
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
@@ -372,7 +368,8 @@ def test_volume_averages_within_certificate_budget(h3):
     budgets = {}
     for j in (3, 4):
         U = folner_set(h3, j).tile
-        budgets[j] = limit_certificates(F, C, U, spec, freqs)[0]
+        b, fol, dev = estimate_terms(F, C, U, spec, freqs)
+        budgets[j] = float(2 * b + fol + dev)  # the limit bound against the volume average
     a3 = ergodic_average(F, folner_set(h3, 3).tile)
     a4 = ergodic_average(F, folner_set(h3, 4).tile)
     assert sup_distance(a3, a4) <= budgets[3] + budgets[4] + 1e-12
