@@ -17,7 +17,7 @@ admissible positions of a tile in a volume and the canonical translate of a
 tile are kept by ``cayley``, and the classes are interned on their canonical
 translate by symbol content (up to a bounded number of sites per translate),
 so every canonicalisation and spectrum returns one object per class, which
-keeps its hash, key, digest and analytic percolation frequency.  Spectra,
+keeps its hash, digest and analytic percolation frequency.  Spectra,
 witnesses and colour codes depend on the colouring and are computed per call.
 """
 
@@ -271,10 +271,10 @@ class Pattern:
     """Colour map on a finite domain.
 
     ``symbols`` is a string array aligned with ``domain.packed``; ``values``
-    and ``key`` are views built from it on first use.
+    is a view built from it on first use, ``key`` one built on every use.
     """
 
-    __slots__ = ("domain", "symbols", "_values", "_key")
+    __slots__ = ("domain", "symbols", "_values")
 
     def __init__(self, domain: FiniteSet, values: Mapping[Element, str]) -> None:
         elements = tuple(domain)
@@ -288,7 +288,6 @@ class Pattern:
         self.domain = domain
         self.symbols = symbols
         self._values: Optional[dict[Element, str]] = None
-        self._key: Optional[tuple] = None
 
     @property
     def values(self) -> dict[Element, str]:
@@ -299,9 +298,7 @@ class Pattern:
     @property
     def key(self) -> tuple:
         # Python ints and strs, so the repr hashed by PatternClass.digest is stable
-        if self._key is None:
-            self._key = tuple(zip(self.domain, self.symbols.tolist()))
-        return self._key
+        return tuple(zip(self.domain, self.symbols.tolist()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -334,7 +331,7 @@ class PatternClass:
     """Right-translation equivalence class, stored via its canonical member.
 
     The canonicalisations and spectra return one object per class (see
-    ``_class``), so its hash, key and digest, and its analytic percolation
+    ``_class``), so its hash and digest, and its analytic percolation
     frequency, are computed once, and lookups of a class found twice hit by
     identity.
     """
@@ -364,7 +361,9 @@ class PatternClass:
         return f"PatternClass(canonical={self.canonical!r})"
 
     def digest(self) -> str:
-        """Stable short hash of the canonical form, for CSV export."""
+        """Stable short hash of the canonical form, for CSV export.  The key it
+        hashes is built for the hash and let go, so a class keeps no per-site
+        tuples."""
         if self._digest is None:
             text = repr(self.key).encode()
             self._digest = hashlib.blake2b(text, digest_size=8).hexdigest()

@@ -6,19 +6,18 @@ around the row point x (translated to the identity) and the column point is
 addressed by the offset w = y * x^-1, so a rule is invariant under right
 translations by construction.  The kernel is a map over whole batches of
 patterns: assembly calls it once per offset w, on the patterns at every x
-whose partner w x lies in Q.  The kernel's first read of an offset colours
-the points w x of every offset in one call, and any other window point is
-coloured over all of Q when a kernel first reads it, so a rule that reads no
-colour (adjacency) colours nothing.  Restrictions H[Q] read the ambient
-colouring; they never re-evaluate patterns against Q.  So the restriction
-H[W] to a subset W of Q is a principal submatrix of H[Q], and
+whose partner w x lies in Q.  Any window point q, an offset or not, is
+coloured over all of Q in one call when a kernel first reads it, so a rule
+that reads no colour (adjacency) colours nothing.  Restrictions H[Q] read
+the ambient colouring; they never re-evaluate patterns against Q.  So the
+restriction H[W] to a subset W of Q is a principal submatrix of H[Q], and
 ``principal_restriction`` reads it from H[Q] without assembling it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,27 +109,18 @@ class LocalRule:
             )
         return np.broadcast_to(raw.reshape(-1, k, k), (m, k, k))
 
-    def _patterns(
-        self, C: Colouring, X: np.ndarray, points: Optional[np.ndarray] = None
-    ) -> Callable[[np.ndarray], LocalPatterns]:
+    def _patterns(self, C: Colouring, X: np.ndarray) -> Callable[[np.ndarray], LocalPatterns]:
         """The batch of patterns around the rows ``base`` of X, for any base; batches
         share the window columns, the colour codes at q x for every x in X, each
-        coloured when q is first read.  ``points``, if given, holds w x for every
-        offset w in B_M (offset-major, as (|B_M|, |X|, d)): the first read of an
-        offset colours all of them in one call and lets the points go.  A q
-        outside the window B_2R raises KeyError."""
+        coloured in one call when a kernel first reads q.  A q outside the window
+        B_2R raises KeyError."""
         symbols, kept = np.array(C.alphabet.symbols), {}
-        pending = [] if points is None else [points]
 
         def column(q: Element) -> np.ndarray:
             if q not in kept:
-                if pending and q in self._offsets:
-                    codes = C.colour_codes(pending.pop().reshape(-1, self.model.dim))
-                    kept.update(zip(self._offsets, codes.reshape(len(self._offsets), len(X))))
-                elif q in self.model.ball(2 * self.overall_range):
-                    kept[q] = C.colour_codes(self.model.mul_array(q, X))
-                else:
+                if q not in self.model.ball(2 * self.overall_range):
                     raise KeyError(q)
+                kept[q] = C.colour_codes(self.model.mul_array(q, X))
             return kept[q]
 
         return lambda base: LocalPatterns(column, symbols, base)
@@ -173,41 +163,39 @@ class RestrictedMatrix:
 def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> RestrictedMatrix:
     """Assemble H[Q] = p_Q H i_Q from the rule's kernel blocks.
 
-    The points w x for every offset w in B_M and every x in Q come from one
-    product, and their partners y = w x in Q from one search of their keys
-    in Q, split by offset (left multiplication keeps key order, so x and y
-    both ascend within an offset).  For each offset the kernel is called
-    once, on the patterns at every x with a partner; the block of (x, y) is
-    its answer at x.  The kernel's first read of an offset colours the points
-    of every offset in one call.  The points, keys and search results are
-    dropped once split or coloured, so they do not raise the peak memory of
-    the assembly.  The pairs at w^-1 are those at w swapped, in the same
-    order, so transpose consistency, block(y, x) == block(x, y)^T (symmetry
-    of the diagonal blocks when w = e), is validated on every pair without a
-    sort.  The norm hint is the largest spectral norm c of these blocks times
+    One offset w of B_M at a time, one search of the keys of w x in Q finds
+    every x whose partner y = w x lies in Q (left multiplication keeps key
+    order, so x and y both ascend), and the kernel is called once, on the
+    patterns at those x; the block of (x, y) is its answer at x.  So no array
+    holds the points of more than one offset, and the pair lists and blocks
+    of the offsets are joined once and dropped before the entries are
+    formed.  The pairs at w^-1 are those at w swapped, in the same order,
+    so transpose consistency, block(y, x) == block(x, y)^T (symmetry of the
+    diagonal blocks when w = e), is validated on every pair without a sort.
+    The norm hint is the largest spectral norm c of these blocks times
     |B_R|, a block-Schur bound on ||H[Q]||: a row holds at most
     |B_M| <= |B_R| nonzero blocks.
     """
     model = rule.model
     k = rule.k
     X = Q.coords
-    points = model.mul_array(model.ball(rule.range_m).coords[:, None], X)
-    at, hit = _search(Q.packed, model._pack(points.reshape(-1, model.dim)))
-    # the pairs offset by offset, x ascending within each offset
-    hit = hit.reshape(len(rule._offsets), len(X))
-    x, y = np.broadcast_to(np.arange(len(X)), hit.shape)[hit], at.reshape(hit.shape)[hit]
-    bounds = np.cumsum(hit.sum(axis=1))[:-1]
-    del at, hit
-    xs, ys = np.split(x, bounds), np.split(y, bounds)
-    patterns = rule._patterns(C, X, points)
-    del points  # the patterns hold them until an offset read colours them
-    blocks = [rule.blocks(patterns(base), w) for w, base in zip(rule._offsets, xs)]
-    del patterns  # and the points with them, if no kernel read an offset
+    patterns = rule._patterns(C, X)
+    xs, ys, blocks = [], [], []
+    for w in rule._offsets:
+        at, hit = _search(Q.packed, model._pack(model.mul_array(w, X)))
+        base = hit.nonzero()[0]
+        xs.append(base)
+        ys.append(at[base])
+        blocks.append(rule.blocks(patterns(base), w))
+    del patterns, at, hit, base  # the window columns and the last offset's search
     for i, j in enumerate(rule._inverse):
         assert np.array_equal(xs[j], ys[i]) and np.array_equal(ys[j], xs[i])
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    del xs, ys
     B = np.concatenate(blocks)
     # the block at (y, x), in the order of the pairs (x, y)
     back = np.concatenate([blocks[j] for j in rule._inverse])
+    del blocks
     bad = ~(back == B.transpose(0, 2, 1)).all(axis=(1, 2))
     if bad.any():
         i = np.argmax(bad)

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
@@ -433,6 +435,30 @@ def test_percolation_determinism_and_translation_consistency(z2):
 def test_pattern_class_digest_is_stable(z1):
     P = make_pattern(z1, {(0,): "a", (1,): "b"})
     assert canonicalize(P).digest() == canonicalize(translate(P, (9,))).digest()
+
+
+def test_pattern_class_digests_are_pinned_and_keep_no_key(z1, z2, h3):
+    # the hex digests of these classes are those that the CSV exports have always named
+    patterns = [
+        make_pattern(z1, {(0,): "a", (1,): "b"}),
+        make_pattern(z2, {(0, 0): "open", (1, 0): "closed", (0, 1): "closed", (3, -2): "open"}),
+        make_pattern(h3, {(0, 0, 0): "x", (1, 0, 0): "y", (0, 1, 0): "x", (1, 1, 1): "y", (-1, 2, -3): "y"}),
+    ]
+    digests = [canonicalize(P).digest() for P in patterns]
+    assert digests == ["e76932ccff6251c2", "c1b1f370474bb2cb", "96fbe7d4f1d66085"]
+    # a digest keeps its 16 hex digits, not the per-site key it hashed
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=1)
+    classes = list(occurring_pattern_spectrum(C, folner_set(z2, 4).tile, folner_set(z2, 12).tile))
+    assert len(classes) == 81
+    tracemalloc.start()
+    try:
+        for cls in classes:
+            cls.digest()
+        gc.collect()  # and with it CPython's free lists of tuples
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 20_000
 
 
 # -- reference implementations: the per-element algorithms of the array code

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,9 +403,10 @@ def test_assembly_colours_only_what_the_kernel_reads(z2, h3):
         C = RecordingColouring(PercolationColouring(model, Alphabet(("a", "b")), seed=4))
         Q = folner_set(model, 5 if model is z2 else 3).tile
         restrict_operator(percolation_rule(model, C.alphabet, ["a"]), C, Q)
-        # one call: w x for every offset w in B_1 and every x in Q, offset by
-        # offset, so all of B_1 Q and nothing of B_2 Q beyond
-        assert C.calls == [[model.multiply(w, x) for w in model.ball(1) for x in Q]]
+        # one call per column, in the order the kernel first reads it: e x at
+        # the first offset w != e, then w x; so all of B_1 Q and nothing beyond
+        e = model.identity
+        assert C.calls == [list(Q)] + [[model.multiply(w, x) for x in Q] for w in model.ball(1) if w != e]
         assert FiniteSet(model, C.asked) == grow(Q, 1)
 
 
@@ -423,9 +425,25 @@ def test_window_point_beyond_the_offsets_is_coloured_on_its_own(z2, h3):
         Q = random_subset(model, random.Random(33), 4, 40)
         M = restrict_operator(rule, C, Q)
         assert np.array_equal(M.to_dense(), pairwise_matrix(rule, C.inner, Q))
-        assert len(C.calls) == 2
-        assert FiniteSet(model, C.calls[0]) == grow(Q, 1)
-        assert C.calls[1] == [model.multiply(far, x) for x in Q]
+        # e x at the first offset (e is not the first of B_1), then one
+        # column per offset in B_1's order, far x in place of e x
+        columns = [[model.multiply(far if w == e else w, x) for x in Q] for w in model.ball(1)]
+        assert C.calls == [list(Q)] + columns
+
+
+def test_assembly_peak_does_not_scale_with_every_offsets_points():
+    # all of B_1 Q as coordinates would take |B_1| |Q| d int64s; assembling
+    # one offset at a time stays well below that
+    z8 = FreeAbelian(8)
+    rule, C, Q = adjacency_rule(z8), TrivialColouring(z8), folner_set(z8, 3).tile
+    restrict_operator(rule, C, Q)  # the ball and the tile's coordinates are cached
+    tracemalloc.start()
+    try:
+        restrict_operator(rule, C, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * len(z8.ball(1)) * len(Q) * z8.dim * 8
 
 
 def test_norm_hint_matches_recomputation(z2):
