@@ -58,12 +58,12 @@ from .ids import (
     IdsApproximant,
     TestFunction,
     continuity_gap,
+    counting_functions,
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
     ids_approximants,
     ids_certificate,
-    raw_counting_distribution,
 )
 from .operators import (
     LocalRule,
@@ -77,9 +77,7 @@ from .operators import (
 )
 from .spectra import (
     ComponentSpectrum,
-    EigenvalueList,
     component_spectrum,
-    counting_function,
     eigenvalues,
     projection_truncation_gap,
     quasi_mode_count,

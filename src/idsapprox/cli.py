@@ -31,9 +31,9 @@ from .ids import (
     IdsError,
     TestFunction,
     continuity_gap,
+    counting_functions,
     ids_approximants,
     ids_certificate,
-    raw_counting_distribution,
 )
 from .operators import offset_table_rule
 from .spectra import BoundViolation
@@ -41,7 +41,8 @@ from .spectra import BoundViolation
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERT = 3
-# largest k|U| of the continuity check, which solves two dense 2500^2 matrices (100 MB)
+# largest k|U| of the continuity check, which builds both restrictions as dense
+# 2500^2 matrices (100 MB) for its entrywise hypothesis check
 CONTINUITY_MAX_DIM = 2500
 
 
@@ -71,7 +72,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _preset_text(name: str) -> str:
     try:
-        return (resources.files("idsapprox") / "presets" / f"{name}.json").read_text()
+        return (resources.files("idsapprox") / "presets" / f"{name}.json").read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError("$.preset", f"unknown preset {name!r}") from exc
 
@@ -98,9 +99,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         text = _preset_text(args.preset)
     elif args.config:
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise ConfigError("$", f"config file not found: {args.config}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("$", f"cannot read config file {args.config}: {exc}") from exc
     else:
         raise ConfigError("$", "a --preset or --config is required")
     try:
@@ -162,9 +165,6 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
                 continue
             approx[j] = ap
             _write_step_csv(outdir / f"approximant_{side}_j{j}.csv", ap.step)
-            if emit_raw:
-                raw_step = raw_counting_distribution(rule, colouring, volumes[j], tau)
-                _write_step_csv(outdir / f"counting_{side}_j{j}.csv", raw_step)
             if emit_eigs:
                 pos, h = ap.step.jumps()
                 lines = ["eigenvalue,multiplicity"]
@@ -172,6 +172,11 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
                     mult = int(round(height * ap.normalization))
                     lines.append(f"{_fmt(b)},{mult}")
                 _write_text(outdir / f"eigenvalues_{side}_j{j}.csv", "\n".join(lines) + "\n")
+        if emit_raw:  # n(H[U]) / (k |U|) of every volume, without the shrink
+            raw = counting_functions(rule, colouring, [volumes[j] for j in approx], tau)
+            for j, step in zip(approx, raw):
+                step = step.over(float(rule.k * len(volumes[j])))
+                _write_step_csv(outdir / f"counting_{side}_j{j}.csv", step)
 
         side_certs: dict[tuple[int, int], float] = {}
         for spec in specs:

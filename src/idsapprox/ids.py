@@ -2,8 +2,8 @@
 
 The approximant at volume U is the eigenvalue counting function of the
 operator restricted to the R-shrunk volume, normalised to a distribution
-function.  The approximants of several volumes come from one assembly and
-one eigensolve over the union of their shrinks.  The distance of an
+function.  Every eigenvalue count comes from ``counting_functions``: one
+assembly and one eigensolve over the union of the sets.  The distance of an
 approximant to the (never materialised) limiting spectral distribution is
 certified by four computable terms: a tile term, a Folner term, a frequency-deviation term and a renormalisation term.  The first
 three are the ergodic estimate's terms for the set function Q -> n(H[Q_R])
@@ -47,8 +47,8 @@ from .spectra import (
     BoundViolation,
     component_spectrum,
     counting_from_values,
-    counting_function,
     default_tau,
+    eigenvalues,
 )
 
 
@@ -115,16 +115,9 @@ def eigenvalue_count_function(
     cache: dict[FiniteSet, StepFunction] = {}
 
     def evaluate(Q: FiniteSet) -> StepFunction:
-        cached = cache.get(Q)
-        if cached is not None:
-            return cached
-        inner = shrink(Q, R)
-        if len(inner) == 0:
-            out = StepFunction.constant(0.0)
-        else:
-            out = counting_function(restrict_operator(rule, C, inner), tau)
-        cache[Q] = out
-        return out
+        if Q not in cache:
+            cache[Q] = counting_functions(rule, C, [shrink(Q, R)], tau)[0]
+        return cache[Q]
 
     return AlmostAdditive(
         evaluate=evaluate,
@@ -135,14 +128,36 @@ def eigenvalue_count_function(
     )
 
 
-def raw_counting_distribution(
-    rule: LocalRule, C: Colouring, Q: FiniteSet, tau: Optional[float] = None
-) -> StepFunction:
-    """Counting function of H[Q] without shrinking, normalised by k|Q|."""
-    if len(Q) == 0:
-        raise IdsError("empty volume")
-    cf = counting_function(restrict_operator(rule, C, Q), tau)
-    return cf.over(float(rule.k * len(Q)))
+def counting_functions(
+    rule: LocalRule,
+    C: Colouring,
+    sets: Sequence[FiniteSet],
+    tau: Optional[float] = None,
+) -> list[StepFunction]:
+    """The eigenvalue counting function n(H[Q]) of every set Q, unnormalised;
+    an empty set counts 0.
+
+    H[V] is assembled and solved once, for the union V of the sets.  Each
+    H[Q] is its principal restriction: the spectrum of every component of
+    H[V] that lies wholly inside Q is reused, and only the rows of the
+    components that Q cuts are solved.  With ``tau`` None each set clusters
+    with the default tolerance of its own H[Q].
+    """
+    k = rule.k
+    filled = [Q for Q in sets if len(Q)]
+    if filled:
+        whole = restrict_operator(rule, C, functools.reduce(FiniteSet.union, filled))
+        spectrum = component_spectrum(whole)
+    out = []
+    for Q in sets:
+        if len(Q) == 0:
+            out.append(StepFunction.constant(0.0))
+            continue
+        matrix = principal_restriction(whole, Q)
+        at = np.searchsorted(whole.Q.packed, Q.packed)
+        values = np.sort(spectrum.principal(matrix, (k * at[:, None] + np.arange(k)).ravel()))
+        out.append(counting_from_values(values, float(default_tau(matrix) if tau is None else tau)))
+    return out
 
 
 def ids_approximants(
@@ -152,30 +167,17 @@ def ids_approximants(
     tau: Optional[float] = None,
 ) -> list[Union[IdsApproximant, IdsError]]:
     """The IDS approximant n(H[U_R]) / (dim(H) |U_R|) of every volume U, R the
-    rule's range, or the IdsError of a volume whose shrink is empty.
-
-    H[V] is assembled and solved once, for the union V of the shrinks.  Each
-    H[U_R] is its principal restriction: the spectrum of every component of
-    H[V] that lies wholly inside U_R is reused, and only the rows of the
-    components that U_R cuts are solved.  With ``tau`` None each volume
-    clusters with the default tolerance of its own H[U_R].
+    rule's range, or the IdsError of a volume whose shrink is empty.  All the
+    counts come from one assembly and one eigensolve (``counting_functions``).
     """
     R, k = rule.overall_range, rule.k
     inner = [shrink(U, R) for U in volumes]
-    filled = [W for W in inner if len(W)]
-    if filled:
-        whole = restrict_operator(rule, C, functools.reduce(FiniteSet.union, filled))
-        spectrum = component_spectrum(whole)
     out: list[Union[IdsApproximant, IdsError]] = []
-    for U, W in zip(volumes, inner):
+    for U, W, step in zip(volumes, inner, counting_functions(rule, C, inner, tau)):
         if len(W) == 0:
             out.append(IdsError(f"volume of size {len(U)} is empty after shrinking by R={R}"))
-            continue
-        matrix = principal_restriction(whole, W)
-        at = np.searchsorted(whole.Q.packed, W.packed)
-        values = np.sort(spectrum.principal(matrix, (k * at[:, None] + np.arange(k)).ravel()))
-        step = counting_from_values(values, float(default_tau(matrix) if tau is None else tau))
-        out.append(IdsApproximant(step.over(float(k * len(W))), U, W, R, k))
+        else:
+            out.append(IdsApproximant(step.over(float(k * len(W))), U, W, R, k))
     return out
 
 
@@ -287,24 +289,22 @@ def continuity_gap(
     """|Tr f(H[U]) - Tr f(G[U])| / |U| against the bound 2 ||f'|| |B_R| eps.
 
     The entrywise hypothesis |H(x,y) - G(x,y)| <= eps is verified on the
-    assembled restrictions before the eigensolves.
+    dense restrictions before the eigensolves, which read only their entries.
     """
     if rule_h.k != 1 or rule_g.k != 1:
         raise IdsError("continuity bound is formulated for scalar fibres (k=1)")
     if len(U) == 0:
         raise IdsError("empty volume")
-    H = restrict_operator(rule_h, C, U).to_dense()
-    G = restrict_operator(rule_g, C, U).to_dense()
-    max_entry = float(np.abs(H - G).max()) if H.size else 0.0
+    H = restrict_operator(rule_h, C, U)
+    G = restrict_operator(rule_g, C, U)
+    max_entry = float(np.abs(H.to_dense() - G.to_dense()).max())
     if max_entry > epsilon + 1e-12 * max(1.0, epsilon):
         raise EpsilonHypothesisError(
             f"entrywise difference {max_entry} exceeds epsilon {epsilon}"
         )
     R = max(rule_h.overall_range, rule_g.overall_range)
     ball_r = len(rule_h.model.ball(R))
-    ev_h = np.linalg.eigvalsh(H)
-    ev_g = np.linalg.eigvalsh(G)
-    gap = abs(float(f.fn(ev_h).sum()) - float(f.fn(ev_g).sum())) / len(U)
+    gap = abs(float(f.fn(eigenvalues(H)).sum()) - float(f.fn(eigenvalues(G)).sum())) / len(U)
     bound = 2.0 * f.derivative_sup * ball_r * epsilon
     if gap > bound + 1e-10 * max(1.0, bound):
         raise BoundViolation(f"continuity gap {gap} exceeds bound {bound}")

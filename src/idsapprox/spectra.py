@@ -76,25 +76,14 @@ def _symmetric_dense(M) -> np.ndarray:
     return dense
 
 
-def default_tau(M, coo: Optional[tuple] = None) -> float:
+def default_tau(M) -> float:
     """DEFAULT_TAU_SCALE times the norm hint of M, or, without one, times
-    max |A_ij| * dim of its matrix A (``coo``, if given, is ``_symmetric_coo(M)``)."""
+    max |A_ij| * dim of its matrix A."""
     hint = getattr(M, "norm_hint", None)
     if hint is None or hint <= 0:
-        n, _, _, vals = _symmetric_coo(M) if coo is None else coo
+        n, _, _, vals = _symmetric_coo(M)
         hint = float(np.abs(vals).max(initial=0.0)) * n if n else 1.0
     return DEFAULT_TAU_SCALE * max(1.0, float(hint))
-
-
-@dataclass(frozen=True)
-class EigenvalueList:
-    """All eigenvalues with multiplicity, sorted ascending."""
-
-    values: np.ndarray
-    tau: float
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -199,16 +188,13 @@ def component_spectrum(M) -> ComponentSpectrum:
     return _solve(*_symmetric_coo(M))
 
 
-def eigenvalues(M, tau: Optional[float] = None) -> EigenvalueList:
-    """All eigenvalues of a symmetric matrix, with multiplicity.
+def eigenvalues(M) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, with multiplicity, sorted ascending.
 
     M is a RestrictedMatrix or a dense array; the eigensolve reads only its
     nonzero entries.
     """
-    coo = _symmetric_coo(M)
-    if tau is None:
-        tau = default_tau(M, coo)
-    return EigenvalueList(np.sort(_solve(*coo).values), float(tau))
+    return np.sort(component_spectrum(M).values)
 
 
 def cluster_values(values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,21 +220,16 @@ def counting_from_values(values: np.ndarray, tau: float) -> StepFunction:
     return StepFunction.from_jumps(reps, counts.astype(np.float64))
 
 
-def counting_function(M, tau: Optional[float] = None) -> StepFunction:
-    """Cumulative eigenvalue counting function n(M) as a step function."""
-    ev = M if isinstance(M, EigenvalueList) else eigenvalues(M, tau)
-    return counting_from_values(ev.values, ev.tau)
-
-
 def _joint_gap(vals_a: np.ndarray, vals_b: np.ndarray, tau: float) -> int:
     """Max over energies of |n_a - n_b| with both spectra snapped to a joint
-    tau-clustering (floating ties would otherwise produce spurious gaps)."""
+    tau-clustering (floating ties would otherwise produce spurious gaps);
+    both spectra are sorted."""
     reps, _ = cluster_values(np.concatenate([vals_a, vals_b]), tau)
     if reps.size == 0:
         return 0
     edges = (reps[:-1] + reps[1:]) / 2.0 if reps.size > 1 else np.empty(0)
-    cum_a = np.searchsorted(np.sort(vals_a), np.concatenate([edges, [np.inf]]))
-    cum_b = np.searchsorted(np.sort(vals_b), np.concatenate([edges, [np.inf]]))
+    cum_a = np.searchsorted(vals_a, np.concatenate([edges, [np.inf]]))
+    cum_b = np.searchsorted(vals_b, np.concatenate([edges, [np.inf]]))
     return int(np.abs(cum_a - cum_b).max())
 
 
@@ -269,9 +250,7 @@ def rank_perturbation_gap(A, C, tau: Optional[float] = None) -> int:
         raise SpectraError("perturbation must match the matrix dimension")
     if tau is None:
         tau = default_tau(A + C)
-    ev_a = eigenvalues(A, tau).values
-    ev_b = eigenvalues(A + C, tau).values
-    gap = _joint_gap(ev_a, ev_b, tau)
+    gap = _joint_gap(eigenvalues(A), eigenvalues(A + C), tau)
     rank = numerical_rank(C, tau)
     if gap > rank:
         raise BoundViolation(f"counting gap {gap} exceeds rank {rank}")
@@ -288,9 +267,7 @@ def projection_truncation_gap(A, keep: Sequence[int], tau: Optional[float] = Non
     B = A[np.ix_(keep, keep)]
     if tau is None:
         tau = default_tau(A)
-    ev_a = eigenvalues(A, tau).values
-    ev_b = eigenvalues(B, tau).values
-    gap = _joint_gap(ev_a, ev_b, tau)
+    gap = _joint_gap(eigenvalues(A), eigenvalues(B), tau)
     codim = A.shape[0] - keep.size
     if gap > 4 * codim:
         raise BoundViolation(f"truncation gap {gap} exceeds 4*{codim}")
@@ -326,7 +303,7 @@ def quasi_mode_count(
     off = cross - np.diag(np.diag(cross))
     if float(np.abs(off).max()) > ortho_tol * max(1.0, float(norms.max()) ** 2, 1.0):
         raise QuasiModeError("images (A-lam)u_i are not pairwise orthogonal")
-    vals = eigenvalues(A).values
+    vals = eigenvalues(A)
     count = int(((vals > lam - eps) & (vals < lam + eps)).sum())
     if count < m:
         raise BoundViolation(f"only {count} eigenvalues inside the window, need {m}")

@@ -38,11 +38,11 @@ from idsapprox.ids import (
     TestFunction,
     class_counting,
     continuity_gap,
+    counting_functions,
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
     ids_certificate,
-    raw_counting_distribution,
 )
 from idsapprox.operators import (
     adjacency_rule,
@@ -53,6 +53,7 @@ from idsapprox.operators import (
 from idsapprox.spectra import (
     QuasiModeError,
     cluster_values,
+    default_tau,
     eigenvalues,
     projection_truncation_gap,
     quasi_mode_count,
@@ -81,14 +82,12 @@ def test_criterion_1_example_exact_reproduction():
         rule = percolation_rule(z1, C.alphabet, [BLACK])
         third = 1 / 3
         for j in range(1, 51):
-            NU = raw_counting_distribution(
-                rule, C, interval_folner(z1, j, side="positive")
-            )
+            U = interval_folner(z1, j, side="positive")
+            V = interval_folner(z1, j, side="negative")
+            NU, NV = counting_functions(rule, C, [U, V])
+            NU, NV = NU.over(float(len(U))), NV.over(float(len(V)))
             assert list(NU.breakpoints) == [0.0]
             assert list(NU.values) == [1.0]
-            NV = raw_counting_distribution(
-                rule, C, interval_folner(z1, j, side="negative")
-            )
             assert len(NV.breakpoints) == 3
             assert np.abs(NV.breakpoints - np.array([-1.0, 0.0, 1.0])).max() <= 1e-9
             # exact plateau values, evaluated at midpoints of the known gaps
@@ -291,8 +290,8 @@ def test_criterion_9_window_colouring_diagnostic():
         rule = percolation_rule(z1, C.alphabet, [BLACK])
         for j in (34, 40, 50):
             V = interval_folner(z1, j, side="negative")
-            ev = eigenvalues(restrict_operator(rule, C, V))
-            reps, counts = cluster_values(ev.values, ev.tau)
+            M = restrict_operator(rule, C, V)
+            reps, counts = cluster_values(eigenvalues(M), default_tau(M))
             mult = {round(float(r), 6): int(c) for r, c in zip(reps, counts)}
             assert mult[1.0] == 33
             assert mult[-1.0] == 33

@@ -61,6 +61,16 @@ def test_schema_rejects_bad_config(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["path"] == path
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    directory = tmp_path / "config_dir"
+    directory.mkdir()
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe")  # not UTF-8
+    for path in (directory, undecodable):
+        assert run(["ids", "--config", path, "--out", tmp_path / "out"]) == 2
+        assert json.loads(capsys.readouterr().err)["path"] == "$"
+
+
 def test_preset_rejects_non_finite_numbers(tmp_path, capsys, monkeypatch):
     text = cli._preset_text("example4_1").replace('"tile_n"', '"tolerance": -Infinity, "tile_n"')
     monkeypatch.setattr(cli, "_preset_text", lambda name: text)
@@ -505,7 +515,7 @@ def test_continuity_command(tmp_path):
 
 
 def test_continuity_rejects_oversized_restriction(tmp_path, capsys):
-    # the H3 tile of side 20 has 20^4 points: too many for dense eigensolves
+    # the H3 tile of side 20 has 20^4 points: too many for the dense hypothesis check
     assert run(["continuity", "--preset", "h3_adjacency", "--out", tmp_path / "out"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["path"] == "$.volume_side"
@@ -935,6 +945,21 @@ def test_ids_assembles_and_solves_each_side_once(tmp_path, monkeypatch):
     # solve only the clusters that their edge cuts
     assert assembled == [max(sizes)] == solved[:1]
     assert sum(solved) < sum(sizes)
+
+
+def test_ids_counts_of_every_side_come_from_two_assemblies(tmp_path, monkeypatch):
+    from idsapprox import ids
+
+    real, assembled = ids.restrict_operator, []
+
+    def count_assembly(rule, C, Q):
+        assembled.append(len(Q))
+        return real(rule, C, Q)
+
+    monkeypatch.setattr(ids, "restrict_operator", count_assembly)
+    assert run(["ids", "--preset", "example4_1", "--out", tmp_path / "out"]) == 0
+    # per side: the union of the shrinks (approximants) and of the volumes (raw counts)
+    assert len(assembled) == 4
 
 
 def test_empirical_frequencies_reuse_the_reference_spectrum(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from idsapprox.colouring import (
     frequency_deviation,
     occurring_pattern_spectrum,
 )
-from idsapprox.spectra import counting_function
+from idsapprox.spectra import counting_from_values, default_tau, eigenvalues
 from idsapprox.ergodic import (
     StepFunction,
     check_almost_additive,
@@ -36,12 +36,12 @@ from idsapprox.ids import (
     IdsError,
     TestFunction,
     continuity_gap,
+    counting_functions,
     eigenvalue_count_function,
     frequency_side_ids,
     ids_approximant,
     ids_approximants,
     ids_certificate,
-    raw_counting_distribution,
 )
 from idsapprox.operators import (
     adjacency_rule,
@@ -119,20 +119,71 @@ def test_approximants_equal_one_solve_per_volume(z1, z2, h3):
                             ids_approximant(rule, C, U, tau)
                         assert isinstance(ap, IdsError) and str(ap) == str(exc.value)
                         continue
-                    want = counting_function(restrict_operator(rule, C, inner), tau).over(float(k * len(inner)))
+                    M = restrict_operator(rule, C, inner)
+                    want = counting_from_values(eigenvalues(M), default_tau(M) if tau is None else tau)
+                    want = want.over(float(k * len(inner)))
                     assert ap.shrunk == inner and ap.volume == U
                     assert np.array_equal(ap.step.breakpoints, want.breakpoints)
                     assert np.array_equal(ap.step.values, want.values) and ap.step.base == want.base
 
 
+def counting_cases(z1, z2, h3):
+    """(rule, colouring, Q1, Q2) with Q2 disjoint from Q1."""
+    perc = PercolationColouring(z2, Alphabet(("a", "b")), seed=11)
+    tile, cube = folner_set(z2, 8).tile, folner_set(h3, 3).tile
+    yield chain_rule(z1, 0.5), TrivialColouring(z1), interval(z1, 0, 9), interval(z1, 20, 26)
+    yield percolation_rule(z2, perc.alphabet, ["a"]), perc, tile, tile.right_translate((30, 0))
+    yield adjacency_rule(h3), TrivialColouring(h3), cube, cube.right_translate((20, 0, 0))
+
+
+def test_counting_functions_assemble_once_and_match_dense_solves(monkeypatch, z1, z2, h3):
+    from idsapprox import ids
+
+    real, assembled = ids.restrict_operator, []
+
+    def count_assembly(rule, C, Q):
+        assembled.append(len(Q))
+        return real(rule, C, Q)
+
+    for rule, C, Q1, Q2 in counting_cases(z1, z2, h3):
+        assert np.intersect1d(Q1.packed, Q2.packed).size == 0
+        sets = [Q1, FiniteSet(rule.model, []), Q2, Q1]
+        with monkeypatch.context() as m:
+            m.setattr(ids, "restrict_operator", count_assembly)
+            got = counting_functions(rule, C, sets)
+        assert assembled == [len(Q1) + len(Q2)]
+        assembled.clear()
+        assert got[1].breakpoints.size == 0 and got[1].base == 0.0
+        for Q, step in zip(sets, got):
+            if len(Q) == 0:
+                continue
+            M = real(rule, C, Q)
+            tau = default_tau(M)
+            oracle = counting_from_values(np.linalg.eigvalsh(M.to_dense()), tau)
+            assert np.array_equal(step.values, oracle.values) and step.base == oracle.base
+            assert np.allclose(step.breakpoints, oracle.breakpoints, rtol=0.0, atol=tau)
+
+
+def test_set_function_evaluates_through_counting_functions(z1, z2, h3):
+    for rule, C, Q1, Q2 in counting_cases(z1, z2, h3):
+        F = eigenvalue_count_function(rule, C)
+        for Q in (Q1, Q2, FiniteSet(rule.model, [])):
+            (want,) = counting_functions(rule, C, [shrink(Q, rule.overall_range)])
+            got = F.evaluate(Q)
+            assert np.array_equal(got.breakpoints, want.breakpoints)
+            assert np.array_equal(got.values, want.values) and got.base == want.base
+
+
 def test_example_tables(z1):
+    # n(H[Q]) / |Q| without the shrink: all white on U_j, the 3-periodic
+    # table on V_j
     C, rule = half_line_setup(z1)
     for j in (1, 7, 25):
         U = interval_folner(z1, j, side="positive")
-        assert sup_distance(raw_counting_distribution(rule, C, U), N_STEP0) == 0.0
         V = interval_folner(z1, j, side="negative")
-        NVj = raw_counting_distribution(rule, C, V)
-        assert sup_distance(NVj, N_V) < 1e-12
+        NU, NV = counting_functions(rule, C, [U, V])
+        assert sup_distance(NU.over(float(len(U))), N_STEP0) == 0.0
+        assert sup_distance(NV.over(float(len(V))), N_V) < 1e-12
 
 
 def test_shrunk_approximant_exact_on_positive_side(z1):
@@ -336,6 +387,30 @@ def test_continuity_gap_examples(z2):
         assert a.bound == pytest.approx(10 * b.bound)
 
 
+def test_continuity_solves_through_the_component_split(monkeypatch, z2):
+    from idsapprox import spectra
+
+    # horizontal hops only: H[U] and G[U] split into the 12 rows of the box
+    H = offset_table_rule(z2, {(0, 0): 0.3, (1, 0): 1.0, (-1, 0): 1.0})
+    G = offset_table_rule(z2, {(0, 0): 0.3, (1, 0): 1.05, (-1, 0): 1.05})
+    C, U, f = TrivialColouring(z2), folner_set(z2, 12).tile, TestFunction.bump(halfwidth=3.0)
+    assert len(U) == 144
+    assert np.unique(spectra.component_spectrum(restrict_operator(H, C, U)).label).size == 12
+    real, solved = spectra._solve, []
+
+    def count_solve(n, *args):
+        solved.append(n)
+        return real(n, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_solve", count_solve)
+        res = continuity_gap(H, G, C, 0.05, f, U)
+    assert solved == [144, 144]
+    ev_h, ev_g = (np.linalg.eigvalsh(restrict_operator(r, C, U).to_dense()) for r in (H, G))
+    oracle = abs(float(f.fn(ev_h).sum()) - float(f.fn(ev_g).sum())) / len(U)
+    assert abs(res.gap - oracle) <= 1e-12
+
+
 def test_continuity_hypothesis_enforced(z2):
     C = TrivialColouring(z2)
     H = offset_table_rule(z2, {(0, 0): 0.0, (1, 0): 1.0, (-1, 0): 1.0})
@@ -378,13 +453,11 @@ def test_volume_averages_within_certificate_budget(h3):
 def test_path_graph_closed_form_eigenvalues(z1):
     # independent oracle: the path graph on m vertices has eigenvalues
     # 2 cos(k pi / (m+1)), k = 1..m
-    from idsapprox.spectra import eigenvalues
-
     C = TrivialColouring(z1)
     rule = adjacency_rule(z1)
     for m in (5, 60, 301):
         Q = FiniteSet(z1, [(i,) for i in range(m)])
-        vals = eigenvalues(restrict_operator(rule, C, Q)).values
+        vals = eigenvalues(restrict_operator(rule, C, Q))
         expected = np.sort(2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1)))
         assert float(np.abs(vals - expected).max()) <= 1e-9
 

@@ -26,7 +26,7 @@ from idsapprox.spectra import (
     cluster_values,
     component_spectrum,
     counting_from_values,
-    counting_function,
+    default_tau,
     eigenvalues,
     numerical_rank,
     projection_truncation_gap,
@@ -42,7 +42,7 @@ def sym(rng, n, scale=1.0):
 
 
 def test_two_by_two_swap():
-    vals = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).values
+    vals = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
 
 
@@ -51,8 +51,8 @@ def test_example_block_multiplicities(z1):
     rule = percolation_rule(z1, C.alphabet, [BLACK])
     for j in (2, 5, 9):
         V = interval_folner(z1, j, side="negative")
-        ev = eigenvalues(restrict_operator(rule, C, V))
-        reps, counts = cluster_values(ev.values, ev.tau)
+        M = restrict_operator(rule, C, V)
+        reps, counts = cluster_values(eigenvalues(M), default_tau(M))
         assert np.allclose(reps, [-1.0, 0.0, 1.0], atol=1e-9)
         assert list(counts) == [j, j, j]
 
@@ -60,7 +60,7 @@ def test_example_block_multiplicities(z1):
 def test_dense_residual_oracle():
     rng = random.Random(13)
     A = sym(rng, 30)
-    ours = eigenvalues(A).values
+    ours = eigenvalues(A)
     w, V = np.linalg.eigh(A)
     assert np.allclose(np.sort(w), ours, atol=1e-10)
     scale = np.linalg.norm(A, 2)
@@ -70,7 +70,8 @@ def test_dense_residual_oracle():
 
 
 def test_counting_zero_matrix():
-    cf = counting_function(np.zeros((6, 6)))
+    A = np.zeros((6, 6))
+    cf = counting_from_values(eigenvalues(A), default_tau(A))
     assert cf(-1e-12) == 0.0
     assert cf(0.0) == 6.0
     assert cf.terminal_value == 6.0
@@ -80,7 +81,8 @@ def test_counting_example_v2(z1):
     C = HalfLineMod3(z1)
     rule = percolation_rule(z1, C.alphabet, [BLACK])
     V2 = interval_folner(z1, 2, side="negative")
-    cf = counting_function(restrict_operator(rule, C, V2))
+    M = restrict_operator(rule, C, V2)
+    cf = counting_from_values(eigenvalues(M), default_tau(M))
     assert cf(-1.0) == 2.0 and cf(-0.5) == 2.0
     assert cf(0.0) == 4.0
     assert cf(1.0) == 6.0
@@ -90,17 +92,17 @@ def test_counting_matches_tally_oracle():
     rng = random.Random(14)
     A = sym(rng, 25)
     ev = eigenvalues(A)
-    cf = counting_function(ev)
+    cf = counting_from_values(ev, default_tau(A))
     for _ in range(100):
         E = rng.uniform(-30, 30)
-        assert cf(E) == float(np.sum(ev.values <= E))
+        assert cf(E) == float(np.sum(ev <= E))
 
 
 def test_counting_is_monotone_with_full_mass():
     rng = random.Random(15)
     for _ in range(10):
         A = sym(rng, rng.randint(2, 20))
-        cf = counting_function(A)
+        cf = counting_from_values(eigenvalues(A), default_tau(A))
         assert cf.terminal_value == A.shape[0]
         vals = np.concatenate([[cf.base], cf.values])
         assert np.all(np.diff(vals) > 0)
@@ -245,7 +247,7 @@ def test_permutation_invariance_of_spectrum():
     rng.shuffle(perm)
     P = np.eye(18)[perm]
     ev_p = eigenvalues(P @ A @ P.T)
-    assert float(np.abs(ev.values - ev_p.values).max()) <= ev.tau
+    assert float(np.abs(ev - ev_p).max()) <= default_tau(A)
 
 
 def test_nonsymmetric_rejected():
@@ -265,14 +267,14 @@ def test_numerical_rank():
 def assert_matches_dense(M, A):
     """eigenvalues(M) agrees with eigvalsh of the dense A within tau, with an
     equal counting function."""
-    ev = eigenvalues(M)
+    ev, tau = eigenvalues(M), default_tau(M)
     ref = np.linalg.eigvalsh(A) if A.size else np.empty(0)
-    assert ev.values.shape == ref.shape
-    assert float(np.abs(ev.values - ref).max(initial=0.0)) <= ev.tau
-    ours = counting_function(ev)
-    oracle = counting_from_values(ref, ev.tau)
+    assert ev.shape == ref.shape
+    assert float(np.abs(ev - ref).max(initial=0.0)) <= tau
+    ours = counting_from_values(ev, tau)
+    oracle = counting_from_values(ref, tau)
     assert np.array_equal(ours.values, oracle.values)
-    assert np.allclose(ours.breakpoints, oracle.breakpoints, rtol=0.0, atol=ev.tau)
+    assert np.allclose(ours.breakpoints, oracle.breakpoints, rtol=0.0, atol=tau)
 
 
 def permuted_block_diagonal(rng, sizes, copies):
@@ -326,7 +328,7 @@ def test_component_spectrum_names_each_value_and_row(z2):
     M = restrict_operator(percolation_rule(z2, C.alphabet, ["open"]), C, folner_set(z2, 9).tile)
     for matrix, dense in ((A, A), (scipy.sparse.block_diag([A, B]).toarray(),) * 2, (M, M.to_dense())):
         spec = component_spectrum(matrix)
-        assert np.array_equal(np.sort(spec.values), eigenvalues(matrix).values)
+        assert np.array_equal(np.sort(spec.values), eigenvalues(matrix))
         _, comp = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(dense), directed=False)
         for c in np.unique(comp):
             rows = np.flatnonzero(comp == c)
@@ -336,9 +338,10 @@ def test_component_spectrum_names_each_value_and_row(z2):
 
 
 def test_split_empty_matrix():
-    ev = eigenvalues(np.zeros((0, 0)))
-    assert len(ev) == 0 and ev.tau > 0
-    assert counting_function(ev).terminal_value == 0.0
+    A = np.zeros((0, 0))
+    ev, tau = eigenvalues(A), default_tau(A)
+    assert len(ev) == 0 and tau > 0
+    assert counting_from_values(ev, tau).terminal_value == 0.0
 
 
 def test_split_rejects_nonsymmetric():
@@ -374,9 +377,9 @@ def assert_chiral_matches_dense(monkeypatch, M, A):
     equal lengths, max |difference| <= tau, equal clustered multiplicities."""
     assert set(solver_calls(monkeypatch, M)) == {"svd"}
     assert_matches_dense(M, A)
-    ev = eigenvalues(M)
+    ev, tau = eigenvalues(M), default_tau(M)
     ref = np.linalg.eigvalsh(A) if A.size else np.empty(0)
-    assert np.array_equal(cluster_values(ev.values, ev.tau)[1], cluster_values(ref, ev.tau)[1])
+    assert np.array_equal(cluster_values(ev, tau)[1], cluster_values(ref, tau)[1])
 
 
 def random_bipartite(rng, p, q, density=0.3):
@@ -408,14 +411,14 @@ def test_chiral_random_signed_weights_and_unequal_sides(monkeypatch):
     star = np.zeros((6, 6))
     star[0, 1:] = star[1:, 0] = 1.0
     assert_chiral_matches_dense(monkeypatch, star, star)
-    reps, counts = cluster_values(eigenvalues(star).values, 1e-9)
+    reps, counts = cluster_values(eigenvalues(star), 1e-9)
     assert np.allclose(reps, [-np.sqrt(5.0), 0.0, np.sqrt(5.0)], atol=1e-12)
     assert counts.tolist() == [1, 4, 1]
 
 
 def test_chiral_isolated_vertices_call_no_solver(monkeypatch):
     assert solver_calls(monkeypatch, np.zeros((7, 7))) == []
-    assert np.array_equal(eigenvalues(np.zeros((7, 7))).values, np.zeros(7))
+    assert np.array_equal(eigenvalues(np.zeros((7, 7))), np.zeros(7))
     # isolated vertices beside a path and a star
     A = np.zeros((12, 12))
     A[2, 3] = A[3, 2] = A[3, 4] = A[4, 3] = 1.5
