@@ -37,7 +37,6 @@ from .colouring import (
     PercolationFrequencies,
     PeriodicFoldColouring,
     TrivialColouring,
-    TrivialFrequencies,
     canonicalize,
     empirical_frequency,
     frequency_deviation,

@@ -554,10 +554,8 @@ class TilingSpec:
         self._bounding_diameter: Optional[int] = None
         if isinstance(model, Heisenberg3):
             sides = [n, n, n * n]
-            self.grid_description = f"{{(a,b,c) | a,b in {n}Z, c in {n * n}Z}}"
         elif isinstance(model, FreeAbelian):
             sides = [n] * model.dim
-            self.grid_description = f"({n}Z)^{model.dim}"
             self._bounding_diameter = model.dim * n
         else:
             raise GroupModelError("tilings are provided for Z^d and H3 only")

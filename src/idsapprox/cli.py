@@ -154,9 +154,9 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
         make = sides[side]
         volumes = {j: make(j) for j in js}
         freq_spec = cfg.raw.get("frequencies", {})
-        ref_j = int(freq_spec.get("reference_j", max(js)))
+        ref_j = freq_spec.get("reference_j", max(js))
         reference = volumes.get(ref_j) or make(ref_j)
-        freqs = cfg.frequency_provider(model, colouring, reference)
+        freqs = cfg.frequency_provider(colouring, reference)
 
         approx = {}
         for j, ap in zip(js, ids_approximants(rule, colouring, [volumes[j] for j in js], tau)):
@@ -187,7 +187,7 @@ def cmd_ids(cfg: RunConfig, outdir: Path) -> None:
                 if cfg.raw["group"] == "zd":
                     # cube-shell weakening of the tile term; display only, the
                     # weakened Folner coefficient does not dominate in general
-                    d = int(cfg.raw["d"])
+                    d = cfg.raw["d"]
                     R = rule.overall_range
                     row["weak_tile_term"] = 8.0 * ((1 + 4 * R / spec.n) ** d - 1)
                     row["weak_folner_coeff"] = 1.0 + 4.0 * (2 * R) ** d
@@ -277,10 +277,10 @@ def cmd_percolation(cfg: RunConfig, outdir: Path) -> None:
     if cfg.raw["colouring"]["kind"] != "percolation":
         raise ConfigError("$.colouring.kind", "percolation needs a percolation colouring")
     model = cfg.model()
-    seeds = [int(s) for s in cfg.raw.get("seeds", [0])]
-    window_side = int(cfg.raw.get("freq_window", 100))
+    seeds = cfg.raw.get("seeds", [cfg.raw["colouring"]["seed"]])
+    window_side = cfg.raw.get("freq_window", 100)
     check_set_size("$.freq_window", window_side, tile_points(cfg.raw, window_side))  # the default too
-    max_domain = int(cfg.raw.get("freq_max_domain", 3))
+    max_domain = cfg.raw.get("freq_max_domain", 3)
     window = folner_set(model, window_side).tile
     # one set per volume and tile, so each keeps its shrinks across seeds
     volumes = {j: folner_set(model, j).tile for j in cfg.folner_indices()}
@@ -361,8 +361,8 @@ def _seeded_symmetric_tables(model, seed: int) -> tuple[dict, dict]:
 def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
     model = cfg.model()
     colouring = cfg.colouring(model)
-    side = int(cfg.raw.get("volume_side", 20))
-    seed = int(cfg.raw.get("kernel_seed", 1))
+    side = cfg.raw.get("volume_side", 20)
+    seed = cfg.raw.get("kernel_seed", 1)
     base, unit = _seeded_symmetric_tables(model, seed)
     rule_h = offset_table_rule(model, base, name="H")
     dim = rule_h.k * tile_points(cfg.raw, side)  # checked before the volume is built

@@ -95,6 +95,10 @@ class Colouring:
 
 
 class TrivialColouring(Colouring):
+    """One symbol everywhere: the i.i.d. colouring of a one-symbol alphabet."""
+
+    weights = (Fraction(1),)
+
     def __init__(self, model: GroupModel, symbol: str = "o") -> None:
         self.model = model
         self.symbol = symbol
@@ -506,30 +510,12 @@ class FrequencyProvider:
         raise NotImplementedError
 
 
-class TrivialFrequencies(FrequencyProvider):
-    """Frequencies of the one-colour alphabet: 1 for every realizable pattern."""
-
-    def __init__(self, model: GroupModel, symbol: str = "o") -> None:
-        self.model = model
-        self.symbol = symbol
-
-    def frequency(self, cls: PatternClass) -> Fraction:
-        ok = bool((cls.canonical.symbols == self.symbol).all())
-        return Fraction(1) if ok else Fraction(0)
-
-    def total_mass(self, tile: FiniteSet) -> Fraction:
-        return Fraction(1)
-
-    def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
-        cls, d_shift = canonicalize_with_shift(_pattern(tile, np.full(len(tile), self.symbol)))
-        return [(cls, d_shift)]
-
-
 class PercolationFrequencies(FrequencyProvider):
     """Analytic i.i.d. frequencies: the product of the site weights, kept on
-    the class."""
+    the class.  A symbol outside the alphabet has weight 0.  The trivial
+    colouring is the one-symbol case, weight 1."""
 
-    def __init__(self, colouring: PercolationColouring) -> None:
+    def __init__(self, colouring: PercolationColouring | TrivialColouring) -> None:
         self.colouring = colouring
         symbols, weights = colouring.alphabet.symbols, colouring.weights
         self._weight = {s: (w.numerator, w.denominator) for s, w in zip(symbols, weights)}
@@ -537,7 +523,7 @@ class PercolationFrequencies(FrequencyProvider):
     def frequency(self, cls: PatternClass) -> Fraction:
         if cls._frequency is None or cls._frequency[0] is not self:
             # one Fraction from the products of the numerators and denominators
-            weights = [self._weight[s] for s in cls.canonical.symbols.tolist()]
+            weights = [self._weight.get(s, (0, 1)) for s in cls.canonical.symbols.tolist()]
             num, den = (math.prod(w[i] for w in weights) for i in (0, 1))
             cls._frequency = (self, Fraction(num, den))
         return cls._frequency[1]
@@ -546,10 +532,14 @@ class PercolationFrequencies(FrequencyProvider):
         return Fraction(1)
 
     def occurring(self, tile: FiniteSet) -> list[tuple[PatternClass, Element]]:
-        raise FrequencyProviderError(
-            "analytic percolation frequencies do not enumerate occurring classes; "
-            "use EmpiricalFrequencies for approximants"
-        )
+        """The one class of positive frequency when one symbol has positive weight."""
+        live = [s for s, (num, _) in self._weight.items() if num]
+        if len(live) != 1:
+            raise FrequencyProviderError(
+                "analytic percolation frequencies do not enumerate occurring classes; "
+                "use EmpiricalFrequencies for approximants"
+            )
+        return [canonicalize_with_shift(_pattern(tile, np.full(len(tile), live[0])))]
 
 
 class EmpiricalFrequencies(FrequencyProvider):

@@ -21,7 +21,6 @@ from .colouring import (
     PercolationFrequencies,
     PeriodicFoldColouring,
     TrivialColouring,
-    TrivialFrequencies,
 )
 from .operators import LocalRule, adjacency_rule, laplacian_rule, offset_table_rule, percolation_rule
 
@@ -182,6 +181,18 @@ def validate_config(obj: dict) -> None:
         check_set_size(path, n, points(int(n)))
 
 
+def _integral(schema: dict, value):
+    """A copy of the validated ``value`` in which every integral float at an
+    "integer" node of ``schema`` is an int."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict) and "properties" in schema:
+        return {k: _integral(schema["properties"].get(k, {}), v) for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integral(schema["items"], v) for v in value]
+    return value
+
+
 def tile_points(obj: dict, n: int) -> int:
     """|Q_n| on the group of a validated config: n^4 on H3, n^d on Z^d."""
     return n**4 if obj["group"] == "h3" else n ** int(obj["d"])
@@ -204,14 +215,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         validate_config(obj)
-        return cls(raw=obj, tolerance=obj.get("tolerance"))
+        return cls(raw=_integral(SCHEMA, obj), tolerance=obj.get("tolerance"))
 
     # -- constructors ---------------------------------------------------------
 
     def model(self) -> GroupModel:
         if self.raw["group"] == "h3":
             return Heisenberg3()
-        return FreeAbelian(int(self.raw["d"]))
+        return FreeAbelian(self.raw["d"])
 
     def colouring(self, model: GroupModel, seed_override: Optional[int] = None) -> Colouring:
         spec = self.raw["colouring"]
@@ -269,7 +280,7 @@ class RunConfig:
         folner = self.raw.get("folner", {"kind": "tiles"})
         if folner.get("kind", "tiles") == "tiles":
             return {"tiles": lambda j: folner_set(model, j).tile}
-        scale = int(folner.get("scale", 3))
+        scale = folner.get("scale", 3)
         return {
             side: (lambda j, s=side: interval_folner(model, j, scale=scale, side=s))
             for side in folner.get("sides", ["positive"])
@@ -284,27 +295,18 @@ class RunConfig:
     def tiling_specs(self, model: GroupModel) -> list[TilingSpec]:
         return [folner_set(model, n) for n in self.tile_indices()]
 
-    def frequency_provider(
-        self,
-        model: GroupModel,
-        colouring: Colouring,
-        reference: FiniteSet,
-    ) -> FrequencyProvider:
-        spec = self.raw.get("frequencies", {"kind": "auto"})
-        kind = spec.get("kind", "auto")
-        if kind == "auto":
-            analytic = isinstance(colouring, (TrivialColouring, PercolationColouring))
-            kind = "analytic" if analytic else "empirical"
-        if kind == "analytic":
-            if isinstance(colouring, TrivialColouring):
-                return TrivialFrequencies(model, colouring.symbol)
-            if isinstance(colouring, PercolationColouring):
-                return PercolationFrequencies(colouring)
+    def frequency_provider(self, colouring: Colouring, reference: FiniteSet) -> FrequencyProvider:
+        kind = self.raw.get("frequencies", {}).get("kind", "auto")
+        # the trivial colouring is the one-symbol i.i.d. colouring
+        analytic = isinstance(colouring, (TrivialColouring, PercolationColouring))
+        if kind == "empirical" or (kind == "auto" and not analytic):
+            return EmpiricalFrequencies(colouring, reference)
+        if not analytic:
             raise ConfigError(
                 "$.frequencies.kind",
                 f"no analytic frequencies for colouring {colouring.describe()}",
             )
-        return EmpiricalFrequencies(colouring, reference)
+        return PercolationFrequencies(colouring)
 
 
 @contextmanager

@@ -29,8 +29,8 @@ from idsapprox.colouring import (
     HalfLineMod3Window,
     PercolationColouring,
     Pattern,
+    PercolationFrequencies,
     TrivialColouring,
-    TrivialFrequencies,
     empirical_frequency,
 )
 from idsapprox.ergodic import StepFunction, delta_estimate, measured_delta, sup_distance
@@ -145,7 +145,7 @@ def test_criterion_4_certificate_validity_h3():
         h3 = Heisenberg3()
         C = TrivialColouring(h3)
         rule = adjacency_rule(h3)
-        freqs = TrivialFrequencies(h3, C.symbol)
+        freqs = PercolationFrequencies(C)
         F = eigenvalue_count_function(rule, C)
         assert F.bounded_const == 1.0
         assert F.boundary_const == 4.0 * len(h3.ball(1))

@@ -11,7 +11,9 @@ import pytest
 import idsapprox
 from idsapprox import cli, config
 from idsapprox.cli import main
-from idsapprox.config import SCHEMA, ConfigError, schema_errors, validate_config
+from idsapprox.cayley import FreeAbelian, folner_set
+from idsapprox.colouring import PercolationFrequencies
+from idsapprox.config import SCHEMA, ConfigError, RunConfig, schema_errors, validate_config
 from idsapprox.ergodic import StepFunction
 
 
@@ -478,6 +480,69 @@ def small_percolation_config(tmp_path, seeds=(1, 2, 3), window=40):
     p = tmp_path / "perc_cfg.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+def _tree(out: Path) -> dict:
+    return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    # JSON Schema counts 3.0 as an integer; every command reads it as 3
+    ints = {
+        "group": "zd",
+        "d": 2,
+        "colouring": {"kind": "trivial"},
+        "operator": {"kind": "adjacency"},
+        "folner_j": [3, 4],
+        "tile_n": [1, 2],
+    }
+    floats = {**ints, "d": 2.0, "folner_j": [3.0, 4], "tile_n": [1.0, 2]}
+    perc = json.loads(read(small_percolation_config(tmp_path, window=6)))
+    del perc["seeds"]  # the colouring seed is run
+    perc["colouring"]["seed"] = 3
+    perc_floats = {**perc, "colouring": {**perc["colouring"], "seed": 3.0}, "freq_window": 6.0}
+    cases = [("ids", floats, ints), ("folner-audit", floats, ints), ("percolation", perc_floats, perc)]
+    for command, with_floats, with_ints in cases:
+        trees = []
+        for name, cfg in (("floats", with_floats), ("ints", with_ints)):
+            p = tmp_path / f"{command}_{name}.json"
+            p.write_text(json.dumps(cfg))
+            out = tmp_path / command / name
+            assert run([command, "--config", p, "--out", out]) == 0
+            trees.append(_tree(out))
+        assert trees[0] == trees[1], command
+    assert "approximant_tiles_j3.csv" in _tree(tmp_path / "ids" / "floats")
+    assert "approximant_seed3_j6.csv" in _tree(tmp_path / "percolation" / "floats")
+
+
+def test_percolation_runs_the_colouring_seed_without_seeds(tmp_path):
+    cfg = json.loads(read(small_percolation_config(tmp_path, window=10)))
+    del cfg["seeds"]
+    cfg["colouring"]["seed"] = 3
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["percolation", "--config", p, "--out", tmp_path / "default"]) == 0
+    assert [f.name for f in (tmp_path / "default").glob("approximant_*")] == ["approximant_seed3_j6.csv"]
+    # --seed overrides it, as a one-seed ``seeds`` list would
+    assert run(["percolation", "--config", p, "--seed", 5, "--out", tmp_path / "flag"]) == 0
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({**cfg, "seeds": [5]}))
+    assert run(["percolation", "--config", listed, "--out", tmp_path / "listed"]) == 0
+    assert _tree(tmp_path / "flag") == _tree(tmp_path / "listed")
+
+
+def test_trivial_colouring_has_the_analytic_provider():
+    base = {"group": "zd", "d": 1, "colouring": {"kind": "trivial"}, "operator": {"kind": "adjacency"}}
+    model = FreeAbelian(1)
+    U = folner_set(model, 4).tile
+    for kind in ("auto", "analytic"):
+        cfg = RunConfig.from_dict({**base, "frequencies": {"kind": kind}})
+        assert isinstance(cfg.frequency_provider(cfg.colouring(model), U), PercolationFrequencies)
+    halfline = {**base, "colouring": {"kind": "halfline_mod3"}, "frequencies": {"kind": "analytic"}}
+    cfg = RunConfig.from_dict(halfline)
+    with pytest.raises(ConfigError) as exc:
+        cfg.frequency_provider(cfg.colouring(model), U)
+    assert exc.value.path == "$.frequencies.kind"
 
 
 def test_percolation_command_small(tmp_path):

@@ -39,7 +39,6 @@ from idsapprox.colouring import (
     PeriodicFoldColouring,
     PercolationFrequencies,
     TrivialColouring,
-    TrivialFrequencies,
     WHITE,
     _DIGEST_BLOCK,
     _INTERNED_SITES,
@@ -292,7 +291,7 @@ def test_spectrum_witness_realises_class(z2):
 def test_deviation_trivial_colouring(z1):
     # nu = 1: deviation equals 1 - |positions|/|U| and respects the folner bound
     triv = TrivialColouring(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(triv)
     spec = folner_set(z1, 3)
     for j in (6, 10, 15):
         U = folner_set(z1, j).tile
@@ -346,14 +345,14 @@ def test_deviation_percolation_small(z2):
 
 
 def test_deviation_rejects_inconsistent_provider(z1):
-    class Bad(TrivialFrequencies):
+    class Bad(PercolationFrequencies):
         def total_mass(self, tile):
             return Fraction(-1)
 
     triv = TrivialColouring(z1)
     with pytest.raises(FrequencyProviderError):
         frequency_deviation(
-            triv, folner_set(z1, 2).tile, interval(z1, 0, 9), Bad(z1, "o")
+            triv, folner_set(z1, 2).tile, interval(z1, 0, 9), Bad(triv)
         )
 
 
@@ -388,7 +387,7 @@ def test_deviation_matches_fraction_loop(seed):
             U = random_subset(model, rng, radius=3, size=pool - rng.randint(0, 6))
             reference = random_subset(model, rng, radius=3, size=pool - rng.randint(0, 6))
             cases = [
-                (TrivialColouring(model), TrivialFrequencies(model, "o")),
+                (TrivialColouring(model), PercolationFrequencies(TrivialColouring(model))),
                 (perc, PercolationFrequencies(perc)),
                 (perc, EmpiricalFrequencies(perc, reference)),
                 (perc, EmpiricalFrequencies(perc, U)),  # the provider's own spectrum
@@ -675,8 +674,9 @@ def test_classes_are_one_object_per_class(z2):
     assert hash(cls) == hash(PatternClass(cls.canonical))
     # one colour: the spectrum and the trivial provider's classes
     single = occurring_pattern_spectrum(TrivialColouring(z2, "o"), tile, U)
-    assert list(single) == [TrivialFrequencies(z2, "o").occurring(FiniteSet(z2, tile))[0][0]]
-    assert list(single)[0] is TrivialFrequencies(z2, "o").occurring(tile)[0][0]
+    trivial = PercolationFrequencies(TrivialColouring(z2, "o"))
+    assert list(single) == [trivial.occurring(FiniteSet(z2, tile))[0][0]]
+    assert list(single)[0] is trivial.occurring(tile)[0][0]
 
 
 def test_percolation_frequency_is_the_weight_product(z1):
@@ -693,6 +693,34 @@ def test_percolation_frequency_is_the_weight_product(z1):
         # kept on the class, for the provider that computed it
         assert freqs.frequency(cls) is freqs.frequency(cls)
         assert PercolationFrequencies(C).frequency(cls) == product
+
+
+def test_trivial_colouring_is_the_one_symbol_product_measure(z1, z2, h3):
+    # the analytic provider of the trivial colouring: the all-"o" class has
+    # frequency 1, a class with another symbol 0, and it is the one class that
+    # occurs, witnessed at the greatest tile element
+    for model in (z1, z2, h3):
+        freqs = PercolationFrequencies(TrivialColouring(model))
+        for n in (1, 2, 3):
+            tile = folner_set(model, n).tile
+            cls = canonicalize(Pattern(tile, {g: "o" for g in tile}))
+            other = canonicalize(Pattern(tile, {g: "x" if g == max(tile) else "o" for g in tile}))
+            assert freqs.frequency(cls) == 1 and freqs.frequency(other) == 0
+            assert freqs.total_mass(tile) == 1
+            [(got, witness)] = freqs.occurring(tile)
+            assert got is cls and witness == max(tile)
+
+
+def test_percolation_occurring_needs_one_positive_weight(z2):
+    alphabet = Alphabet(("open", "closed"))
+    tile = folner_set(z2, 2).tile
+    for weights, symbol in (((1, 0), "open"), ((0, 1), "closed")):
+        C = PercolationColouring(z2, alphabet, seed=1, weights=[Fraction(w) for w in weights])
+        cls = canonicalize(Pattern(tile, {g: symbol for g in tile}))
+        assert PercolationFrequencies(C).occurring(tile) == [(cls, max(tile))]
+    C = PercolationColouring(z2, alphabet, seed=1, weights=[Fraction(1, 2)] * 2)
+    with pytest.raises(FrequencyProviderError):
+        PercolationFrequencies(C).occurring(tile)
 
 
 def test_interned_classes_are_bounded(z2):

@@ -7,9 +7,9 @@ from idsapprox.cayley import FiniteSet, folner_set, interval_folner
 from idsapprox.colouring import (
     EmpiricalFrequencies,
     HalfLineMod3,
+    PercolationFrequencies,
     PeriodicFoldColouring,
     TrivialColouring,
-    TrivialFrequencies,
 )
 from idsapprox.ergodic import (
     AlmostAdditive,
@@ -136,7 +136,7 @@ def test_zero_operator_counting_average(z1):
 
 def test_frequency_approximant_trivial(z1):
     triv = TrivialColouring(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(triv)
     spec = folner_set(z1, 3)
     out = frequency_approximant(
         lambda cls, w: StepFunction.constant(6.0), spec, freqs
@@ -180,7 +180,7 @@ def test_frequency_approximant_period_three_average(z1):
 def test_delta_estimate_additive_scalar(z1):
     # b == 0: the bound reduces to (C+D) folner ratio + C deviation
     triv = TrivialColouring(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(triv)
     F = cardinality_function()
     spec = folner_set(z1, 3)
     for j in (6, 12):
@@ -200,7 +200,7 @@ def test_delta_estimate_additive_scalar(z1):
 
 def test_limit_certificates_zero_boundary(z1):
     triv = TrivialColouring(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(triv)
     F = cardinality_function()
     spec = folner_set(z1, 2)
     # the limit bounds against the frequency approximant and the volume average

@@ -18,8 +18,8 @@ from idsapprox.colouring import (
     EmpiricalFrequencies,
     HalfLineMod3,
     PercolationColouring,
+    PercolationFrequencies,
     TrivialColouring,
-    TrivialFrequencies,
     frequency_deviation,
     occurring_pattern_spectrum,
 )
@@ -273,7 +273,7 @@ def derivation_cases(z1, z2, h3):
     for with_spectrum in (False, True):
         yield rule, C, folner_set(z2, 8).tile, folner_set(z2, 2), freqs, with_spectrum
     C = TrivialColouring(h3)
-    yield adjacency_rule(h3), C, folner_set(h3, 4).tile, folner_set(h3, 2), TrivialFrequencies(h3), False
+    yield adjacency_rule(h3), C, folner_set(h3, 4).tile, folner_set(h3, 2), PercolationFrequencies(C), False
 
 
 def test_certificate_is_the_derived_estimate(z1, z2, h3):
@@ -308,7 +308,7 @@ def test_h3_certificate_matches_simplified_bound(h3):
     # the worked single-colour bound: total <= 8 tile ratio + 23 diam ratio
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
-    freqs = TrivialFrequencies(h3, C.symbol)
+    freqs = PercolationFrequencies(C)
     for n in (2, 3):
         spec = folner_set(h3, n)
         for j in (3, 4):
@@ -322,7 +322,7 @@ def test_h3_certificate_matches_simplified_bound(h3):
 def test_zd_weakened_tile_term(z2):
     C = TrivialColouring(z2)
     rule = adjacency_rule(z2)
-    freqs = TrivialFrequencies(z2, C.symbol)
+    freqs = PercolationFrequencies(C)
     R = rule.overall_range
     for n in (2, 5, 10):
         spec = folner_set(z2, n)
@@ -333,7 +333,7 @@ def test_zd_weakened_tile_term(z2):
 def test_degenerate_zero_rule_certificate(z1):
     rule = offset_table_rule(z1, {}, name="zero")
     C = TrivialColouring(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(C)
     cert = ids_certificate(rule, C, interval(z1, 0, 19), folner_set(z1, 2), freqs)
     assert cert.total > 0.0
 
@@ -341,7 +341,7 @@ def test_degenerate_zero_rule_certificate(z1):
 def test_frequency_side_trivial_single_class(z1):
     C = TrivialColouring(z1)
     rule = adjacency_rule(z1)
-    freqs = TrivialFrequencies(z1, "o")
+    freqs = PercolationFrequencies(C)
     spec = folner_set(z1, 5)
     step, bound = frequency_side_ids(rule, C, spec, freqs)
     # one class: counting of the shrunk tile over |Q_n|
@@ -424,7 +424,7 @@ def test_limit_certificate_normalises_to_tile_bound(h3):
     # b(Q_n)/|Q_n| equals k times the tile-boundary bound of the approximant
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
-    freqs = TrivialFrequencies(h3, C.symbol)
+    freqs = PercolationFrequencies(C)
     F = eigenvalue_count_function(rule, C)
     spec = folner_set(h3, 2)
     b, _, _ = estimate_terms(F, C, folner_set(h3, 3).tile, spec, freqs)
@@ -437,7 +437,7 @@ def test_volume_averages_within_certificate_budget(h3):
 
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
-    freqs = TrivialFrequencies(h3, C.symbol)
+    freqs = PercolationFrequencies(C)
     F = eigenvalue_count_function(rule, C)
     spec = folner_set(h3, 2)
     budgets = {}
