@@ -53,11 +53,9 @@ translate, and a canonical translate holds the pattern classes found on it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique imports it on first use; load it with the package
 
 Element = tuple[int, ...]
 
@@ -619,8 +617,7 @@ def interval_folner(model: FreeAbelian, j: int, scale: int = 3, side: str = "pos
     return _from_packed(model, model._pack(points))
 
 
-@dataclass(frozen=True)
-class GridCover:
+class GridCover(NamedTuple):
     """Grid shifts whose tile translate meets A, split by containment in A."""
 
     interior: FiniteSet
@@ -638,8 +635,10 @@ def grid_cover(A: FiniteSet, x: Sequence[int], spec: TilingSpec) -> GridCover:
     x = model.check_element(x)
     _, g0 = spec.decompose_array(model.mul_array(A.coords, x))
     gamma = model.mul_array(g0, model.inverse(x))
-    keys, counts = np.unique(model._pack(gamma), return_counts=True)
-    inside = counts == len(spec.tile)
+    keys = np.sort(model._pack(gamma))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # each shift's first key; keys are positive
+    inside = np.diff(np.append(first, len(keys))) == len(spec.tile)
+    keys = keys[first]
     return GridCover(_from_packed(model, keys[inside]), _from_packed(model, keys[~inside]))
 
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,17 +56,17 @@ class FrequencyProviderError(ValueError):
     """Signals an inconsistent frequency provider (negative residual mass)."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Finite ordered set of colour labels."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        if not symbols:
             raise ColouringError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ColouringError("alphabet symbols must be distinct")
+        self.symbols = symbols
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -439,8 +438,7 @@ def _tally_rows(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], counts[by_first]
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     count: int
     witness: Element
     """Shift placing the canonical domain onto an actual instance inside U:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import operator
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -155,11 +154,15 @@ def schema_errors(schema: dict, value, path: tuple = ()) -> Iterator[tuple[tuple
                 yield from schema_errors(arg, item, path + (i,))
 
 
-def validate_config(obj: dict) -> None:
+def validate_config(obj: dict) -> dict:
+    """Check ``obj`` against SCHEMA, then the rules the schema cannot state and
+    the size of every set it asks for; return the copy of ``obj`` in which
+    integral floats at "integer" nodes are ints, the one the checks read."""
     first = min(schema_errors(SCHEMA, obj), key=lambda e: e[0], default=None)
     if first is not None:
         path = "$" + "".join(f"[{p!r}]" if isinstance(p, int) else f".{p}" for p in first[0])
         raise ConfigError(path, first[1])
+    obj = _integral(SCHEMA, obj)
     if obj["group"] == "zd" and "d" not in obj:
         raise ConfigError("$.d", "lattice dimension d is required for group 'zd'")
     if obj["colouring"]["kind"] == "percolation" and "seed" not in obj["colouring"]:
@@ -168,7 +171,7 @@ def validate_config(obj: dict) -> None:
     if folner.get("kind") == "interval" and (obj["group"] != "zd" or obj.get("d") != 1):
         raise ConfigError("$.folner.kind", "interval sequences require zd with d=1")
     tiles = lambda n: tile_points(obj, n)
-    volumes = (lambda j: int(folner.get("scale", 3)) * j) if folner.get("kind") == "interval" else tiles
+    volumes = (lambda j: folner.get("scale", 3) * j) if folner.get("kind") == "interval" else tiles
     sized = [(f"$.folner_j[{i}]", j, volumes) for i, j in enumerate(obj.get("folner_j", []))]
     sized += [(f"$.tile_n[{i}]", n, tiles) for i, n in enumerate(obj.get("tile_n", []))]
     if "reference_j" in obj.get("frequencies", {}):
@@ -178,11 +181,12 @@ def validate_config(obj: dict) -> None:
         with suppress(KeyError, TypeError, ValueError):  # reported when the colouring is built
             sized.append(("$.colouring.params.tile_n", int(obj["colouring"]["params"]["tile_n"]), tiles))
     for path, n, points in sized:
-        check_set_size(path, n, points(int(n)))
+        check_set_size(path, n, points(n))
+    return obj
 
 
 def _integral(schema: dict, value):
-    """A copy of the validated ``value`` in which every integral float at an
+    """A copy of the schema-valid ``value`` in which every integral float at an
     "integer" node of ``schema`` is an int."""
     if schema.get("type") == "integer":
         return int(value)
@@ -195,7 +199,7 @@ def _integral(schema: dict, value):
 
 def tile_points(obj: dict, n: int) -> int:
     """|Q_n| on the group of a validated config: n^4 on H3, n^d on Z^d."""
-    return n**4 if obj["group"] == "h3" else n ** int(obj["d"])
+    return n**4 if obj["group"] == "h3" else n ** obj["d"]
 
 
 def check_set_size(path: str, n: int, points: int) -> None:
@@ -205,17 +209,17 @@ def check_set_size(path: str, n: int, points: int) -> None:
         raise ConfigError(path, f"{n} asks for a set of {points} points, more than {MAX_SET_POINTS}")
 
 
-@dataclass
 class RunConfig:
     """Validated run configuration with constructors for every ingredient."""
 
-    raw: dict
-    tolerance: Optional[float] = None
+    def __init__(self, raw: dict, tolerance: Optional[float]) -> None:
+        self.raw = raw
+        self.tolerance = tolerance
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        validate_config(obj)
-        return cls(raw=_integral(SCHEMA, obj), tolerance=obj.get("tolerance"))
+        raw = validate_config(obj)
+        return cls(raw, raw.get("tolerance"))
 
     # -- constructors ---------------------------------------------------------
 

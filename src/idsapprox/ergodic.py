@@ -10,9 +10,8 @@ estimate and the IDS certificate are sums of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,11 +105,12 @@ class StepFunction:
 
 
 def sup_distance(f: StepFunction, g: StepFunction) -> float:
-    """Exact supremum-norm distance via the merged breakpoint sweep."""
-    merged = np.union1d(f.breakpoints, g.breakpoints)
+    """Exact supremum-norm distance: the largest gap at the base or at a
+    breakpoint of either function (a point of both is evaluated twice)."""
+    points = np.concatenate([f.breakpoints, g.breakpoints])
     best = abs(f.base - g.base)
-    if merged.size:
-        diff = np.abs(f.evaluate_many(merged) - g.evaluate_many(merged))
+    if points.size:
+        diff = np.abs(f.evaluate_many(points) - g.evaluate_many(points))
         best = max(best, float(diff.max()))
     return best
 
@@ -132,8 +132,7 @@ def weighted_sum(terms: Sequence[tuple[float, StepFunction]]) -> StepFunction:
     )
 
 
-@dataclass(frozen=True)
-class AlmostAdditive:
+class AlmostAdditive(NamedTuple):
     """Colouring-invariant almost-additive set function with its constants.
 
     ``evaluate`` maps finite sets into the step-function space, ``boundary_term``

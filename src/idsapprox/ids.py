@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class EpsilonHypothesisError(IdsError):
     """The entrywise closeness hypothesis of the continuity bound failed."""
 
 
-@dataclass(frozen=True)
-class IdsApproximant:
+class IdsApproximant(NamedTuple):
     """Normalised eigenvalue counting function over an R-shrunk volume."""
 
     step: StepFunction
@@ -75,8 +73,7 @@ class IdsApproximant:
         return self.k * len(self.shrunk)
 
 
-@dataclass(frozen=True)
-class ErrorCertificate:
+class ErrorCertificate(NamedTuple):
     """The four computable terms of the uniform IDS error bound."""
 
     tile_term: float       # 2 b(Q_n) / (k |Q_n|)
@@ -244,8 +241,7 @@ def frequency_side_ids(
     return step, bound
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Compactly supported C^1 test function with a known derivative bound."""
 
     __test__ = False  # not a pytest item
@@ -270,8 +266,7 @@ class TestFunction:
         return cls(fn, dsup, (center - halfwidth, center + halfwidth), "bump")
 
 
-@dataclass(frozen=True)
-class ContinuityResult:
+class ContinuityResult(NamedTuple):
     gap: float
     bound: float
     epsilon: float

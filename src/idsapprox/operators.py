@@ -16,7 +16,6 @@ restriction H[W] to a subset W of Q is a principal submatrix of H[Q], and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -135,7 +134,6 @@ class LocalRule:
         return self.blocks(self._patterns(C, X)(np.zeros(1, dtype=np.int64)), w)[0]
 
 
-@dataclass
 class RestrictedMatrix:
     """Finite restriction H[Q] held as its nonzero entries: vals[i] at
     (rows[i], cols[i]), each position once.  Rows follow the key order of Q:
@@ -143,13 +141,18 @@ class RestrictedMatrix:
     The norm hint is the largest spectral norm of a block times
     ``row_blocks``, the most nonzero blocks a row can hold."""
 
-    Q: FiniteSet
-    k: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    norm_hint: float = 0.0
-    row_blocks: int = 0
+    def __init__(
+        self,
+        Q: FiniteSet,
+        k: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        norm_hint: float,
+        row_blocks: int,
+    ) -> None:
+        self.Q, self.k, self.rows, self.cols, self.vals = Q, k, rows, cols, vals
+        self.norm_hint, self.row_blocks = norm_hint, row_blocks
 
     @property
     def dim(self) -> int:

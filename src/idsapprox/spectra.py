@@ -20,8 +20,7 @@ tolerance tau into a single breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -105,8 +104,7 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-@dataclass(frozen=True)
-class ComponentSpectrum:
+class ComponentSpectrum(NamedTuple):
     """The eigenvalues of a symmetric matrix by connected component.
 
     ``values`` holds every eigenvalue with multiplicity, in solve order, and

@@ -175,6 +175,28 @@ def test_cli_import_leaves_out_test_dependencies():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_load_neither_numpy_ma_nor_dataclasses(tmp_path):
+    # numpy 1.24 imports numpy.ma itself, so the baseline is taken after numpy
+    src = str(Path(idsapprox.__file__).resolve().parents[1])
+    code = f"""
+import sys, numpy
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+from idsapprox import cli
+for command, preset in [
+    ("ids", "example4_1"),
+    ("folner-audit", "h3_adjacency"),
+    ("percolation", "z2_percolation"),
+    ("continuity", "z2_continuity"),
+]:
+    assert cli.main([command, "--preset", preset, "--out", {str(tmp_path)!r} + "/" + command]) == 0
+print(sorted({{"numpy.ma", "dataclasses"}} & (set(sys.modules) - before)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_run_on_numpy_alone(tmp_path, monkeypatch):
     """numpy is the only run-time dependency: every command runs with scipy
     and jsonschema unimportable, and never tries to import them."""
@@ -619,6 +641,16 @@ def test_oversized_sets_exit_2_before_any_set_is_built(tmp_path, capsys, monkeyp
     assert json.loads(err)["path"] == path
     assert json.loads(err)["message"].endswith(f"points, more than {config.MAX_SET_POINTS}")
     assert not (tmp_path / "out").exists()
+
+
+def test_size_messages_print_integral_floats_as_integers(tmp_path, capsys):
+    cfg = {"group": "zd", "d": 2.0, "colouring": {"kind": "trivial"}, "operator": {"kind": "adjacency"}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(cfg, folner_j=[5000.0])))
+    assert run(["ids", "--config", p, "--out", tmp_path / "out"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["path"] == "$.folner_j[0]"
+    assert err["message"] == f"5000 asks for a set of 25000000 points, more than {config.MAX_SET_POINTS}"
 
 
 def test_set_size_cap_is_inclusive():
