@@ -401,12 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    outdir = Path(args.out)
     try:
         cfg = load_config(args)
+        # fail before any work if the output directory cannot be made
+        nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError("--out", f"{nearest} is not a directory")
     except ConfigError as exc:
         print(json.dumps(exc.as_json(), sort_keys=True), file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out)
     dispatch = {
         "ids": cmd_ids,
         "folner-audit": cmd_folner_audit,

@@ -23,9 +23,9 @@ witnesses and colour codes depend on the colouring and are computed per call.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
+from _blake2 import blake2b  # hashlib's own blake2b, without loading OpenSSL
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -162,7 +162,7 @@ def _keyed_digests(key: bytes, raw: bytes, step: int) -> np.ndarray:
     uint64; copies of one keyed template compress the key block only once.
     The digests are joined block by block into the output, so at most one
     block of them is held as ``bytes`` objects."""
-    template = hashlib.blake2b(digest_size=8, key=key)
+    template = blake2b(digest_size=8, key=key)
     out = np.empty(len(raw) // step, dtype="<u8")
     for at in range(0, len(out), _DIGEST_BLOCK):
         digests = []
@@ -369,7 +369,7 @@ class PatternClass:
         tuples."""
         if self._digest is None:
             text = repr(self.key).encode()
-            self._digest = hashlib.blake2b(text, digest_size=8).hexdigest()
+            self._digest = blake2b(text, digest_size=8).hexdigest()
         return self._digest
 
 

@@ -73,6 +73,23 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["path"] == "$"
 
 
+@pytest.mark.parametrize(
+    "command, preset, below",
+    [("folner-audit", "h3_adjacency", ""), ("ids", "example4_1", "sub")],
+)
+def test_out_at_or_under_a_file_exits_2(tmp_path, capsys, command, preset, below):
+    # --out names a file, or lies under one: rejected before any work
+    existing = tmp_path / "existing"
+    existing.write_text("kept")
+    out = existing / below if below else existing
+    assert run([command, "--preset", preset, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["path"] == "--out"
+    assert str(existing) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert existing.read_text() == "kept"
+
+
 def test_preset_rejects_non_finite_numbers(tmp_path, capsys, monkeypatch):
     text = cli._preset_text("example4_1").replace('"tile_n"', '"tolerance": -Infinity, "tile_n"')
     monkeypatch.setattr(cli, "_preset_text", lambda name: text)
@@ -175,8 +192,9 @@ def test_cli_import_leaves_out_test_dependencies():
     assert out.stdout.strip() == "[]"
 
 
-def test_commands_load_neither_numpy_ma_nor_dataclasses(tmp_path):
-    # numpy 1.24 imports numpy.ma itself, so the baseline is taken after numpy
+def test_commands_load_neither_numpy_ma_dataclasses_nor_openssl(tmp_path):
+    # numpy 1.24 imports numpy.ma itself, so the baseline is taken after numpy;
+    # OpenSSL comes in as hashlib's _hashlib
     src = str(Path(idsapprox.__file__).resolve().parents[1])
     code = f"""
 import sys, numpy
@@ -190,7 +208,7 @@ for command, preset in [
     ("continuity", "z2_continuity"),
 ]:
     assert cli.main([command, "--preset", preset, "--out", {str(tmp_path)!r} + "/" + command]) == 0
-print(sorted({{"numpy.ma", "dataclasses"}} & (set(sys.modules) - before)))
+print(sorted({{"numpy.ma", "dataclasses", "_hashlib"}} & (set(sys.modules) - before)))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -830,11 +848,10 @@ def test_percolation_computes_colour_free_facts_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cayley, "_admissible_positions", count_positions)
     monkeypatch.setattr(cayley.FiniteSet, "right_translate", count_translates)
-    # the module's view of math and hashlib, with one function counted
+    # the module's view of math, with one function counted, and its blake2b
     counted_math = types.SimpleNamespace(**{**vars(math), "prod": count_products})
-    counted_hashlib = types.SimpleNamespace(**{**vars(hashlib), "blake2b": count_digests})
     monkeypatch.setattr(colouring, "math", counted_math)
-    monkeypatch.setattr(colouring, "hashlib", counted_hashlib)
+    monkeypatch.setattr(colouring, "blake2b", count_digests)
     reference = Path(__file__).parents[1] / "perfbench" / "reference" / "z2_perc_frequencies"
     out = tmp_path / "once"
     assert run(["percolation", "--config", reference / "config.json", "--out", out]) == 0

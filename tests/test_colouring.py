@@ -6,11 +6,11 @@ import struct
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from idsapprox import colouring
 from idsapprox.cayley import (
     FiniteSet,
     FreeAbelian,
@@ -581,7 +581,7 @@ def test_percolation_store_matches_definition(monkeypatch):
             h.update(data)
         return h
 
-    monkeypatch.setattr("idsapprox.colouring.hashlib", SimpleNamespace(blake2b=counted))
+    monkeypatch.setattr(colouring, "blake2b", counted)
     n, rng = len(pts), np.random.default_rng(4)
     queries = [
         np.arange(20),
@@ -632,6 +632,8 @@ def test_percolation_codes_of_shuffled_and_repeated_keys(z2):
 
 
 def test_keyed_digests_match_per_record_construction():
+    # colours and digests come from hashlib's own blake2b
+    assert colouring.blake2b is hashlib.blake2b
     rng = np.random.default_rng(9)
     # the digests are joined block by block: one partial block, one block and a
     # record past it, two blocks and a partial one
