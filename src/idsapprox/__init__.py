@@ -18,7 +18,6 @@ from .cayley import (
     boundary_int_size,
     boundary_size,
     folner_set,
-    grid_cover,
     grow,
     interval_folner,
     shrink,
@@ -45,11 +44,7 @@ from .colouring import (
 from .ergodic import (
     AlmostAdditive,
     StepFunction,
-    check_almost_additive,
-    delta_estimate,
-    ergodic_average,
     frequency_approximant,
-    measured_delta,
     sup_distance,
 )
 from .ids import (
@@ -78,9 +73,6 @@ from .spectra import (
     ComponentSpectrum,
     component_spectrum,
     eigenvalues,
-    projection_truncation_gap,
-    quasi_mode_count,
-    rank_perturbation_gap,
 )
 
 __version__ = "0.1.0"

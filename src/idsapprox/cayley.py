@@ -53,7 +53,7 @@ translate, and a canonical translate holds the pattern classes found on it.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -202,10 +202,6 @@ class GroupModel:
         """Minimal number of generators whose product equals g."""
         arr = np.array([self.check_element(g)], dtype=np.int64)
         return int(self._radii(self._pack(arr), np.ones(1, dtype=np.int64))[0])
-
-    def word_distance(self, g: Element, h: Element) -> int:
-        """Word metric d(g, h): length of g * h^-1 (right-invariant)."""
-        return self.word_length(self.multiply(g, self.inverse(h)))
 
     def ball(self, radius: int) -> "FiniteSet":
         """Closed ball of the given radius around the identity."""
@@ -573,19 +569,6 @@ class TilingSpec:
             self._bounding_diameter = self.tile.diameter
         return self._bounding_diameter
 
-    def grid_contains(self, g: Sequence[int]) -> bool:
-        g = self.model.check_element(g)
-        n = self.n
-        if isinstance(self.model, Heisenberg3):
-            return g[0] % n == 0 and g[1] % n == 0 and g[2] % (n * n) == 0
-        return all(c % n == 0 for c in g)
-
-    def decompose(self, g: Sequence[int]) -> tuple[Element, Element]:
-        """Unique (q, gamma) with q in the tile, gamma in the grid, q*gamma = g."""
-        g = self.model.check_element(g)
-        q, gamma = self.decompose_array(np.array([g], dtype=np.int64))
-        return tuple(int(c) for c in q[0]), tuple(int(c) for c in gamma[0])
-
     def decompose_array(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
         if isinstance(self.model, Heisenberg3):
@@ -615,31 +598,6 @@ def interval_folner(model: FreeAbelian, j: int, scale: int = 3, side: str = "pos
     first = 1 if side == "positive" else -scale * j
     points = np.arange(first, first + scale * j, dtype=np.int64)[:, None]
     return _from_packed(model, model._pack(points))
-
-
-class GridCover(NamedTuple):
-    """Grid shifts whose tile translate meets A, split by containment in A."""
-
-    interior: FiniteSet
-    crossing: FiniteSet
-
-
-def grid_cover(A: FiniteSet, x: Sequence[int], spec: TilingSpec) -> GridCover:
-    """Tiles of the x-shifted grid meeting A.
-
-    Every element a of A lies in exactly one translate Q_n*gamma with gamma
-    in K_n x^-1; a shift is interior when its tile is contained in A, which
-    happens exactly when all |Q_n| tile points land in A.
-    """
-    model = A.model
-    x = model.check_element(x)
-    _, g0 = spec.decompose_array(model.mul_array(A.coords, x))
-    gamma = model.mul_array(g0, model.inverse(x))
-    keys = np.sort(model._pack(gamma))
-    first = np.flatnonzero(np.diff(keys, prepend=-1))  # each shift's first key; keys are positive
-    inside = np.diff(np.append(first, len(keys))) == len(spec.tile)
-    keys = keys[first]
-    return GridCover(_from_packed(model, keys[inside]), _from_packed(model, keys[~inside]))
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ deterministic functions of the effective config (seeds included); exit code
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -16,7 +15,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from .cayley import FiniteSet, boundary_ext, folner_set
 from .colouring import (
@@ -92,7 +92,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
+def load_config(args: SimpleNamespace) -> RunConfig:
     if args.preset and args.config:
         raise ConfigError("$", "give either --preset or --config, not both")
     if args.preset:
@@ -383,20 +383,63 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
 # -- entry point -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; the options may come before or after it."""
-    parser = argparse.ArgumentParser(
-        prog="idsapprox",
-        description="IDS approximants with computable error certificates",
-    )
-    parser.add_argument("command", choices=("ids", "folner-audit", "percolation", "continuity"))
-    parser.add_argument("--config", help="path to a JSON run config")
-    parser.add_argument("--preset", help="name of a shipped preset config")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", default=None, help="override colouring seed")
-    parser.add_argument("--folner-j", default="", help="override folner_j (comma list)")
-    parser.add_argument("--tile-n", default="", help="override tile_n (comma list)")
-    return parser
+COMMANDS = ("ids", "folner-audit", "percolation", "continuity")
+OPTIONS = {  # each takes one value, as --name value or --name=value
+    "--config": "path to a JSON run config",
+    "--preset": "name of a shipped preset config",
+    "--out": "output directory (required)",
+    "--seed": "override colouring seed",
+    "--folner-j": "override folner_j (comma list)",
+    "--tile-n": "override tile_n (comma list)",
+}
+USAGE = """usage: idsapprox [-h] [--config CONFIG] [--preset PRESET] --out OUT
+                 [--seed SEED] [--folner-j FOLNER_J] [--tile-n TILE_N]
+                 {ids,folner-audit,percolation,continuity}
+"""
+
+
+class Parser:
+    """One command and the OPTIONS, named in full, in any order.  Help and
+    usage errors print and exit as argparse's do: 0 and 2."""
+
+    def error(self, message: str) -> NoReturn:
+        sys.stderr.write(f"{USAGE}idsapprox: error: {message}\n")
+        raise SystemExit(EXIT_CONFIG)
+
+    def parse_args(self, argv: Optional[list[str]] = None) -> SimpleNamespace:
+        args = dict(command=None, config=None, preset=None, out=None, seed=None, folner_j="", tile_n="")
+        words = iter(sys.argv[1:] if argv is None else argv)
+        for word in words:
+            if word in ("-h", "--help"):
+                print(f"{USAGE}\nIDS approximants with computable error certificates\n\noptions:")
+                print("  -h, --help            show this help message and exit")
+                for flag, text in OPTIONS.items():
+                    print(f"  {flag} {flag[2:].upper().replace('-', '_')}".ljust(24) + text)
+                raise SystemExit(EXIT_OK)
+            if word.startswith("-"):
+                name, eq, value = word.partition("=")
+                if name not in OPTIONS:
+                    self.error(f"unrecognized arguments: {word}")
+                if not eq:
+                    value = next(words, "--")
+                    if value.startswith("--"):
+                        self.error(f"argument {name}: expected one argument")
+                args[name[2:].replace("-", "_")] = value
+            elif args["command"] is not None:
+                self.error(f"unrecognized arguments: {word}")
+            elif word not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                self.error(f"argument command: invalid choice: {word!r} (choose from {choices})")
+            else:
+                args["command"] = word
+        missing = [name for name, key in (("command", "command"), ("--out", "out")) if args[key] is None]
+        if missing:
+            self.error("the following arguments are required: " + ", ".join(missing))
+        return SimpleNamespace(**args)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -404,6 +447,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     outdir = Path(args.out)
     try:
         cfg = load_config(args)
+        if not args.out:  # Path("") is the working directory
+            raise ConfigError("--out", "the output directory is empty")
         # fail before any work if the output directory cannot be made
         nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
         if not nearest.is_dir():

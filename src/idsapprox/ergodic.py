@@ -148,13 +148,6 @@ class AlmostAdditive(NamedTuple):
     name: str = ""
 
 
-def ergodic_average(F: AlmostAdditive, U: FiniteSet) -> StepFunction:
-    """F(U) normalised by the volume of U."""
-    if len(U) == 0:
-        raise ValueError("ergodic average needs a non-empty volume")
-    return F.evaluate(U).over(float(len(U)))
-
-
 ClassValue = Callable[[PatternClass, Element], StepFunction]
 
 
@@ -195,49 +188,3 @@ def estimate_terms(
     )
     dev = bounded * frequency_deviation(C, tile, U, freqs, spectrum=spectrum)
     return b_ratio, fol, dev
-
-
-def delta_estimate(
-    F: AlmostAdditive,
-    C: Colouring,
-    U: FiniteSet,
-    spec: TilingSpec,
-    freqs: FrequencyProvider,
-) -> float:
-    """Computable bound on the distance between the volume average F(U)/|U|
-    and the frequency approximant over the tile: the sum of the three
-    ``estimate_terms``."""
-    return float(sum(estimate_terms(F, C, U, spec, freqs)))
-
-
-def measured_delta(
-    F: AlmostAdditive,
-    C: Colouring,
-    U: FiniteSet,
-    spec: TilingSpec,
-    freqs: FrequencyProvider,
-    class_value: ClassValue,
-) -> float:
-    """Directly computed distance between the two sides of the estimate."""
-    return sup_distance(
-        ergodic_average(F, U), frequency_approximant(class_value, spec, freqs)
-    )
-
-
-def check_almost_additive(
-    F: AlmostAdditive, parts: Sequence[FiniteSet]
-) -> tuple[float, float]:
-    """Evaluate both sides of the almost-additivity inequality on a disjoint
-    decomposition; returns (measured deviation, boundary budget)."""
-    if not parts:
-        raise ValueError("need at least one part")
-    union = parts[0]
-    for p in parts[1:]:
-        union = union.union(p)
-    if len(union) != sum(len(p) for p in parts):
-        raise ValueError("parts are not pairwise disjoint")
-    lhs = sup_distance(
-        F.evaluate(union), weighted_sum([(1.0, F.evaluate(p)) for p in parts])
-    )
-    rhs = float(sum(F.boundary_term(p) for p in parts))
-    return lhs, rhs

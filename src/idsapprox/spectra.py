@@ -1,4 +1,4 @@
-"""Symmetric eigensolves, eigenvalue counting functions and perturbation gaps.
+"""Symmetric eigensolves and eigenvalue counting functions.
 
 Every eigensolve takes one path: the matrix is read as its nonzero entries
 (COO arrays), checked for symmetry, and split into the connected components
@@ -8,19 +8,19 @@ cover, where an entry (u, v) joins (u, s) to (v, 1 - s).  A component is
 chiral (bipartite, zero diagonal) exactly when its cover splits; it is then
 [[0, B], [B^T, 0]] for a p x q block B, with spectrum +-sigma(B) and |p - q|
 zeros (Jordan-Wielandt; Golub and Van Loan, Matrix Computations, 8.6).
-Components of equal size and side size are solved together: chiral ones by
-one stacked singular-value call (none for isolated vertices), the others by
-LAPACK's symmetric solver on one stacked array.  The solve names the
-component that owns each eigenvalue and the component of each row
-(``ComponentSpectrum``), so the spectrum of a principal submatrix reuses every
-component that lies wholly inside it and solves only the rows of the
-components it cuts.  Counting functions cluster eigenvalues closer than the
-tolerance tau into a single breakpoint.
+An empty row is a component with the eigenvalue 0 and no solve.  The other
+components of equal size and side size are solved together: chiral ones by
+one stacked singular-value call, the others by LAPACK's symmetric solver on
+one stacked array.  The solve names the component that owns each eigenvalue
+and the component of each row (``ComponentSpectrum``), so the spectrum of a
+principal submatrix reuses every component that lies wholly inside it and
+solves only the rows of the components it cuts.  Counting functions cluster
+eigenvalues closer than the tolerance tau into a single breakpoint.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class SpectraError(RuntimeError):
 
 class BoundViolation(AssertionError):
     """A proven spectral bound failed numerically."""
-
-
-class QuasiModeError(ValueError):
-    """Quasi-mode hypotheses (orthonormality / residual size) not met."""
 
 
 DEFAULT_TAU_SCALE = 1e-9
@@ -66,13 +62,6 @@ def _symmetric_coo(M) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     if float(np.abs(asym).max(initial=0.0)) > 1e-12 * scale:
         raise SpectraError("matrix is not symmetric")
     return n, rows, cols, vals
-
-
-def _symmetric_dense(M) -> np.ndarray:
-    n, rows, cols, vals = _symmetric_coo(M)
-    dense = np.zeros((n, n))
-    dense[rows, cols] = vals
-    return dense
 
 
 def default_tau(M) -> float:
@@ -135,6 +124,16 @@ class ComponentSpectrum(NamedTuple):
 
 def _solve(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> ComponentSpectrum:
     """The spectrum of the symmetric n x n matrix with these nonzero entries."""
+    used = np.zeros(n, dtype=bool)
+    used[rows] = True
+    if not used.all():  # solve the rows with entries; each empty row adds a 0.0
+        kept, empty = np.flatnonzero(used), np.flatnonzero(~used)
+        at = np.cumsum(used) - 1
+        rest = _solve(len(kept), at[rows], at[cols], vals)
+        label = np.arange(n)
+        label[kept] = kept[rest.label]
+        values, owner = np.r_[rest.values, np.zeros(len(empty))], np.r_[kept[rest.owner], empty]
+        return ComponentSpectrum(values, owner, label)
     # the double cover: (u, s) -- (v, 1 - s) for every entry (u, v)
     cover = _component_labels(2 * n, np.r_[2 * rows, 2 * rows + 1], np.r_[2 * cols + 1, 2 * cols])
     label = np.minimum(cover[0::2], cover[1::2]) // 2  # smallest vertex of the component
@@ -167,8 +166,8 @@ def _solve(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Comp
             if pg == 0:
                 values.append(np.linalg.eigvalsh(blocks).ravel())
                 owner.append(np.repeat(comps, m))
-            else:  # +-sigma(B) and |p - q| zeros; an isolated vertex (q = 0) is one zero
-                sigma = np.linalg.svd(blocks, compute_uv=False).ravel() if pg < m else np.empty(0)
+            else:  # +-sigma(B) and |p - q| zeros
+                sigma = np.linalg.svd(blocks, compute_uv=False).ravel()
                 values += [sigma, -sigma, np.zeros(k * abs(2 * pg - m))]
                 pairs = np.repeat(comps, min(pg, m - pg))
                 owner += [pairs, pairs, np.repeat(comps, abs(2 * pg - m))]
@@ -229,80 +228,3 @@ def _joint_gap(vals_a: np.ndarray, vals_b: np.ndarray, tau: float) -> int:
     cum_a = np.searchsorted(vals_a, np.concatenate([edges, [np.inf]]))
     cum_b = np.searchsorted(vals_b, np.concatenate([edges, [np.inf]]))
     return int(np.abs(cum_a - cum_b).max())
-
-
-def numerical_rank(C: np.ndarray, tau: float) -> int:
-    if C.size == 0:
-        return 0
-    sigma = np.linalg.svd(C, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int((sigma > C.shape[0] * tau * sigma[0]).sum())
-
-
-def rank_perturbation_gap(A, C, tau: Optional[float] = None) -> int:
-    """Max over E of |n(A)(E) - n(A+C)(E)|; must not exceed rank(C)."""
-    A = _symmetric_dense(A)
-    C = _symmetric_dense(C)
-    if A.shape != C.shape:
-        raise SpectraError("perturbation must match the matrix dimension")
-    if tau is None:
-        tau = default_tau(A + C)
-    gap = _joint_gap(eigenvalues(A), eigenvalues(A + C), tau)
-    rank = numerical_rank(C, tau)
-    if gap > rank:
-        raise BoundViolation(f"counting gap {gap} exceeds rank {rank}")
-    return gap
-
-
-def projection_truncation_gap(A, keep: Sequence[int], tau: Optional[float] = None) -> int:
-    """Max over E of |n(A)(E) - n(pAi)(E)| for a coordinate-subspace truncation;
-    must not exceed 4 * (dim V - dim U)."""
-    A = _symmetric_dense(A)
-    keep = np.asarray(sorted(set(int(i) for i in keep)), dtype=np.int64)
-    if keep.size and (keep[0] < 0 or keep[-1] >= A.shape[0]):
-        raise SpectraError("kept indices out of range")
-    B = A[np.ix_(keep, keep)]
-    if tau is None:
-        tau = default_tau(A)
-    gap = _joint_gap(eigenvalues(A), eigenvalues(B), tau)
-    codim = A.shape[0] - keep.size
-    if gap > 4 * codim:
-        raise BoundViolation(f"truncation gap {gap} exceeds 4*{codim}")
-    return gap
-
-
-def quasi_mode_count(
-    A,
-    lam: float,
-    eps: float,
-    vectors: Sequence[np.ndarray],
-    ortho_tol: float = 1e-8,
-) -> int:
-    """Eigenvalue count of A strictly inside (lam-eps, lam+eps), at least the
-    number of supplied quasi-modes.
-
-    Hypotheses checked literally: the vectors are orthonormal, the images
-    (A-lam)u_i are pairwise orthogonal, and every residual norm is < eps.
-    """
-    A = _symmetric_dense(A)
-    U = np.column_stack([np.asarray(u, dtype=np.float64) for u in vectors])
-    m = U.shape[1]
-    gram = U.T @ U
-    if float(np.abs(gram - np.eye(m)).max()) > ortho_tol:
-        raise QuasiModeError("vectors are not orthonormal")
-    V = A @ U - lam * U
-    norms = np.linalg.norm(V, axis=0)
-    if not bool((norms < eps).all()):
-        raise QuasiModeError(
-            f"residual norms {norms} must be strictly below eps={eps}"
-        )
-    cross = V.T @ V
-    off = cross - np.diag(np.diag(cross))
-    if float(np.abs(off).max()) > ortho_tol * max(1.0, float(norms.max()) ** 2, 1.0):
-        raise QuasiModeError("images (A-lam)u_i are not pairwise orthogonal")
-    vals = eigenvalues(A)
-    count = int(((vals > lam - eps) & (vals < lam + eps)).sum())
-    if count < m:
-        raise BoundViolation(f"only {count} eigenvalues inside the window, need {m}")
-    return count

@@ -17,7 +17,6 @@ from idsapprox.cayley import (
     Heisenberg3,
     boundary_size,
     folner_set,
-    grid_cover,
     interval_folner,
 )
 from idsapprox.cli import main as cli_main
@@ -33,7 +32,7 @@ from idsapprox.colouring import (
     TrivialColouring,
     empirical_frequency,
 )
-from idsapprox.ergodic import StepFunction, delta_estimate, measured_delta, sup_distance
+from idsapprox.ergodic import StepFunction, sup_distance
 from idsapprox.ids import (
     TestFunction,
     class_counting,
@@ -50,11 +49,12 @@ from idsapprox.operators import (
     percolation_rule,
     restrict_operator,
 )
-from idsapprox.spectra import (
+from idsapprox.spectra import cluster_values, default_tau, eigenvalues
+from oracles import (
     QuasiModeError,
-    cluster_values,
-    default_tau,
-    eigenvalues,
+    delta_estimate,
+    grid_cover,
+    measured_delta,
     projection_truncation_gap,
     quasi_mode_count,
     rank_perturbation_gap,

@@ -192,9 +192,9 @@ def test_cli_import_leaves_out_test_dependencies():
     assert out.stdout.strip() == "[]"
 
 
-def test_commands_load_neither_numpy_ma_dataclasses_nor_openssl(tmp_path):
+def test_commands_load_no_numpy_ma_dataclasses_openssl_argparse_gettext_or_locale(tmp_path):
     # numpy 1.24 imports numpy.ma itself, so the baseline is taken after numpy;
-    # OpenSSL comes in as hashlib's _hashlib
+    # OpenSSL comes in as hashlib's _hashlib, gettext and locale with argparse
     src = str(Path(idsapprox.__file__).resolve().parents[1])
     code = f"""
 import sys, numpy
@@ -208,7 +208,8 @@ for command, preset in [
     ("continuity", "z2_continuity"),
 ]:
     assert cli.main([command, "--preset", preset, "--out", {str(tmp_path)!r} + "/" + command]) == 0
-print(sorted({{"numpy.ma", "dataclasses", "_hashlib"}} & (set(sys.modules) - before)))
+forbidden = {{"numpy.ma", "dataclasses", "_hashlib", "argparse", "gettext", "locale"}}
+print(sorted(forbidden & (set(sys.modules) - before)))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -480,6 +481,52 @@ def test_flags_go_on_either_side_of_the_command(tmp_path, capsys):
             run(argv)
         assert exc.value.code == 2
     assert "invalid choice: 'audit'" in capsys.readouterr().err
+
+
+def test_options_take_equals_values_and_negative_numbers():
+    parsed = cli.build_parser().parse_args(["ids", "--out=o", "--seed", "-5", "--folner-j=3,4"])
+    assert vars(parsed) == {
+        "command": "ids", "config": None, "preset": None, "out": "o", "seed": "-5",
+        "folner_j": "3,4", "tile_n": "",
+    }
+
+
+def test_help_lists_every_option(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            run(["ids", flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: idsapprox")
+        for option in ("--config", "--preset", "--out", "--seed", "--folner-j", "--tile-n"):
+            assert option in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--pre", "h3_adjacency"], "unrecognized arguments: --pre"),  # no prefix abbreviations
+        (["--bogus", "1"], "unrecognized arguments: --bogus"),
+        (["ids"], "unrecognized arguments: ids"),
+        (["--seed"], "argument --seed: expected one argument"),
+    ],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["ids", "--out", tmp_path / "o", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: idsapprox") and f"idsapprox: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory, where the outputs would land
+    monkeypatch.chdir(tmp_path)
+    for out in (["--out", ""], ["--out="]):
+        assert run(["ids", "--preset", "h3_adjacency", "--folner-j", "3", "--tile-n", "1", *out]) == 2
+        assert json.loads(capsys.readouterr().err)["path"] == "--out"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_folner_audit_z2(tmp_path):

@@ -52,6 +52,7 @@ from idsapprox.colouring import (
     occurring_pattern_spectrum,
 )
 from conftest import interval, random_subset
+from oracles import decompose
 
 
 def make_pattern(model, coords_to_symbol):
@@ -470,7 +471,7 @@ def _colour_reference(C, g):
     if isinstance(C, ExplicitColouring):
         return C.table.get(g, C.default)
     if isinstance(C, PeriodicFoldColouring):
-        return C.table[C.spec.decompose(g)[0]]
+        return C.table[decompose(C.spec, g)[0]]
     if isinstance(C, PercolationColouring):
         data = struct.pack(f"<{len(g)}q", *g)
         key = struct.pack("<q", C.seed)

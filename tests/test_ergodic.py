@@ -14,16 +14,13 @@ from idsapprox.colouring import (
 from idsapprox.ergodic import (
     AlmostAdditive,
     StepFunction,
-    check_almost_additive,
-    delta_estimate,
-    ergodic_average,
     estimate_terms,
     frequency_approximant,
-    measured_delta,
     sup_distance,
     weighted_sum,
 )
 from conftest import interval, random_subset
+from oracles import check_almost_additive, delta_estimate, ergodic_average, measured_delta
 
 
 def cardinality_function() -> AlmostAdditive:

@@ -24,13 +24,7 @@ from idsapprox.colouring import (
     occurring_pattern_spectrum,
 )
 from idsapprox.spectra import counting_from_values, default_tau, eigenvalues
-from idsapprox.ergodic import (
-    StepFunction,
-    check_almost_additive,
-    delta_estimate,
-    estimate_terms,
-    sup_distance,
-)
+from idsapprox.ergodic import StepFunction, estimate_terms, sup_distance
 from idsapprox.ids import (
     EpsilonHypothesisError,
     IdsError,
@@ -51,6 +45,7 @@ from idsapprox.operators import (
     restrict_operator,
 )
 from conftest import chain_rule, interval, random_subset
+from oracles import check_almost_additive, delta_estimate
 
 N_V = StepFunction([-1.0, 0.0, 1.0], [1 / 3, 2 / 3, 1.0], base=0.0)
 N_STEP0 = StepFunction([0.0], [1.0], base=0.0)
@@ -433,7 +428,7 @@ def test_limit_certificate_normalises_to_tile_bound(h3):
 
 
 def test_volume_averages_within_certificate_budget(h3):
-    from idsapprox.ergodic import ergodic_average
+    from oracles import ergodic_average
 
     C = TrivialColouring(h3)
     rule = adjacency_rule(h3)
@@ -482,7 +477,7 @@ def test_certificates_on_coloured_heisenberg(h3):
     import random as _random
 
     from idsapprox.colouring import PeriodicFoldColouring
-    from idsapprox.ergodic import delta_estimate as _delta, measured_delta as _meas
+    from oracles import delta_estimate as _delta, measured_delta as _meas
 
     rng = _random.Random(61)
     base = folner_set(h3, 2)

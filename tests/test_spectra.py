@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from idsapprox.cayley import FiniteSet, folner_set, interval_folner
+from idsapprox.cayley import FiniteSet, folner_set, interval_folner, shrink
 from idsapprox.colouring import (
     BLACK,
     Alphabet,
@@ -18,22 +18,25 @@ from idsapprox.operators import (
     laplacian_rule,
     offset_table_rule,
     percolation_rule,
+    principal_restriction,
     restrict_operator,
 )
 from idsapprox.spectra import (
-    QuasiModeError,
     SpectraError,
     cluster_values,
     component_spectrum,
     counting_from_values,
     default_tau,
     eigenvalues,
+)
+from conftest import chain_rule
+from oracles import (
+    QuasiModeError,
     numerical_rank,
     projection_truncation_gap,
     quasi_mode_count,
     rank_perturbation_gap,
 )
-from conftest import chain_rule
 
 
 def sym(rng, n, scale=1.0):
@@ -335,6 +338,29 @@ def test_component_spectrum_names_each_value_and_row(z2):
             assert (spec.label[rows] == rows[0]).all()  # a component is named by its smallest row
             mine = np.sort(spec.values[spec.owner == rows[0]])
             assert np.allclose(mine, np.linalg.eigvalsh(dense[np.ix_(rows, rows)]), rtol=0.0, atol=1e-12)
+
+
+def test_empty_rows_are_exact_zeros_beside_the_solved_rows(z2):
+    C = PercolationColouring(z2, Alphabet(("open", "closed")), seed=7)
+    Q = folner_set(z2, 12).tile
+    M = restrict_operator(percolation_rule(z2, C.alphabet, ["open"]), C, Q)
+    dense = M.to_dense()
+    filled = dense.any(axis=1)
+    empty, kept = np.flatnonzero(~filled), np.flatnonzero(filled)
+    assert 0 < len(empty) < M.dim
+    spec = component_spectrum(M)
+    # each empty row is its own component and owns one exact +0.0
+    assert np.array_equal(spec.label[empty], empty)
+    zeros = spec.values[np.isin(spec.owner, empty)]
+    assert len(zeros) == len(empty) and (zeros == 0.0).all() and not np.signbit(zeros).any()
+    # the other rows give the spectrum of the matrix without the empty rows
+    rest = component_spectrum(dense[np.ix_(kept, kept)])
+    assert np.array_equal(np.sort(spec.values), np.sort(np.r_[rest.values, np.zeros(len(empty))]))
+    # principal restrictions: the reused components and the solved cut rows
+    for W in (shrink(Q, 1), FiniteSet(z2, list(Q)[::3])):
+        P = principal_restriction(M, W)
+        values = spec.principal(P, np.searchsorted(Q.packed, W.packed))
+        assert np.array_equal(np.sort(values), eigenvalues(P))
 
 
 def test_split_empty_matrix():
