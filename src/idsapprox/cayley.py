@@ -127,6 +127,16 @@ class GroupModel:
             raise GroupModelError(f"element of length {len(g)} does not belong to {self.describe()}")
         return g
 
+    def coord_rows(self, elements: Iterable[Sequence[int]]) -> np.ndarray:
+        """The checked elements as the rows of an int64 array."""
+        rows = [self.check_element(g) for g in elements]
+        try:
+            return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
+        except OverflowError as exc:  # a coordinate beyond int64
+            raise GroupModelError(
+                f"coordinate out of packable range |c| < {self.pack_bound} for {self.describe()}"
+            ) from exc
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -200,8 +210,7 @@ class GroupModel:
 
     def word_length(self, g: Element) -> int:
         """Minimal number of generators whose product equals g."""
-        arr = np.array([self.check_element(g)], dtype=np.int64)
-        return int(self._radii(self._pack(arr), np.ones(1, dtype=np.int64))[0])
+        return int(self._radii(self._pack(self.coord_rows([g])), np.ones(1, dtype=np.int64))[0])
 
     def ball(self, radius: int) -> "FiniteSet":
         """Closed ball of the given radius around the identity."""
@@ -311,9 +320,7 @@ class FiniteSet:
     )
 
     def __init__(self, model: GroupModel, elements: Iterable[Sequence[int]]) -> None:
-        rows = [model.check_element(g) for g in elements]
-        coords = np.array(rows, dtype=np.int64).reshape(len(rows), model.dim)
-        self._set_keys(model, _unique_keys(model._pack(coords)))
+        self._set_keys(model, _unique_keys(model._pack(model.coord_rows(elements))))
 
     def _set_keys(self, model: GroupModel, keys: np.ndarray) -> None:
         keys.flags.writeable = False

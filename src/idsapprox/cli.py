@@ -13,7 +13,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn, Optional
@@ -72,7 +71,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _preset_text(name: str) -> str:
     try:
-        return (resources.files("idsapprox") / "presets" / f"{name}.json").read_text(encoding="utf-8")
+        return (Path(__file__).parent / "presets" / f"{name}.json").read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError("$.preset", f"unknown preset {name!r}") from exc
 
@@ -375,7 +374,7 @@ def cmd_continuity(cfg: RunConfig, outdir: Path) -> None:
     for eps in epsilons:
         table_g = {w: v + eps * unit[w] for w, v in base.items()}
         rule_g = offset_table_rule(model, table_g, name="G")
-        res = continuity_gap(rule_h, rule_g, colouring, eps, bump, U, tau=cfg.tolerance)
+        res = continuity_gap(rule_h, rule_g, colouring, eps, bump, U)
         lines.append(f"{_fmt(res.epsilon)},{_fmt(res.gap)},{_fmt(res.bound)}")
     _write_text(outdir / "continuity.csv", "\n".join(lines) + "\n")
 

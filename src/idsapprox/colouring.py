@@ -86,8 +86,7 @@ class Colouring:
         raise NotImplementedError
 
     def colour(self, g: Element) -> str:
-        row = np.array([self.model.check_element(g)], dtype=np.int64)
-        return self.alphabet.symbols[int(self.colour_codes(row)[0])]
+        return self.alphabet.symbols[int(self.colour_codes(self.model.coord_rows([g]))[0])]
 
     def describe(self) -> str:
         return type(self).__name__

@@ -99,9 +99,7 @@ class ErrorCertificate(NamedTuple):
         }
 
 
-def eigenvalue_count_function(
-    rule: LocalRule, C: Colouring, tau: Optional[float] = None
-) -> AlmostAdditive:
+def eigenvalue_count_function(rule: LocalRule, C: Colouring) -> AlmostAdditive:
     """The almost-additive set function Q -> n(H[Q_R]) of the given operator.
 
     Its constants are exact integers: boundary term 4 dim(H) |d^R Q|,
@@ -113,7 +111,7 @@ def eigenvalue_count_function(
 
     def evaluate(Q: FiniteSet) -> StepFunction:
         if Q not in cache:
-            cache[Q] = counting_functions(rule, C, [shrink(Q, R)], tau)[0]
+            cache[Q] = counting_functions(rule, C, [shrink(Q, R)])[0]
         return cache[Q]
 
     return AlmostAdditive(
@@ -216,12 +214,10 @@ def ids_certificate(
     )
 
 
-def class_counting(
-    rule: LocalRule, C: Colouring, tau: Optional[float] = None
-) -> ClassValue:
+def class_counting(rule: LocalRule, C: Colouring) -> ClassValue:
     """Per-class value n(H[Q_R]) where Q is the tile instance witnessing the
     class; colouring invariance makes the choice of witness immaterial."""
-    F = eigenvalue_count_function(rule, C, tau)
+    F = eigenvalue_count_function(rule, C)
     # the witness places the canonical domain at an actual instance
     return lambda cls, witness: F.evaluate(cls.canonical.domain.right_translate(witness))
 
@@ -231,12 +227,11 @@ def frequency_side_ids(
     C: Colouring,
     spec: TilingSpec,
     freqs: FrequencyProvider,
-    tau: Optional[float] = None,
 ) -> tuple[StepFunction, float]:
     """Frequency-weighted approximant sum_P nu_P n(H[Q_R]) / (|Q_n| dim H),
     with its bound b(Q_n) / (|Q_n| dim H)."""
     k = rule.k
-    step = frequency_approximant(class_counting(rule, C, tau), spec, freqs).over(float(k))
+    step = frequency_approximant(class_counting(rule, C), spec, freqs).over(float(k))
     bound = eigenvalue_count_function(rule, C).boundary_term(spec.tile) / (k * len(spec.tile))
     return step, bound
 
@@ -279,7 +274,6 @@ def continuity_gap(
     epsilon: float,
     f: TestFunction,
     U: FiniteSet,
-    tau: Optional[float] = None,
 ) -> ContinuityResult:
     """|Tr f(H[U]) - Tr f(G[U])| / |U| against the bound 2 ||f'|| |B_R| eps.
 

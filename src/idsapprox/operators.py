@@ -94,7 +94,8 @@ class LocalRule:
         self.kernel = kernel
         self.name = name or type(self).__name__
         self._offsets = tuple(model.ball(range_m))
-        self._inverse = [self._offsets.index(model.inverse(w)) for w in self._offsets]  # of w^-1
+        at = {w: i for i, w in enumerate(self._offsets)}
+        self._inverse = [at[model.inverse(w)] for w in self._offsets]  # of w^-1
 
     # -- pattern and block access -------------------------------------------
 
@@ -130,29 +131,20 @@ class LocalRule:
         w = model.multiply(y, model.inverse(x))
         if model.word_length(w) > self.range_m:
             return np.zeros((self.k, self.k))
-        X = np.array([model.check_element(x)], dtype=np.int64)
-        return self.blocks(self._patterns(C, X)(np.zeros(1, dtype=np.int64)), w)[0]
+        return self.blocks(self._patterns(C, model.coord_rows([x]))(np.zeros(1, dtype=np.int64)), w)[0]
 
 
 class RestrictedMatrix:
     """Finite restriction H[Q] held as its nonzero entries: vals[i] at
     (rows[i], cols[i]), each position once.  Rows follow the key order of Q:
     rows i*k..i*k+k-1 belong to the i-th element that iterating Q yields.
-    The norm hint is the largest spectral norm of a block times
-    ``row_blocks``, the most nonzero blocks a row can hold."""
+    ``row_blocks`` is the most nonzero blocks a row can hold."""
 
     def __init__(
-        self,
-        Q: FiniteSet,
-        k: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        norm_hint: float,
-        row_blocks: int,
+        self, Q: FiniteSet, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_blocks: int
     ) -> None:
         self.Q, self.k, self.rows, self.cols, self.vals = Q, k, rows, cols, vals
-        self.norm_hint, self.row_blocks = norm_hint, row_blocks
+        self.row_blocks = row_blocks
 
     @property
     def dim(self) -> int:
@@ -175,9 +167,8 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     formed.  The pairs at w^-1 are those at w swapped, in the same order,
     so transpose consistency, block(y, x) == block(x, y)^T (symmetry of the
     diagonal blocks when w = e), is validated on every pair without a sort.
-    The norm hint is the largest spectral norm c of these blocks times
-    |B_R|, a block-Schur bound on ||H[Q]||: a row holds at most
-    |B_M| <= |B_R| nonzero blocks.
+    A row holds at most |B_M| <= |B_R| nonzero blocks, so ``row_blocks`` is
+    |B_R|.
     """
     model = rule.model
     k = rule.k
@@ -210,26 +201,7 @@ def restrict_operator(rule: LocalRule, C: Colouring, Q: FiniteSet) -> Restricted
     nz = vals.nonzero()[0]
     pair, entry = np.divmod(nz, k * k)  # entry (a, b) of a block is a k + b
     rows, cols = x[pair] * k + entry // k, y[pair] * k + entry % k
-    return _with_norm_hint(Q, k, rows, cols, vals[nz], len(model.ball(rule.overall_range)))
-
-
-def _with_norm_hint(
-    Q: FiniteSet, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_blocks: int
-) -> RestrictedMatrix:
-    """The restriction with these entries, which come block by block, and its
-    norm hint: the largest spectral norm c of the nonzero blocks times
-    ``row_blocks``.  A zero block has norm 0, so c is also the largest over
-    every pair of partners."""
-    if k == 1:  # |b| is the spectral norm of a 1 x 1 block, without one SVD per pair
-        norms = np.abs(vals)
-    else:
-        pair = rows // k * len(Q) + cols // k
-        block = np.cumsum(np.diff(pair, prepend=-1) != 0) - 1
-        blocks = np.zeros((block[-1] + 1 if len(block) else 0, k, k))
-        blocks[block, rows % k, cols % k] = vals
-        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
-    c = float(norms.max(initial=0.0))
-    return RestrictedMatrix(Q, k, rows, cols, vals, norm_hint=c * row_blocks, row_blocks=row_blocks)
+    return RestrictedMatrix(Q, k, rows, cols, vals[nz], len(model.ball(rule.overall_range)))
 
 
 def principal_restriction(M: RestrictedMatrix, W: FiniteSet) -> RestrictedMatrix:
@@ -238,9 +210,8 @@ def principal_restriction(M: RestrictedMatrix, W: FiniteSet) -> RestrictedMatrix
     The kernel block of a pair depends on the ambient colouring only, so the
     blocks of H[W] are the blocks of H[Q] whose two points lie in W.  The
     entries keep M's order (offset by offset, x ascending: the map from Q to W
-    keeps key order) and are renumbered by W's key order, and the norm hint is
-    taken over the kept blocks, so the result equals restrict_operator(rule,
-    C, W) field by field.
+    keeps key order) and are renumbered by W's key order, so the result
+    equals restrict_operator(rule, C, W) field by field.
     """
     if W == M.Q:
         return M
@@ -251,7 +222,7 @@ def principal_restriction(M: RestrictedMatrix, W: FiniteSet) -> RestrictedMatrix
     keep = hit[M.rows // k] & hit[M.cols // k]
     rows, cols = M.rows[keep], M.cols[keep]
     rows, cols = at[rows // k] * k + rows % k, at[cols // k] * k + cols % k
-    return _with_norm_hint(W, k, rows, cols, M.vals[keep], M.row_blocks)
+    return RestrictedMatrix(W, k, rows, cols, M.vals[keep], M.row_blocks)
 
 
 # -- concrete rules ---------------------------------------------------------------
@@ -300,7 +271,8 @@ def offset_table_rule(
     for w, v in entries.items():
         if entries.get(model.inverse(w), 0.0) != v:
             raise SymmetryError(f"offset table not symmetric at {w}")
-    hop = max([1] + [model.word_length(w) for w, v in entries.items() if v != 0.0])
+    used = model._pack(model.coord_rows([w for w, v in entries.items() if v != 0.0]))
+    hop = max(1, int(model._radii(used, np.ones(len(used), dtype=np.int64)).max(initial=0)))  # one pass
 
     def kernel(patterns: LocalPatterns, w: Element) -> float:
         return entries.get(w, 0.0)

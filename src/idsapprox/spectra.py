@@ -15,7 +15,8 @@ one stacked array.  The solve names the component that owns each eigenvalue
 and the component of each row (``ComponentSpectrum``), so the spectrum of a
 principal submatrix reuses every component that lies wholly inside it and
 solves only the rows of the components it cuts.  Counting functions cluster
-eigenvalues closer than the tolerance tau into a single breakpoint.
+eigenvalues closer than the tolerance tau into a single breakpoint; the
+default tau of a matrix is ``default_tau``, scaled by its ``norm_bound``.
 """
 
 from __future__ import annotations
@@ -64,14 +65,28 @@ def _symmetric_coo(M) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return n, rows, cols, vals
 
 
+def norm_bound(M) -> float:
+    """c * r, a block-Schur bound on ||M||: c is the largest spectral norm of a
+    k x k block of M and r the most nonzero blocks a row holds, ``row_blocks``
+    for a RestrictedMatrix and n for a dense n x n array (read with k = 1)."""
+    if isinstance(M, RestrictedMatrix):
+        k, rows, cols, vals, r = M.k, M.rows, M.cols, M.vals, M.row_blocks
+    else:
+        r, rows, cols, vals = _symmetric_coo(M)
+        k = 1
+    if k == 1:  # |b| is the spectral norm of a 1 x 1 block, without one SVD per entry
+        norms = np.abs(vals)
+    else:
+        pairs, block = np.unique(rows // k * M.dim + cols // k, return_inverse=True)
+        blocks = np.zeros((len(pairs), k, k))
+        blocks[block, rows % k, cols % k] = vals
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+    return float(norms.max(initial=0.0)) * r
+
+
 def default_tau(M) -> float:
-    """DEFAULT_TAU_SCALE times the norm hint of M, or, without one, times
-    max |A_ij| * dim of its matrix A."""
-    hint = getattr(M, "norm_hint", None)
-    if hint is None or hint <= 0:
-        n, _, _, vals = _symmetric_coo(M)
-        hint = float(np.abs(vals).max(initial=0.0)) * n if n else 1.0
-    return DEFAULT_TAU_SCALE * max(1.0, float(hint))
+    """The clustering tolerance of M: DEFAULT_TAU_SCALE * max(1, norm_bound(M))."""
+    return DEFAULT_TAU_SCALE * max(1.0, norm_bound(M))
 
 
 def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -213,8 +228,8 @@ def cluster_values(values: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarr
 
 
 def counting_from_values(values: np.ndarray, tau: float) -> StepFunction:
-    reps, counts = cluster_values(values, tau)
-    return StepFunction.from_jumps(reps, counts.astype(np.float64))
+    reps, counts = cluster_values(values, tau)  # reps ascend strictly
+    return StepFunction(reps, np.cumsum(counts, dtype=np.float64))
 
 
 def _joint_gap(vals_a: np.ndarray, vals_b: np.ndarray, tau: float) -> int:

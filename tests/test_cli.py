@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy
 import pytest
 
 import idsapprox
@@ -194,10 +195,15 @@ def test_cli_import_leaves_out_test_dependencies():
 
 def test_commands_load_no_numpy_ma_dataclasses_openssl_argparse_gettext_or_locale(tmp_path):
     # numpy 1.24 imports numpy.ma itself, so the baseline is taken after numpy;
-    # OpenSSL comes in as hashlib's _hashlib, gettext and locale with argparse
+    # OpenSSL comes in as hashlib's _hashlib, gettext and locale with argparse;
+    # presets are read by path, without importlib.resources.  -S keeps site
+    # hooks (.pth files) from loading any of these before the baseline
     src = str(Path(idsapprox.__file__).resolve().parents[1])
+    numpy_dir = str(Path(numpy.__file__).resolve().parents[1])
     code = f"""
-import sys, numpy
+import sys
+sys.path.append({numpy_dir!r})
+import numpy
 before = set(sys.modules)
 sys.path.insert(0, {src!r})
 from idsapprox import cli
@@ -208,10 +214,10 @@ for command, preset in [
     ("continuity", "z2_continuity"),
 ]:
     assert cli.main([command, "--preset", preset, "--out", {str(tmp_path)!r} + "/" + command]) == 0
-forbidden = {{"numpy.ma", "dataclasses", "_hashlib", "argparse", "gettext", "locale"}}
+forbidden = {{"numpy.ma", "dataclasses", "_hashlib", "argparse", "gettext", "locale", "importlib.resources"}}
 print(sorted(forbidden & (set(sys.modules) - before)))
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -260,9 +266,21 @@ BAD_PARAMS = {
     "retained_outside_alphabet": ({}, {"kind": "percolation", "params": {"retained": ["purple"]}}),
     "asymmetric_hop_table": ({}, {"kind": "hop_table", "params": {"table": {"1,0": 1.0, "-1,0": 2.0}}}),
     "short_offset": ({}, {"kind": "hop_table", "params": {"table": {"1": 1.0, "-1": 1.0}}}),
+    # a coordinate beyond int64 is out of packable range
+    "hop_table_offset_beyond_int64": (
+        {},
+        {"kind": "hop_table", "params": {"table": {f"{10**20},0": 1.0, f"-{10**20},0": 1.0}}},
+    ),
     "weights": ({"params": {"weights": ["1/3", "1/3"]}}, {"kind": "adjacency"}),
     "explicit_default": (
         {"kind": "explicit", "params": {"alphabet": ["open", "closed"], "default": "purple"}},
+        {"kind": "adjacency"},
+    ),
+    "explicit_table_point_beyond_int64": (
+        {
+            "kind": "explicit",
+            "params": {"alphabet": ["open", "closed"], "default": "open", "table": {f"{10**20},0": "closed"}},
+        },
         {"kind": "adjacency"},
     ),
     "periodic_table": (

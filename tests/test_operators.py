@@ -24,6 +24,7 @@ from idsapprox.operators import (
     principal_restriction,
     restrict_operator,
 )
+from idsapprox.spectra import norm_bound
 from conftest import chain_rule, interval, random_subset
 
 
@@ -31,7 +32,7 @@ def test_zero_rule(z1):
     rule = offset_table_rule(z1, {}, name="zero")
     M = restrict_operator(rule, TrivialColouring(z1), interval(z1, 0, 5))
     assert np.all(M.to_dense() == 0.0)
-    assert M.norm_hint == 0.0
+    assert norm_bound(M) == 0.0
 
 
 def test_path_graph_tridiagonal(z1):
@@ -154,12 +155,22 @@ def test_periodic_fold_alternating_chain_spectrum(z1):
     assert np.allclose(np.linalg.eigvalsh(M), np.linalg.eigvalsh(A), atol=1e-10)
 
 
+def test_offset_inverses(z2, h3):
+    """_inverse[i] is the position of the inverse of offset i."""
+    for model in (z2, FreeAbelian(3), h3):
+        rule = LocalRule(model, 1, 3, 1, lambda patterns, w: 0.0)
+        offsets = rule._offsets
+        assert len(offsets) == len(model.ball(3))
+        for i, j in enumerate(rule._inverse):
+            assert offsets[j] == model.inverse(offsets[i])
+
+
 def test_norm_bound_adjacency():
     for d in (1, 2, 3):
         model = FreeAbelian(d)
         rule = adjacency_rule(model)
         C = TrivialColouring(model)
-        bound = restrict_operator(rule, C, model.ball(2)).norm_hint
+        bound = norm_bound(restrict_operator(rule, C, model.ball(2)))
         assert bound == 2 * d + 1
         # true norm oracle: large restriction stays within the certificate
         big = restrict_operator(rule, C, folner_set(model, 8 if d < 3 else 5).tile)
@@ -173,7 +184,7 @@ def test_eigenvalues_within_norm_bound(h3):
     C = TrivialColouring(h3)
     M = restrict_operator(rule, C, folner_set(h3, 4).tile)
     vals = np.linalg.eigvalsh(M.to_dense())
-    assert np.abs(vals).max() <= M.norm_hint
+    assert np.abs(vals).max() <= norm_bound(M)
 
 
 def test_decoupling_block_diagonal(z2):
@@ -305,7 +316,7 @@ def assert_same_restriction(M, N):
     for field in ("rows", "cols", "vals"):
         got, want = getattr(M, field), getattr(N, field)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert M.norm_hint == N.norm_hint
+    assert norm_bound(M) == norm_bound(N)
 
 
 def test_principal_restriction_equals_assembly():
@@ -320,7 +331,7 @@ def test_principal_restriction_equals_assembly():
     # on the chain, points 7 apart keep only the diagonal blocks, of norm 1 against 2
     rule, C, Q = next(principal_cases())
     M = restrict_operator(rule, C, Q)
-    assert (M.norm_hint, principal_restriction(M, FiniteSet(Q.model, list(Q)[::7])).norm_hint) == (6.0, 3.0)
+    assert (norm_bound(M), norm_bound(principal_restriction(M, FiniteSet(Q.model, list(Q)[::7])))) == (6.0, 3.0)
     with pytest.raises(OperatorError):
         principal_restriction(M, grow(Q, 1))
 
@@ -446,7 +457,7 @@ def test_assembly_peak_does_not_scale_with_every_offsets_points():
     assert peak < 1.2 * len(z8.ball(1)) * len(Q) * z8.dim * 8
 
 
-def test_norm_hint_matches_recomputation(z2):
+def test_norm_bound_matches_recomputation(z2):
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=8)
 
     def kernel(patterns, w):  # spectral norms 2, 1 and 1 against entries <= 1
@@ -461,16 +472,16 @@ def test_norm_hint_matches_recomputation(z2):
             Q = random_subset(z2, rng, 5, 25)
             M = restrict_operator(rule, C, Q)
             brute = max(np.linalg.norm(rule.block_at(C, x, y), 2) for x in Q for y in Q)
-            assert M.norm_hint == brute * len(z2.ball(rule.overall_range))
+            assert norm_bound(M) == brute * len(z2.ball(rule.overall_range))
 
 
-def test_norm_hint_independent_of_call_history(z2):
+def test_norm_bound_independent_of_call_history(z2):
     C = PercolationColouring(z2, Alphabet(("a", "b")), seed=3)
     Q = FiniteSet(z2, [(0, 0), (1, 0)])
     fresh = restrict_operator(laplacian_rule(percolation_rule(z2, C.alphabet, ["a"])), C, Q)
     rule = laplacian_rule(percolation_rule(z2, C.alphabet, ["a"]))
     restrict_operator(rule, C, folner_set(z2, 10).tile)
-    assert restrict_operator(rule, C, Q).norm_hint == fresh.norm_hint
+    assert norm_bound(restrict_operator(rule, C, Q)) == norm_bound(fresh)
 
 
 # -- the batch kernel contract ------------------------------------------------------

@@ -28,8 +28,9 @@ from idsapprox.spectra import (
     counting_from_values,
     default_tau,
     eigenvalues,
+    norm_bound,
 )
-from conftest import chain_rule
+from conftest import chain_rule, interval
 from oracles import (
     QuasiModeError,
     numerical_rank,
@@ -361,6 +362,31 @@ def test_empty_rows_are_exact_zeros_beside_the_solved_rows(z2):
         P = principal_restriction(M, W)
         values = spec.principal(P, np.searchsorted(Q.packed, W.packed))
         assert np.array_equal(np.sort(values), eigenvalues(P))
+
+
+def test_default_tau_scales_the_block_norm_bound(z1, z2, h3):
+    """default_tau(M) is 1e-9 * max(1, c * r), c the largest spectral norm of a
+    k x k block and r = |B_R| for a restriction, or n for a dense n x n array."""
+    perc = PercolationColouring(z2, Alphabet(("a", "b")), seed=4)
+    cases = [
+        (adjacency_rule(z2), TrivialColouring(z2), folner_set(z2, 4).tile),
+        (adjacency_rule(h3), TrivialColouring(h3), folner_set(h3, 2).tile),
+        (percolation_rule(z2, perc.alphabet, ["a"]), perc, folner_set(z2, 6).tile),
+        (chain_rule(z1, 2.0), TrivialColouring(z1), interval(z1, -5, 5)),
+        (adjacency_rule(z2), TrivialColouring(z2), FiniteSet(z2, [])),
+    ]
+    bounds = []
+    for rule, C, Q in cases:
+        M = restrict_operator(rule, C, Q)
+        c = max((np.linalg.norm(rule.block_at(C, x, y), 2) for x in Q for y in Q), default=0.0)
+        bounds.append(c * len(rule.model.ball(rule.overall_range)))
+        assert norm_bound(M) == bounds[-1]
+        assert default_tau(M) == 1e-9 * max(1.0, bounds[-1])
+    assert bounds == [5.0, 5.0, 5.0, 6.0, 0.0]
+    A = sym(random.Random(5), 9)
+    for scale in (1.0, 1e-3):  # c * r above and below 1
+        assert default_tau(scale * A) == 1e-9 * max(1.0, float(np.abs(scale * A).max()) * 9)
+    assert default_tau(np.zeros((0, 0))) == 1e-9
 
 
 def test_split_empty_matrix():
